@@ -60,7 +60,8 @@ pub fn check_dbcop_cc(history: &History) -> bool {
     let mut reach: Vec<BitSet> = vec![BitSet::new(m); m];
     for &v in topo.iter().rev() {
         let mut r = BitSet::new(m);
-        for &(w, _) in g.successors(v) {
+        for &e in g.successors(v) {
+            let w = awdit_core::graph::target(e);
             r.set(w);
             r.union_with(&reach[w as usize]);
         }
@@ -87,6 +88,7 @@ pub fn check_dbcop_cc(history: &History) -> bool {
             }
         }
     }
+    g.freeze();
     g.is_acyclic()
 }
 

@@ -61,6 +61,7 @@ pub fn check_naive(history: &History, level: IsolationLevel) -> bool {
             }
         }
     }
+    g.freeze();
     g.is_acyclic()
 }
 

@@ -149,7 +149,8 @@ impl<'h> PlumeChecker<'h> {
                 }
             }
         }
-        stats.edges = g.num_edges();
+        stats.edges = g.num_emitted_edges();
+        g.freeze();
         (g.is_acyclic(), stats)
     }
 

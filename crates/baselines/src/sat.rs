@@ -71,7 +71,8 @@ pub fn check_sat(history: &History, level: IsolationLevel, max_txns: usize) -> O
     // so ∪ wr as unit clauses.
     let base = base_commit_graph(&index);
     for v in 0..m as u32 {
-        for &(w, _) in base.successors(v) {
+        for &e in base.successors(v) {
+            let w = awdit_core::graph::target(e);
             if v != w {
                 solver.add_clause([before(v, w)]);
             }
@@ -209,7 +210,8 @@ pub fn check_serializable_sat(history: &History, max_txns: usize) -> Option<bool
     }
     let base = base_commit_graph(&index);
     for v in 0..m as u32 {
-        for &(w, _) in base.successors(v) {
+        for &e in base.successors(v) {
+            let w = awdit_core::graph::target(e);
             if v != w {
                 solver.add_clause([before(v, w)]);
             }

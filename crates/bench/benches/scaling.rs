@@ -98,7 +98,7 @@ fn bench_cc_thread_scaling(c: &mut Criterion) {
             b.iter(|| {
                 saturate_cc_with(index, CcStrategy::BinarySearch, threads)
                     .expect("acyclic base")
-                    .num_edges()
+                    .num_emitted_edges()
             })
         });
     }
@@ -146,6 +146,7 @@ fn bench_scc_scaling(c: &mut Criterion) {
     for v in (0..n).step_by(5) {
         g.add_edge(v, (v + n / 3) % n, EdgeKind::Inferred(Key(0)));
     }
+    g.freeze();
     group.throughput(Throughput::Elements(n as u64));
     for threads in thread_counts() {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &g, |b, g| {

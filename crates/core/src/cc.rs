@@ -461,9 +461,9 @@ pub fn saturate_cc(index: &HistoryIndex, strategy: CcStrategy) -> Result<CommitG
 /// read-only per transaction, so it shards —
 /// contiguous chunks of the topological order for
 /// [`CcStrategy::BinarySearch`], contiguous session groups for
-/// [`CcStrategy::PointerScan`] — with thread-local edge sinks concatenated
-/// in chunk order, reproducing the sequential emission bit-for-bit at
-/// every thread count.
+/// [`CcStrategy::PointerScan`] — each into one of the graph's pair
+/// buffers, adopted in chunk order, reproducing the sequential emission
+/// bit-for-bit at every thread count.
 pub fn saturate_cc_with(
     index: &HistoryIndex,
     strategy: CcStrategy,
@@ -480,7 +480,7 @@ pub fn saturate_cc_with(
 /// # Errors
 ///
 /// As [`saturate_cc`]: if `so ∪ wr` is cyclic the offending cycles are
-/// returned and the graph is left holding only the base edges.
+/// returned and the graph is left holding only the base edges, frozen.
 pub fn saturate_cc_into(
     index: &HistoryIndex,
     strategy: CcStrategy,
@@ -493,8 +493,8 @@ pub fn saturate_cc_into(
 
 /// [`saturate_cc_into`] with a caller-owned [`ClockTable`] as well — the
 /// fully-recycled form the [`Engine`](crate::Engine) runs: graph *and*
-/// clock arenas are re-armed in place, so a same-shape check allocates
-/// nothing.
+/// clock arenas are re-armed in place, so a same-shape check grows
+/// neither (only [`CommitGraph::freeze`]'s scatter scratch is transient).
 ///
 /// # Errors
 ///
@@ -538,6 +538,9 @@ pub fn saturate_cc_pool(
         base_commit_graph_into(index, g);
     }
     let topo_span = obs.span("cc_topo_order");
+    // The topological order needs the base edges traversable: a CSR over
+    // `so ∪ wr` only, discarded once inference appends to the graph.
+    g.freeze();
     let topo = match g.topological_order() {
         Some(t) => t,
         None => return Err(g.find_cycles_pool(pool, usize::MAX, threads)),
@@ -638,14 +641,17 @@ fn pointer_scan_par(
     compute_hb_wavefront_pool(pool, index, topo, threads, clocks);
     let clocks = &*clocks;
     let groups = parallel::session_groups(index, threads * 2);
-    let sinks = parallel::map_shards(pool, threads, "cc_pointer_scan", &groups, |_, sessions| {
-        let mut sink = parallel::EdgeBuf::new();
-        for s in sessions.clone() {
-            pointer_scan_session(index, clocks, s as u32, &mut sink);
-        }
-        sink
-    });
-    parallel::merge_sinks(g, sinks);
+    g.fill_shards(
+        pool,
+        threads,
+        "cc_pointer_scan",
+        &groups,
+        |sessions, sink| {
+            for s in sessions.clone() {
+                pointer_scan_session(index, clocks, s as u32, sink);
+            }
+        },
+    );
 }
 
 /// Sharded `BinarySearch` strategy: the clock table is materialized by the
@@ -664,14 +670,11 @@ fn binary_search_par(
     compute_hb_wavefront_pool(pool, index, topo, threads, clocks);
     let clocks = &*clocks;
     let shards = parallel::split_even(topo.len(), threads * 4);
-    let sinks = parallel::map_shards(pool, threads, "cc_binary_search", &shards, |_, range| {
-        let mut sink = parallel::EdgeBuf::new();
+    g.fill_shards(pool, threads, "cc_binary_search", &shards, |range, sink| {
         for &t3 in &topo[range.start as usize..range.end as usize] {
-            crate::incremental::infer_cc_edges(index, t3, clocks.row(t3), &mut sink);
+            crate::incremental::infer_cc_edges(index, t3, clocks.row(t3), sink);
         }
-        sink
     });
-    parallel::merge_sinks(g, sinks);
 }
 
 /// The released tool's variant: clocks on the fly along the topological
@@ -722,8 +725,7 @@ fn binary_search(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks
 /// Convenience wrapper: does the history's `so ∪ wr` relation contain a
 /// cycle? (Required to be acyclic by every isolation level.)
 pub fn causality_cycles(index: &HistoryIndex) -> Vec<Cycle> {
-    let mut g = base_commit_graph(index);
-    g.freeze();
+    let g = base_commit_graph(index);
     if g.topological_order().is_some() {
         Vec::new()
     } else {
@@ -740,7 +742,10 @@ mod tests {
     fn cc_consistent(h: &History, strategy: CcStrategy) -> bool {
         let index = HistoryIndex::new(h);
         match saturate_cc(&index, strategy) {
-            Ok(g) => g.is_acyclic(),
+            Ok(mut g) => {
+                g.freeze();
+                g.is_acyclic()
+            }
             Err(_) => false,
         }
     }
@@ -822,7 +827,9 @@ mod tests {
         // ... while satisfying RA (Example 2.7).
         let index = HistoryIndex::new(&h);
         assert!(check_repeatable_reads(&index).is_empty());
-        assert!(saturate_ra(&index).is_acyclic());
+        let mut ra = saturate_ra(&index);
+        ra.freeze();
+        assert!(ra.is_acyclic());
     }
 
     /// Figure 4d satisfies CC (despite being non-serializable).
@@ -927,13 +934,21 @@ mod tests {
             let mut table = ClockTable::new();
             let mut g = CommitGraph::new(0);
             saturate_cc_scratch(&index, strategy, 1, &mut g, &mut table).unwrap();
+            g.freeze();
             let edges = g.num_edges();
+            let graph_bytes = g.heap_bytes();
             let bytes = table.heap_bytes();
             assert!(bytes > 0, "{strategy}: table must hold clock storage");
             for _ in 0..3 {
                 g.reset(0);
                 saturate_cc_scratch(&index, strategy, 1, &mut g, &mut table).unwrap();
+                g.freeze();
                 assert_eq!(g.num_edges(), edges, "{strategy}");
+                assert_eq!(
+                    g.heap_bytes(),
+                    graph_bytes,
+                    "{strategy}: same-shape saturation must not grow the graph arena"
+                );
                 assert_eq!(
                     table.heap_bytes(),
                     bytes,
@@ -1016,7 +1031,9 @@ mod tests {
         // RA can't see the two-hop chain: it accepts this history.
         let index = HistoryIndex::new(&h);
         assert!(check_repeatable_reads(&index).is_empty());
-        assert!(saturate_ra(&index).is_acyclic());
+        let mut ra = saturate_ra(&index);
+        ra.freeze();
+        assert!(ra.is_acyclic());
     }
 
     /// If the overwritten value's writer is merely concurrent with t_new

@@ -66,9 +66,14 @@ impl Default for CheckOptions {
 pub struct CheckStats {
     /// Committed transactions analyzed.
     pub committed_txns: usize,
-    /// Total edges in the saturated commit graph (`so ∪ wr ∪ inferred`).
+    /// Edges saturation emitted into the commit graph, duplicates counted
+    /// — the work the level's inference did.
+    pub emitted_edges: usize,
+    /// Distinct edges kept in the saturated commit graph
+    /// (`so ∪ wr ∪ inferred`).
     pub graph_edges: usize,
-    /// Inferred (non-`so ∪ wr`) edges added by saturation.
+    /// Distinct inferred (non-`so ∪ wr`) edges kept; a pair that is also
+    /// a base edge counts as base.
     pub inferred_edges: usize,
 }
 

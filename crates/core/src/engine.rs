@@ -1113,7 +1113,7 @@ fn check_prepared_into(
                 Err(cycles) => {
                     for c in cycles.iter().take(cfg.max_cycles) {
                         violations.push(Violation::CausalityCycle(WitnessCycle::from_cycle(
-                            c, index,
+                            c, index, level,
                         )));
                     }
                 }
@@ -1124,6 +1124,8 @@ fn check_prepared_into(
     Outcome::from_parts(level, violations, commit_order, stats)
 }
 
+/// Builds the saturated graph's CSR, extracts witness cycles, and labels
+/// their edges.
 #[allow(clippy::too_many_arguments)] // one-caller helper of check_prepared_into
 fn finish_graph(
     pool: &parallel::Pool,
@@ -1137,14 +1139,21 @@ fn finish_graph(
 ) {
     let obs = awdit_obs::current();
     {
-        // The analysis phases traverse edges repeatedly: repack into CSR.
+        // The one build step: emitted pairs into a deduplicated CSR.
         let _s = obs.span("graph_freeze");
         g.freeze();
     }
+    stats.emitted_edges = g.num_emitted_edges();
     stats.graph_edges = g.num_edges();
-    // Tallied by `CommitGraph::add_edge` as saturation emitted them — no
-    // `O(m·deg)` post-hoc scan.
     stats.inferred_edges = g.num_inferred_edges();
+    if let Some(metrics) = obs.metrics() {
+        metrics
+            .counter("awdit_engine_edges_emitted_total")
+            .add(stats.emitted_edges as u64);
+        metrics
+            .counter("awdit_engine_edges_kept_total")
+            .add(stats.graph_edges as u64);
+    }
     let cycles = {
         let _s = obs.span("cycle_extraction");
         g.find_cycles_pool(pool, cfg.max_cycles, cfg.threads)
@@ -1155,12 +1164,13 @@ fn finish_graph(
             *commit_order = commit_order_from_graph(index, g);
         }
     } else {
-        for c in &cycles {
-            violations.push(Violation::CommitOrderCycle {
-                level,
-                cycle: WitnessCycle::from_cycle(c, index),
-            });
-        }
+        let _s = obs.span("witness_provenance");
+        let witnesses = crate::provenance::witness_cycles(&cycles, index, level, cfg.cc_strategy);
+        violations.extend(
+            witnesses
+                .into_iter()
+                .map(|cycle| Violation::CommitOrderCycle { level, cycle }),
+        );
     }
 }
 

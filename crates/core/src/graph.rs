@@ -14,7 +14,9 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
+use crate::incremental::EdgeSink;
 use crate::index::HistoryIndex;
 use crate::parallel;
 use crate::types::{Key, SessionId};
@@ -54,15 +56,48 @@ impl EdgeKind {
     }
 }
 
+/// Bit 31 of a packed successor entry (see [`CommitGraph::successors`]):
+/// set when the edge is inferred rather than part of `so ∪ wr`. Node ids
+/// therefore fit in 31 bits.
+pub const INFERRED_BIT: u32 = 1 << 31;
+
+/// The successor node of a packed successor entry.
+#[inline]
+pub fn target(packed: u32) -> u32 {
+    packed & !INFERRED_BIT
+}
+
+/// Whether a packed successor entry is an inferred edge.
+#[inline]
+pub fn is_inferred(packed: u32) -> bool {
+    packed & INFERRED_BIT != 0
+}
+
+/// Packs an edge target with the one provenance bit the graph keeps.
+#[inline]
+fn pack(to: u32, kind: EdgeKind) -> u32 {
+    debug_assert!(to < INFERRED_BIT, "node ids must fit in 31 bits");
+    if kind.is_base() {
+        to
+    } else {
+        to | INFERRED_BIT
+    }
+}
+
 /// A directed edge of the commit graph, in dense-transaction-id space.
+///
+/// The graph keeps one bit of provenance per edge; the full label (session
+/// order, write–read or inferred, and on which key) is re-derived for
+/// witness edges only, by
+/// [`WitnessCycle::from_cycle`](crate::witness::WitnessCycle::from_cycle).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Edge {
     /// Source transaction (dense id).
     pub from: u32,
     /// Target transaction (dense id).
     pub to: u32,
-    /// Provenance of the ordering.
-    pub kind: EdgeKind,
+    /// Whether the edge is inferred (not part of `so ∪ wr`).
+    pub inferred: bool,
 }
 
 /// A cycle in the commit graph: a closed walk of edges
@@ -76,7 +111,7 @@ pub struct Cycle {
 impl Cycle {
     /// Number of inferred (non-`so ∪ wr`) edges in the cycle.
     pub fn inferred_count(&self) -> usize {
-        self.edges.iter().filter(|e| !e.kind.is_base()).count()
+        self.edges.iter().filter(|e| e.inferred).count()
     }
 
     /// Transactions on the cycle, in order.
@@ -95,43 +130,60 @@ impl Cycle {
     }
 }
 
+/// One saturation shard's output: `(from, to)` pairs in emission order,
+/// with [`INFERRED_BIT`] set in `to` for inferred edges.
+#[derive(Debug, Default)]
+pub(crate) struct PairBuf(Vec<(u32, u32)>);
+
+impl EdgeSink for PairBuf {
+    #[inline]
+    fn add_edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
+        self.0.push((from, pack(to, kind)));
+    }
+}
+
 /// The partial commit relation `co′` over the committed transactions, in
 /// dense-id space.
 ///
-/// The graph has two representations. While **building** (saturation),
-/// edges go into a per-node adjacency list. Once saturation is done, the
-/// analysis phases ([`sccs`](Self::sccs), [`find_cycles`](Self::find_cycles),
-/// [`topological_order`](Self::topological_order)) traverse edges many
-/// times, so [`freeze`](Self::freeze) repacks them into CSR form — one
-/// flat edge buffer plus an offsets table — turning every traversal into
-/// linear scans over two arrays. All read accessors work on either
-/// representation; `add_edge` panics after `freeze`.
+/// Saturation appends bare `(from, to)` pairs — 8 bytes each, bit 31 of
+/// `to` marking an inferred edge — to flat buffers, one per parallel shard
+/// in shard order. [`freeze`](Self::freeze) is the one build step: a
+/// stable counting sort by source into a CSR (`offsets` plus 4-byte
+/// packed `targets`) that keeps each distinct edge once. The analysis
+/// phases ([`sccs`](Self::sccs), [`find_cycles`](Self::find_cycles),
+/// [`topological_order`](Self::topological_order)) and
+/// [`successors`](Self::successors) read the CSR and require a frozen
+/// graph. Adding an edge after `freeze` discards the CSR; the next
+/// `freeze` rebuilds it from every pair emitted since the last
+/// [`reset`](Self::reset).
 #[derive(Clone, Debug)]
 pub struct CommitGraph {
     n: usize,
-    /// Building representation (cleared by `freeze`).
-    adj: Vec<Vec<(u32, EdgeKind)>>,
-    /// Frozen CSR representation (empty until `freeze`):
-    /// `csr_edges[csr_offsets[v]..csr_offsets[v + 1]]` are `v`'s out-edges.
-    csr_offsets: Vec<u32>,
-    csr_edges: Vec<(u32, EdgeKind)>,
-    frozen: bool,
-    num_edges: usize,
+    /// Emitted pairs, one buffer per saturation shard, in emission order.
+    /// Never empty: edges added directly go to the last buffer.
+    shards: Vec<Vec<(u32, u32)>>,
+    /// Cleared shard buffers kept for the next parallel saturation.
+    spare: Vec<Vec<(u32, u32)>>,
+    /// `targets[offsets[v]..offsets[v + 1]]` are `v`'s packed successors;
+    /// both are empty while the graph is not frozen.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
     inferred_edges: usize,
 }
 
 impl CommitGraph {
     /// Creates a graph over `n` transactions with no edges.
     pub fn new(n: usize) -> Self {
-        CommitGraph {
-            n,
-            adj: vec![Vec::new(); n],
-            csr_offsets: Vec::new(),
-            csr_edges: Vec::new(),
-            frozen: false,
-            num_edges: 0,
+        let mut g = CommitGraph {
+            n: 0,
+            shards: vec![Vec::new()],
+            spare: Vec::new(),
+            offsets: Vec::new(),
+            targets: Vec::new(),
             inferred_edges: 0,
-        }
+        };
+        g.reset(n);
+        g
     }
 
     /// Number of nodes (committed transactions).
@@ -140,109 +192,216 @@ impl CommitGraph {
         self.n
     }
 
-    /// Number of edges added so far (duplicates counted).
+    /// Number of distinct edges, as of the last [`freeze`](Self::freeze)
+    /// (0 while the graph is not frozen).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.targets.len()
     }
 
-    /// Number of inferred (non-`so ∪ wr`) edges added so far, tallied as
-    /// saturation emits them (no post-hoc scan).
+    /// Number of distinct inferred (non-`so ∪ wr`) edges, as of the last
+    /// [`freeze`](Self::freeze). A pair emitted both as a base and as an
+    /// inferred edge counts as base.
     #[inline]
     pub fn num_inferred_edges(&self) -> usize {
         self.inferred_edges
     }
 
-    /// Adds the edge `from → to` with the given label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has been [frozen](Self::freeze).
+    /// Number of edges emitted since the last [`reset`](Self::reset),
+    /// duplicates counted.
+    pub fn num_emitted_edges(&self) -> usize {
+        self.shards.iter().map(Vec::len).sum()
+    }
+
+    /// Adds the edge `from → to`. Only whether `kind` is base or inferred
+    /// is stored.
     #[inline]
     pub fn add_edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
-        assert!(!self.frozen, "cannot add edges to a frozen CommitGraph");
-        self.adj[from as usize].push((to, kind));
-        self.num_edges += 1;
-        if !kind.is_base() {
-            self.inferred_edges += 1;
+        self.thaw();
+        let last = self
+            .shards
+            .last_mut()
+            .expect("a graph always has a pair buffer");
+        last.push((from, pack(to, kind)));
+    }
+
+    /// Runs `emit` once per shard on up to `threads` pool participants,
+    /// each into a recycled pair buffer, and adopts the buffers after the
+    /// existing ones in shard order — so the emission order equals the
+    /// sequential loop over the shards.
+    pub(crate) fn fill_shards<S, F>(
+        &mut self,
+        pool: &parallel::Pool,
+        threads: usize,
+        stage: &'static str,
+        shards: &[S],
+        emit: F,
+    ) where
+        S: Sync,
+        F: Fn(&S, &mut PairBuf) + Sync,
+    {
+        self.thaw();
+        let bufs: Vec<Mutex<Vec<(u32, u32)>>> = shards
+            .iter()
+            .map(|_| Mutex::new(self.spare.pop().unwrap_or_default()))
+            .collect();
+        let filled = parallel::map_shards(pool, threads, stage, shards, |i, s| {
+            let lent = &mut *bufs[i].lock().expect("each buffer is taken by one shard");
+            let mut sink = PairBuf(std::mem::take(lent));
+            let recycled = sink.0.capacity();
+            emit(s, &mut sink);
+            // A buffer that had to grow keeps no doubling headroom: a
+            // same-shape saturation fills it exactly next time.
+            if sink.0.capacity() > recycled {
+                sink.0.shrink_to_fit();
+            }
+            sink.0
+        });
+        self.shards.extend(filled);
+    }
+
+    /// Drops the CSR so new pairs can be added; the next
+    /// [`freeze`](Self::freeze) rebuilds it.
+    #[inline]
+    fn thaw(&mut self) {
+        if !self.offsets.is_empty() {
+            self.offsets.clear();
+            self.targets.clear();
+            self.inferred_edges = 0;
         }
     }
 
-    /// Repacks the adjacency lists into the flat CSR representation and
-    /// clears the per-node vectors in place (keeping their capacity, so a
-    /// later [`reset`](Self::reset) reuses the allocations). Idempotent;
-    /// the graph becomes append-immutable until reset.
+    /// Builds the CSR from every pair emitted since the last
+    /// [`reset`](Self::reset): a stable counting sort by source, then one
+    /// pass per source that keeps the first occurrence of each target (a
+    /// stamp array remembers where). When a pair was emitted both as a
+    /// base and as an inferred edge, the kept entry is base — the edge the
+    /// cycle search's 0–1 BFS prefers anyway. The pair buffers keep their
+    /// contents and capacity. Idempotent.
     pub fn freeze(&mut self) {
-        if self.frozen {
+        if self.is_frozen() {
             return;
         }
-        self.csr_offsets.clear();
-        self.csr_offsets.reserve(self.n + 1);
-        self.csr_edges.clear();
-        self.csr_edges.reserve(self.num_edges);
-        self.csr_offsets.push(0u32);
-        // `adj` may be longer than `n` after a shrinking reset; only the
-        // first `n` rows are live.
-        for succs in self.adj.iter_mut().take(self.n) {
-            self.csr_edges.extend_from_slice(succs);
-            self.csr_offsets.push(self.csr_edges.len() as u32);
-            succs.clear();
+        let n = self.n;
+        let emitted = self.num_emitted_edges();
+        assert!(
+            emitted < u32::MAX as usize,
+            "commit graph exceeds 2^32 - 1 emitted edges"
+        );
+        self.offsets.resize(n + 1, 0);
+        for &(from, _) in self.shards.iter().flatten() {
+            self.offsets[from as usize + 1] += 1;
         }
-        self.frozen = true;
+        for v in 0..n {
+            self.offsets[v + 1] += self.offsets[v];
+        }
+        // Scatter, with `slot` as each source's write cursor. The scatter
+        // needs a slot per emitted pair; the headroom above the recycled
+        // capacity is handed back once the dedup has compacted the runs.
+        let mut slot: Vec<u32> = self.offsets[..n].to_vec();
+        let recycled = self.targets.capacity();
+        self.targets.resize(emitted, 0);
+        for &(from, to) in self.shards.iter().flatten() {
+            let cursor = &mut slot[from as usize];
+            self.targets[*cursor as usize] = to;
+            *cursor += 1;
+        }
+        // Compact each source's run in place, with `slot` now holding the
+        // kept position of each target (positions only grow, so a stamp
+        // below the run's start belongs to an earlier source).
+        slot.fill(u32::MAX);
+        let mut kept = 0usize;
+        let mut raw_start = 0usize;
+        for v in 0..n {
+            let raw_end = self.offsets[v + 1] as usize;
+            let run_start = kept;
+            self.offsets[v] = kept as u32;
+            for i in raw_start..raw_end {
+                let e = self.targets[i];
+                let w = target(e) as usize;
+                let p = slot[w];
+                if p != u32::MAX && p as usize >= run_start {
+                    if !is_inferred(e) {
+                        self.targets[p as usize] &= !INFERRED_BIT;
+                    }
+                } else {
+                    slot[w] = kept as u32;
+                    self.targets[kept] = e;
+                    kept += 1;
+                }
+            }
+            raw_start = raw_end;
+        }
+        self.offsets[n] = kept as u32;
+        self.targets.truncate(kept);
+        self.targets.shrink_to(recycled.max(kept));
+        self.inferred_edges = self.targets.iter().filter(|&&e| is_inferred(e)).count();
     }
 
     /// Clears the graph back to `n` nodes and no edges, keeping every
     /// buffer's capacity — the arena-reuse path of the
     /// [`Engine`](crate::Engine), where repeated checks of same-shape
-    /// histories must not reallocate. Un-freezes the graph.
+    /// histories must not reallocate. Parallel shard buffers go back to
+    /// the spare list in order, so a same-shape saturation hands each
+    /// shard the buffer it filled last time.
     ///
-    /// When `n` shrinks, the tail nodes' adjacency vectors are kept (just
-    /// cleared), so a mixed-size fleet alternating small and large
-    /// histories still recycles the large history's allocations.
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit in 31 bits.
     pub fn reset(&mut self, n: usize) {
-        for succs in &mut self.adj {
-            succs.clear();
+        assert!(n <= INFERRED_BIT as usize, "node ids must fit in 31 bits");
+        for mut buf in self.shards.drain(1..).rev() {
+            buf.clear();
+            self.spare.push(buf);
         }
-        if self.adj.len() < n {
-            self.adj.resize_with(n, Vec::new);
-        }
-        self.csr_offsets.clear();
-        self.csr_edges.clear();
-        self.frozen = false;
-        self.num_edges = 0;
+        self.shards[0].clear();
+        self.offsets.clear();
+        self.targets.clear();
         self.inferred_edges = 0;
         self.n = n;
     }
 
-    /// Heap footprint in bytes (capacities, not lengths), including the
-    /// per-node adjacency vectors and the frozen CSR buffers — the
-    /// quantity tracked by the engine's arena-growth accounting.
+    /// Heap footprint in bytes (capacities, not lengths) of the pair
+    /// buffers and the CSR — the quantity tracked by the engine's
+    /// arena-growth accounting.
     pub fn heap_bytes(&self) -> usize {
-        let edge = std::mem::size_of::<(u32, EdgeKind)>();
-        let mut bytes = self.adj.capacity() * std::mem::size_of::<Vec<(u32, EdgeKind)>>();
-        for succs in &self.adj {
-            bytes += succs.capacity() * edge;
-        }
-        bytes
-            + self.csr_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.csr_edges.capacity() * edge
+        let pair = std::mem::size_of::<(u32, u32)>();
+        let bufs = std::mem::size_of::<Vec<(u32, u32)>>() * (self.shards.len() + self.spare.len());
+        let pairs: usize = self
+            .shards
+            .iter()
+            .chain(&self.spare)
+            .map(|b| b.capacity() * pair)
+            .sum();
+        bufs + pairs + (self.offsets.capacity() + self.targets.capacity()) * 4
     }
 
-    /// Whether [`freeze`](Self::freeze) has run.
+    /// Whether the CSR is built (by [`freeze`](Self::freeze), and not
+    /// discarded by a later [`add_edge`](Self::add_edge) or
+    /// [`reset`](Self::reset)).
     #[inline]
     pub fn is_frozen(&self) -> bool {
-        self.frozen
+        !self.offsets.is_empty()
     }
 
-    /// Successors of a node.
+    fn assert_frozen(&self) {
+        assert!(
+            self.is_frozen(),
+            "CommitGraph::freeze must run before the graph is traversed"
+        );
+    }
+
+    /// Packed successors of a node: decode each entry with [`target`] and
+    /// [`is_inferred`]. Each distinct successor appears once, in first
+    /// emission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is not [frozen](Self::freeze).
     #[inline]
-    pub fn successors(&self, node: u32) -> &[(u32, EdgeKind)] {
-        if self.frozen {
-            let v = node as usize;
-            &self.csr_edges[self.csr_offsets[v] as usize..self.csr_offsets[v + 1] as usize]
-        } else {
-            &self.adj[node as usize]
-        }
+    pub fn successors(&self, node: u32) -> &[u32] {
+        let v = node as usize;
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Computes strongly connected components. Returns one `Vec` of nodes
@@ -273,6 +432,7 @@ impl CommitGraph {
     /// [`Pool`](parallel::Pool) — the [`Engine`](crate::Engine)'s shared
     /// one — instead of an ephemeral pool.
     pub fn sccs_pool(&self, pool: &parallel::Pool, threads: usize) -> Vec<Vec<u32>> {
+        self.assert_frozen();
         let threads = parallel::effective_threads(threads);
         let comp_of = if threads <= 1 || self.n < parallel::SEQUENTIAL_CUTOFF {
             let mut comp_of = vec![u32::MAX; self.n];
@@ -318,7 +478,7 @@ impl CommitGraph {
                 }
                 let mut recursed = false;
                 while *pos < self.successors(v).len() {
-                    let (w, _) = self.successors(v)[*pos];
+                    let w = target(self.successors(v)[*pos]);
                     *pos += 1;
                     let wu = w as usize;
                     if comp_of[wu] != u32::MAX {
@@ -376,8 +536,8 @@ impl CommitGraph {
         // Reverse CSR (targets only) for the backward sweeps.
         let mut rev_offsets = vec![0u32; n + 1];
         for v in 0..n as u32 {
-            for &(w, _) in self.successors(v) {
-                rev_offsets[w as usize + 1] += 1;
+            for &e in self.successors(v) {
+                rev_offsets[target(e) as usize + 1] += 1;
             }
         }
         for i in 1..=n {
@@ -386,9 +546,10 @@ impl CommitGraph {
         let mut rev_edges = vec![0u32; rev_offsets[n] as usize];
         let mut fill: Vec<u32> = rev_offsets[..n].to_vec();
         for v in 0..n as u32 {
-            for &(w, _) in self.successors(v) {
-                rev_edges[fill[w as usize] as usize] = v;
-                fill[w as usize] += 1;
+            for &e in self.successors(v) {
+                let w = target(e) as usize;
+                rev_edges[fill[w] as usize] = v;
+                fill[w] += 1;
             }
         }
 
@@ -421,7 +582,7 @@ impl CommitGraph {
                 deg_out[vu] = self
                     .successors(v)
                     .iter()
-                    .filter(|&&(w, _)| region_of[w as usize] == rid)
+                    .filter(|&&e| region_of[target(e) as usize] == rid)
                     .count() as u32;
             }
             let mut peel: Vec<u32> = nodes
@@ -446,7 +607,8 @@ impl CommitGraph {
                         }
                     }
                 }
-                for &(w, _) in self.successors(v) {
+                for &e in self.successors(v) {
+                    let w = target(e);
                     let wu = w as usize;
                     if region_of[wu] == rid {
                         deg_in[wu] -= 1;
@@ -580,8 +742,8 @@ impl CommitGraph {
                     claim(w, out);
                 }
             } else {
-                for &(w, _) in self.successors(v) {
-                    claim(w, out);
+                for &e in self.successors(v) {
+                    claim(target(e), out);
                 }
             }
         };
@@ -624,8 +786,8 @@ impl CommitGraph {
         let mut indeg = vec![0u32; num_comps];
         for v in 0..n as u32 {
             let cv = comp_of[v as usize];
-            for &(w, _) in self.successors(v) {
-                let cw = comp_of[w as usize];
+            for &e in self.successors(v) {
+                let cw = comp_of[target(e) as usize];
                 if cw != cv {
                     indeg[cw as usize] += 1;
                 }
@@ -639,8 +801,8 @@ impl CommitGraph {
         while let Some(Reverse((_, c))) = heap.pop() {
             order.push(c);
             for &v in &nodes_of[c as usize] {
-                for &(w, _) in self.successors(v) {
-                    let cw = comp_of[w as usize];
+                for &e in self.successors(v) {
+                    let cw = comp_of[target(e) as usize];
                     if cw != c {
                         indeg[cw as usize] -= 1;
                         if indeg[cw as usize] == 0 {
@@ -665,18 +827,20 @@ impl CommitGraph {
 
     /// A topological order of the nodes, or `None` if the graph is cyclic.
     pub fn topological_order(&self) -> Option<Vec<u32>> {
+        self.assert_frozen();
         let n = self.n;
         let mut indeg = vec![0u32; n];
         for v in 0..n as u32 {
-            for &(w, _) in self.successors(v) {
-                indeg[w as usize] += 1;
+            for &e in self.successors(v) {
+                indeg[target(e) as usize] += 1;
             }
         }
         let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            for &(w, _) in self.successors(v) {
+            for &e in self.successors(v) {
+                let w = target(e);
                 indeg[w as usize] -= 1;
                 if indeg[w as usize] == 0 {
                     queue.push_back(w);
@@ -736,7 +900,7 @@ impl CommitGraph {
             }
             let trivial = comp.len() == 1 && {
                 let v = comp[0];
-                !self.successors(v).iter().any(|&(w, _)| w == v)
+                !self.successors(v).iter().any(|&e| target(e) == v)
             };
             if trivial {
                 continue;
@@ -748,23 +912,21 @@ impl CommitGraph {
             let mut seeds: Vec<Edge> = Vec::new();
             let mut fallback: Option<Edge> = None;
             'outer: for &v in comp {
-                for &(w, kind) in self.successors(v) {
+                for &e in self.successors(v) {
+                    let w = target(e);
                     if comp_of[w as usize] == ci as u32 {
-                        if !kind.is_base() {
-                            seeds.push(Edge {
-                                from: v,
-                                to: w,
-                                kind,
-                            });
+                        let edge = Edge {
+                            from: v,
+                            to: w,
+                            inferred: is_inferred(e),
+                        };
+                        if edge.inferred {
+                            seeds.push(edge);
                             if seeds.len() >= MAX_SEEDS {
                                 break 'outer;
                             }
                         } else if fallback.is_none() {
-                            fallback = Some(Edge {
-                                from: v,
-                                to: w,
-                                kind,
-                            });
+                            fallback = Some(edge);
                         }
                     }
                 }
@@ -786,10 +948,7 @@ impl CommitGraph {
                     .expect("SCC nodes must be mutually reachable");
                 let mut edges = path;
                 edges.push(seed);
-                let cost = (
-                    edges.iter().filter(|e| !e.kind.is_base()).count(),
-                    edges.len(),
-                );
+                let cost = (edges.iter().filter(|e| e.inferred).count(), edges.len());
                 if cost < best_cost {
                     best_cost = cost;
                     best = Some(edges);
@@ -830,20 +989,21 @@ impl CommitGraph {
                 break;
             }
             let dv = dist[v as usize];
-            for &(w, kind) in self.successors(v) {
+            for &e in self.successors(v) {
+                let w = target(e);
                 if comp_of[w as usize] != ci {
                     continue;
                 }
-                let cost = if kind.is_base() { 0 } else { 1 };
-                let nd = dv + cost;
+                let inferred = is_inferred(e);
+                let nd = dv + u32::from(inferred);
                 if nd < dist[w as usize] {
                     dist[w as usize] = nd;
                     pred[w as usize] = Some(Edge {
                         from: v,
                         to: w,
-                        kind,
+                        inferred,
                     });
-                    if cost == 0 {
+                    if !inferred {
                         dq.push_front(w);
                     } else {
                         dq.push_back(w);
@@ -869,16 +1029,19 @@ impl CommitGraph {
 /// Builds the base commit relation `so ∪ wr` over the committed
 /// transactions: session-order edges between consecutive committed
 /// transactions of each session, plus one write–read edge per distinct
-/// `(writer, reader)` pair.
+/// `(writer, reader)` pair. The graph comes back frozen, ready to
+/// traverse.
 pub fn base_commit_graph(index: &HistoryIndex) -> CommitGraph {
     let mut g = CommitGraph::new(0);
     base_commit_graph_into(index, &mut g);
+    g.freeze();
     g
 }
 
 /// [`base_commit_graph`] into a caller-owned graph arena: the graph is
 /// [`reset`](CommitGraph::reset) to the right node count (reusing its
-/// buffers) and refilled with the `so ∪ wr` edges.
+/// buffers) and refilled with the `so ∪ wr` edges, left unfrozen so
+/// saturation can append to it.
 pub fn base_commit_graph_into(index: &HistoryIndex, g: &mut CommitGraph) {
     let m = index.num_committed();
     g.reset(m);
@@ -908,29 +1071,42 @@ mod tests {
         EdgeKind::Inferred(Key(i))
     }
 
+    /// A frozen graph over `n` nodes with the given edges.
+    fn graph(n: usize, edges: &[(u32, u32, EdgeKind)]) -> CommitGraph {
+        let mut g = CommitGraph::new(n);
+        for &(from, to, kind) in edges {
+            g.add_edge(from, to, kind);
+        }
+        g.freeze();
+        g
+    }
+
     #[test]
     fn empty_graph_is_acyclic() {
-        let g = CommitGraph::new(0);
+        let g = graph(0, &[]);
         assert!(g.is_acyclic());
         assert_eq!(g.topological_order(), Some(vec![]));
     }
 
     #[test]
     fn chain_is_acyclic_with_topo_order() {
-        let mut g = CommitGraph::new(4);
-        g.add_edge(0, 1, EdgeKind::SessionOrder);
-        g.add_edge(1, 2, EdgeKind::WriteRead(Key(0)));
-        g.add_edge(2, 3, k(1));
+        let g = graph(
+            4,
+            &[
+                (0, 1, EdgeKind::SessionOrder),
+                (1, 2, EdgeKind::WriteRead(Key(0))),
+                (2, 3, k(1)),
+            ],
+        );
         assert!(g.is_acyclic());
         assert_eq!(g.topological_order(), Some(vec![0, 1, 2, 3]));
         assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.num_inferred_edges(), 1);
     }
 
     #[test]
     fn two_cycle_is_detected() {
-        let mut g = CommitGraph::new(2);
-        g.add_edge(0, 1, EdgeKind::SessionOrder);
-        g.add_edge(1, 0, k(0));
+        let g = graph(2, &[(0, 1, EdgeKind::SessionOrder), (1, 0, k(0))]);
         assert!(!g.is_acyclic());
         assert_eq!(g.topological_order(), None);
         let cycles = g.find_cycles(10);
@@ -942,8 +1118,7 @@ mod tests {
 
     #[test]
     fn self_loop_is_a_cycle() {
-        let mut g = CommitGraph::new(1);
-        g.add_edge(0, 0, k(0));
+        let g = graph(1, &[(0, 0, k(0))]);
         assert!(!g.is_acyclic());
         let cycles = g.find_cycles(10);
         assert_eq!(cycles.len(), 1);
@@ -953,14 +1128,18 @@ mod tests {
 
     #[test]
     fn one_cycle_per_scc() {
-        let mut g = CommitGraph::new(6);
         // SCC 1: 0 <-> 1; SCC 2: 2 -> 3 -> 4 -> 2; node 5 isolated.
-        g.add_edge(0, 1, EdgeKind::SessionOrder);
-        g.add_edge(1, 0, k(0));
-        g.add_edge(2, 3, EdgeKind::SessionOrder);
-        g.add_edge(3, 4, EdgeKind::WriteRead(Key(0)));
-        g.add_edge(4, 2, k(1));
-        g.add_edge(5, 0, EdgeKind::SessionOrder);
+        let g = graph(
+            6,
+            &[
+                (0, 1, EdgeKind::SessionOrder),
+                (1, 0, k(0)),
+                (2, 3, EdgeKind::SessionOrder),
+                (3, 4, EdgeKind::WriteRead(Key(0))),
+                (4, 2, k(1)),
+                (5, 0, EdgeKind::SessionOrder),
+            ],
+        );
         let cycles = g.find_cycles(10);
         assert_eq!(cycles.len(), 2);
         for c in &cycles {
@@ -976,29 +1155,28 @@ mod tests {
 
     #[test]
     fn cycle_extraction_prefers_few_inferred_edges() {
-        let mut g = CommitGraph::new(4);
-        // Two ways back from 1 to 0: direct inferred edge, or a base path
-        // 1 -> 2 -> 3 -> 0. The seed edge is inferred (0 -> 1 is base,
-        // 1 -> 0 inferred); closing path should use base edges only...
-        g.add_edge(0, 1, EdgeKind::SessionOrder);
-        g.add_edge(1, 0, k(9));
-        g.add_edge(1, 2, k(1));
-        g.add_edge(2, 3, k(2));
-        g.add_edge(3, 0, k(3));
+        // Two ways back from 1 to 0: direct inferred edge, or an inferred
+        // path 1 -> 2 -> 3 -> 0. The best cycle is base edge 0 -> 1 plus
+        // inferred 1 -> 0 (one inferred edge).
+        let g = graph(
+            4,
+            &[
+                (0, 1, EdgeKind::SessionOrder),
+                (1, 0, k(9)),
+                (1, 2, k(1)),
+                (2, 3, k(2)),
+                (3, 0, k(3)),
+            ],
+        );
         let cycles = g.find_cycles(1);
         assert_eq!(cycles.len(), 1);
-        // Best cycle: base edge 0->1 plus inferred 1->0 (1 inferred edge).
         assert_eq!(cycles[0].inferred_count(), 1);
         assert_eq!(cycles[0].edges.len(), 2);
     }
 
     #[test]
     fn max_limits_cycle_count() {
-        let mut g = CommitGraph::new(4);
-        g.add_edge(0, 1, k(0));
-        g.add_edge(1, 0, k(0));
-        g.add_edge(2, 3, k(0));
-        g.add_edge(3, 2, k(0));
+        let g = graph(4, &[(0, 1, k(0)), (1, 0, k(0)), (2, 3, k(0)), (3, 2, k(0))]);
         assert_eq!(g.find_cycles(1).len(), 1);
         assert_eq!(g.find_cycles(0).len(), 0);
         assert_eq!(g.find_cycles(5).len(), 2);
@@ -1006,11 +1184,7 @@ mod tests {
 
     #[test]
     fn sccs_cover_all_nodes() {
-        let mut g = CommitGraph::new(5);
-        g.add_edge(0, 1, k(0));
-        g.add_edge(1, 2, k(0));
-        g.add_edge(2, 0, k(0));
-        g.add_edge(3, 4, k(0));
+        let g = graph(5, &[(0, 1, k(0)), (1, 2, k(0)), (2, 0, k(0)), (3, 4, k(0))]);
         let sccs = g.sccs();
         let mut all: Vec<u32> = sccs.into_iter().flatten().collect();
         all.sort_unstable();
@@ -1018,19 +1192,91 @@ mod tests {
     }
 
     #[test]
-    fn reset_recycles_across_shrinking_and_growing() {
+    fn duplicate_pairs_are_stored_once() {
         let mut g = CommitGraph::new(3);
+        for key in 0..4 {
+            g.add_edge(0, 2, k(key));
+        }
         g.add_edge(0, 1, EdgeKind::SessionOrder);
+        g.add_edge(0, 2, k(7));
         g.add_edge(1, 2, k(0));
         g.freeze();
+        assert_eq!(g.num_emitted_edges(), 7);
+        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.num_inferred_edges(), 2);
+        // First-emission order within a source survives the dedup.
+        assert_eq!(g.successors(0), &[2 | INFERRED_BIT, 1]);
+        assert_eq!(g.successors(1), &[2 | INFERRED_BIT]);
+        assert!(g.successors(2).is_empty());
+    }
+
+    #[test]
+    fn base_and_inferred_pair_keeps_the_base_bit() {
+        // Inferred first, base later: the kept entry turns base in place.
+        let mut g = CommitGraph::new(2);
+        g.add_edge(0, 1, k(3));
+        g.add_edge(0, 1, EdgeKind::WriteRead(Key(3)));
+        g.add_edge(0, 1, k(4));
+        g.freeze();
+        assert_eq!(g.successors(0), &[1]);
+        assert_eq!(g.num_inferred_edges(), 0);
+        // Base first (as saturation always emits it).
+        let g = graph(2, &[(1, 0, EdgeKind::SessionOrder), (1, 0, k(0))]);
+        assert_eq!(g.successors(1), &[0]);
+        assert!(!is_inferred(g.successors(1)[0]));
+        assert_eq!(target(g.successors(1)[0]), 0);
+    }
+
+    #[test]
+    fn frozen_graph_costs_four_bytes_per_distinct_edge() {
+        let n = 1000u32;
+        let mut g = CommitGraph::new(n as usize);
+        for v in 0..n {
+            for d in 1..=5 {
+                // Every pair emitted twice, once inferred.
+                g.add_edge(v, (v + d) % n, EdgeKind::SessionOrder);
+                g.add_edge(v, (v + d) % n, k(d));
+            }
+        }
+        g.freeze();
+        assert_eq!(g.num_edges(), 5 * n as usize);
+        let pair_bytes: usize = g
+            .shards
+            .iter()
+            .chain(&g.spare)
+            .map(|b| b.capacity() * 8)
+            .sum::<usize>()
+            + (g.shards.len() + g.spare.len()) * std::mem::size_of::<Vec<(u32, u32)>>();
+        assert!(
+            g.heap_bytes() <= 4 * g.num_edges() + 4 * (n as usize + 1) + pair_bytes,
+            "heap {} for {} distinct edges",
+            g.heap_bytes(),
+            g.num_edges()
+        );
+    }
+
+    #[test]
+    fn adding_after_freeze_rebuilds_from_every_pair() {
+        let mut g = graph(3, &[(0, 1, EdgeKind::SessionOrder)]);
+        assert!(g.is_frozen());
+        g.add_edge(1, 2, k(0));
+        assert!(!g.is_frozen());
+        g.freeze();
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.topological_order(), Some(vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn reset_recycles_across_shrinking_and_growing() {
+        let mut g = graph(3, &[(0, 1, EdgeKind::SessionOrder), (1, 2, k(0))]);
         let grown = g.heap_bytes();
 
-        // Shrink: the tail adjacency buffers are kept, only cleared.
+        // Shrink: buffers are kept, only cleared.
         g.reset(1);
         assert_eq!(g.num_nodes(), 1);
-        assert_eq!(g.num_edges(), 0);
-        assert!(g.successors(0).is_empty());
+        assert_eq!(g.num_emitted_edges(), 0);
         g.freeze();
+        assert!(g.successors(0).is_empty());
         assert!(g.is_acyclic());
         assert!(
             g.heap_bytes() >= grown - 64,
@@ -1043,8 +1289,31 @@ mod tests {
         g.add_edge(1, 2, k(0));
         g.freeze();
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.successors(1), &[(2, k(0))]);
+        assert_eq!(g.successors(1), &[2 | INFERRED_BIT]);
         assert!(g.heap_bytes() <= grown, "regrow must reuse, not grow");
+    }
+
+    #[test]
+    fn parallel_shards_are_adopted_in_shard_order() {
+        let pool = parallel::Pool::new(4);
+        let shards: Vec<u32> = (0..8).collect();
+        let mut g = CommitGraph::new(9);
+        g.add_edge(8, 0, EdgeKind::SessionOrder);
+        g.fill_shards(&pool, 4, "test_stage", &shards, |&s, sink| {
+            sink.add_edge(8, s, k(s));
+        });
+        g.freeze();
+        let order: Vec<u32> = g.successors(8).iter().map(|&e| target(e)).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
+        let bytes = g.heap_bytes();
+        // A same-shape refill reuses every shard buffer.
+        g.reset(9);
+        g.add_edge(8, 0, EdgeKind::SessionOrder);
+        g.fill_shards(&pool, 4, "test_stage", &shards, |&s, sink| {
+            sink.add_edge(8, s, k(s));
+        });
+        g.freeze();
+        assert_eq!(g.heap_bytes(), bytes);
     }
 
     #[test]
@@ -1055,6 +1324,7 @@ mod tests {
         for i in 0..(n as u32 - 1) {
             g.add_edge(i, i + 1, EdgeKind::SessionOrder);
         }
+        g.freeze();
         assert!(g.is_acyclic());
         assert_eq!(g.sccs().len(), n);
     }

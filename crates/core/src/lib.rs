@@ -83,6 +83,7 @@ pub mod isolation;
 pub mod linearize;
 pub mod op;
 pub mod parallel;
+mod provenance;
 pub mod ra;
 pub mod rc;
 pub mod read_consistency;

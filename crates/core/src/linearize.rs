@@ -290,7 +290,8 @@ mod tests {
     fn linearization_of_rc_saturation_validates() {
         let h = fig4b();
         let index = HistoryIndex::new(&h);
-        let g = saturate_rc(&index);
+        let mut g = saturate_rc(&index);
+        g.freeze();
         let order = commit_order_from_graph(&index, &g).expect("consistent");
         validate_commit_order(&h, IsolationLevel::ReadCommitted, &order)
             .expect("linearization must witness RC");
@@ -404,7 +405,8 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let g = saturate_cc(&index, CcStrategy::BinarySearch).expect("no causality cycle");
+        let mut g = saturate_cc(&index, CcStrategy::BinarySearch).expect("no causality cycle");
+        g.freeze();
         let order = commit_order_from_graph(&index, &g).expect("consistent");
         validate_commit_order(&h, IsolationLevel::Causal, &order)
             .expect("linearization must witness CC");

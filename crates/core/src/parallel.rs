@@ -2,8 +2,8 @@
 //!
 //! The checkers parallelize by **sharding a canonical processing sequence
 //! into contiguous chunks**: each worker runs the per-transaction kernel
-//! over its chunk, emitting into a thread-local edge buffer, and the
-//! buffers are concatenated **in chunk order**. Because the kernels are
+//! over its chunk, emitting into its own edge buffer, and the buffers are
+//! adopted **in chunk order**. Because the kernels are
 //! independent across chunk boundaries (RC is transaction-local, RA only
 //! consults its own session's state and chunks align to session
 //! boundaries, CC reads precomputed clocks), the concatenation equals the
@@ -26,8 +26,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::graph::EdgeKind;
-use crate::incremental::EdgeSink;
 use crate::index::HistoryIndex;
 use crate::types::SessionId;
 
@@ -84,6 +82,31 @@ pub struct Pool {
     /// owns no threads, locks, or counters.
     inner: Option<Arc<Inner>>,
     width: usize,
+    live: LiveWorkers,
+}
+
+/// A pool's count of live worker threads: incremented when a worker is
+/// spawned, decremented as its thread exits. The handle stays readable
+/// after the pool is dropped, so a caller can see that `Drop` joined
+/// every worker.
+#[derive(Debug, Clone, Default)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
+
+impl LiveWorkers {
+    /// Worker threads of the pool that have not exited yet.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
+    }
+}
+
+/// Decrements the live-worker count when a worker thread's body ends,
+/// panicking or not.
+struct WorkerExit(LiveWorkers);
+
+impl Drop for WorkerExit {
+    fn drop(&mut self) {
+        (self.0).0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A snapshot of the pool's lifetime counters (see the
@@ -185,6 +208,7 @@ impl Pool {
             return Pool {
                 inner: None,
                 width: 1,
+                live: LiveWorkers::default(),
             };
         }
         Pool {
@@ -205,6 +229,7 @@ impl Pool {
                 published: [const { AtomicU64::new(0) }; 4],
             })),
             width,
+            live: LiveWorkers::default(),
         }
     }
 
@@ -219,6 +244,12 @@ impl Pool {
         self.inner
             .as_ref()
             .map_or(0, |i| i.spawned.load(Ordering::Relaxed))
+    }
+
+    /// A handle on the count of worker threads still running; it reaches
+    /// 0 once the pool is dropped.
+    pub fn live_workers(&self) -> LiveWorkers {
+        self.live.clone()
     }
 
     /// Lifetime counter snapshot.
@@ -281,9 +312,14 @@ impl Pool {
             // Lazily grow the worker set to what this dispatch can use.
             while st.workers.len() < workers - 1 {
                 let arc = Arc::clone(inner);
+                self.live.0.fetch_add(1, Ordering::SeqCst);
+                let exit = WorkerExit(self.live.clone());
                 let handle = std::thread::Builder::new()
                     .name("awdit-pool".into())
-                    .spawn(move || worker_loop(&arc))
+                    .spawn(move || {
+                        let _exit = exit;
+                        worker_loop(&arc)
+                    })
                     .expect("spawn pool worker");
                 st.workers.push(handle);
                 inner.spawned.fetch_add(1, Ordering::Relaxed);
@@ -712,21 +748,6 @@ pub fn split_weighted(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
         out.push(start..n);
     }
     out
-}
-
-/// A thread-local edge sink: `(from, to, kind)` triples in emission order.
-pub type EdgeBuf = Vec<(u32, u32, EdgeKind)>;
-
-/// Replays thread-local edge sinks into `g` **in shard order** — the
-/// deterministic-merge step every sharded saturator ends with. Because
-/// each sink holds the sequential emission restricted to its chunk, the
-/// concatenation equals the sequential emission exactly.
-pub fn merge_sinks<G: EdgeSink>(g: &mut G, sinks: Vec<EdgeBuf>) {
-    for sink in sinks {
-        for (from, to, kind) in sink {
-            g.add_edge(from, to, kind);
-        }
-    }
 }
 
 /// A bounded, capacity-one rendezvous slot between exactly two threads —

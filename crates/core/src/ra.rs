@@ -72,9 +72,9 @@ pub fn saturate_ra(index: &HistoryIndex) -> CommitGraph {
 /// The RA kernel only consults the reading transaction's own session
 /// state, so *sessions* are sharded into contiguous groups (weighted by
 /// their committed-transaction counts); each worker sweeps its sessions in
-/// order with its own kernel into a thread-local sink, and the sinks are
-/// concatenated in group order — bit-identical to the sequential
-/// session-major sweep for every thread count.
+/// order with its own kernel into one of the graph's pair buffers, adopted
+/// in group order — bit-identical to the sequential session-major sweep
+/// for every thread count.
 pub fn saturate_ra_with(index: &HistoryIndex, threads: usize) -> CommitGraph {
     let mut g = CommitGraph::new(0);
     saturate_ra_into(&crate::parallel::Pool::new(threads), index, threads, &mut g);
@@ -103,18 +103,14 @@ pub fn saturate_ra_into(
         return;
     }
     let groups = crate::parallel::session_groups(index, threads * 2);
-    let sinks =
-        crate::parallel::map_shards(pool, threads, "saturate_ra", &groups, |_, sessions| {
-            let mut kernel = crate::incremental::RaKernel::new();
-            let mut sink = crate::parallel::EdgeBuf::new();
-            for s in sessions.clone() {
-                for &t3 in index.session_committed(SessionId(s as u32)) {
-                    kernel.process(index, t3, &mut sink);
-                }
+    g.fill_shards(pool, threads, "saturate_ra", &groups, |sessions, sink| {
+        let mut kernel = crate::incremental::RaKernel::new();
+        for s in sessions.clone() {
+            for &t3 in index.session_committed(SessionId(s as u32)) {
+                kernel.process(index, t3, sink);
             }
-            sink
-        });
-    crate::parallel::merge_sinks(g, sinks);
+        }
+    });
 }
 
 /// Theorem 1.6: RA with a single session in `O(n)` time.
@@ -190,13 +186,19 @@ pub fn check_ra_single_session(index: &HistoryIndex) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{is_inferred, target};
     use crate::history::{History, HistoryBuilder};
     use crate::rc::saturate_rc;
     use crate::types::TxnId;
 
+    fn frozen(mut g: CommitGraph) -> CommitGraph {
+        g.freeze();
+        g
+    }
+
     fn ra_consistent(h: &History) -> bool {
         let index = HistoryIndex::new(h);
-        check_repeatable_reads(&index).is_empty() && saturate_ra(&index).is_acyclic()
+        check_repeatable_reads(&index).is_empty() && frozen(saturate_ra(&index)).is_acyclic()
     }
 
     /// Figure 4b violates RA: t3 reads y from t2 but x from the older t1.
@@ -221,7 +223,7 @@ mod tests {
         assert!(!ra_consistent(&h));
         // ... while satisfying RC (Example 2.5).
         let index = HistoryIndex::new(&h);
-        assert!(saturate_rc(&index).is_acyclic());
+        assert!(frozen(saturate_rc(&index)).is_acyclic());
     }
 
     /// Figure 4c satisfies RA (t4 reads all of what it observes).
@@ -359,7 +361,7 @@ mod tests {
         b.commit(s2);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let g = saturate_ra(&index);
+        let g = frozen(saturate_ra(&index));
         assert!(g.is_acyclic());
         let t1 = index.dense_id(TxnId::new(0, 0));
         let t2a = index.dense_id(TxnId::new(1, 0));
@@ -368,8 +370,8 @@ mod tests {
             .flat_map(|v| {
                 g.successors(v)
                     .iter()
-                    .filter(|(_, k)| !k.is_base())
-                    .map(move |&(w, _)| (v, w))
+                    .filter(|&&e| is_inferred(e))
+                    .map(move |&e| (v, target(e)))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -465,6 +467,6 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        assert!(saturate_rc(&index).is_acyclic());
+        assert!(frozen(saturate_rc(&index)).is_acyclic());
     }
 }

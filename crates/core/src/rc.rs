@@ -31,9 +31,10 @@ use crate::parallel::{self, SEQUENTIAL_CUTOFF};
 
 /// Saturates the minimal commit relation for Read Committed.
 ///
-/// Returns the commit graph `co′ = so ∪ wr ∪ inferred`; the history
-/// satisfies RC iff the graph is acyclic (given Read Consistency, which is
-/// checked separately by [`check`](crate::check)).
+/// Returns the commit graph `co′ = so ∪ wr ∪ inferred`, not yet
+/// [frozen](CommitGraph::freeze); the history satisfies RC iff the graph
+/// is acyclic (given Read Consistency, which is checked separately by
+/// [`check`](crate::check)).
 ///
 /// Implemented as a loop over the per-transaction
 /// [`RcKernel`], the same inference body the
@@ -45,10 +46,10 @@ pub fn saturate_rc(index: &HistoryIndex) -> CommitGraph {
 /// [`saturate_rc`] on up to `threads` worker threads (`0` = all cores).
 ///
 /// The RC inference body is transaction-local, so the dense-id range is
-/// sharded into contiguous chunks, each worker runs its own kernel into a
-/// thread-local edge sink, and the sinks are concatenated in chunk order —
-/// the resulting graph is bit-identical to the sequential one for every
-/// thread count.
+/// sharded into contiguous chunks, each worker runs its own kernel into
+/// one of the graph's pair buffers, and the graph adopts the buffers in
+/// chunk order — the resulting graph is bit-identical to the sequential
+/// one for every thread count.
 pub fn saturate_rc_with(index: &HistoryIndex, threads: usize) -> CommitGraph {
     let mut g = CommitGraph::new(0);
     saturate_rc_into(&parallel::Pool::new(threads), index, threads, &mut g);
@@ -75,15 +76,12 @@ pub fn saturate_rc_into(
         return;
     }
     let shards = parallel::split_even(m, threads * 4);
-    let sinks = parallel::map_shards(pool, threads, "saturate_rc", &shards, |_, range| {
+    g.fill_shards(pool, threads, "saturate_rc", &shards, |range, sink| {
         let mut kernel = RcKernel::new();
-        let mut sink = parallel::EdgeBuf::new();
         for t3 in range.clone() {
-            kernel.process(index, t3, &mut sink);
+            kernel.process(index, t3, sink);
         }
-        sink
     });
-    parallel::merge_sinks(g, sinks);
 }
 
 /// The weaker *Adya G1* reading of Read Committed (footnote 2 of the
@@ -96,8 +94,7 @@ pub fn saturate_rc_into(
 /// Consistency, which the caller checks separately with
 /// [`check_read_consistency`](crate::check_read_consistency).
 pub fn g1_cycles(index: &HistoryIndex) -> Vec<crate::graph::Cycle> {
-    let mut g = base_commit_graph(index);
-    g.freeze();
+    let g = base_commit_graph(index);
     if g.topological_order().is_some() {
         Vec::new()
     } else {
@@ -108,11 +105,24 @@ pub fn g1_cycles(index: &HistoryIndex) -> Vec<crate::graph::Cycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{is_inferred, target};
     use crate::history::{History, HistoryBuilder};
+
+    fn frozen(mut g: CommitGraph) -> CommitGraph {
+        g.freeze();
+        g
+    }
+
+    /// Whether `g` holds the inferred edge `from -> to`.
+    fn has_inferred(g: &CommitGraph, from: u32, to: u32) -> bool {
+        g.successors(from)
+            .iter()
+            .any(|&e| target(e) == to && is_inferred(e))
+    }
 
     fn rc_consistent(h: &History) -> bool {
         let index = HistoryIndex::new(h);
-        saturate_rc(&index).is_acyclic()
+        frozen(saturate_rc(&index)).is_acyclic()
     }
 
     /// Figure 1a: the motivating RC-inconsistent history.
@@ -221,16 +231,11 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let g = saturate_rc(&index);
+        let g = frozen(saturate_rc(&index));
         assert!(g.is_acyclic()); // consistent: t2 before t1 is satisfiable
         let t1 = index.dense_id(crate::types::TxnId::new(0, 0));
         let t2 = index.dense_id(crate::types::TxnId::new(1, 0));
-        assert!(
-            g.successors(t2)
-                .iter()
-                .any(|&(to, k)| to == t1 && !k.is_base()),
-            "expected inferred edge t2 -> t1"
-        );
+        assert!(has_inferred(&g, t2, t1), "expected inferred edge t2 -> t1");
     }
 
     /// r and r_x read from the same transaction t2 with another read in
@@ -258,13 +263,11 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let g = saturate_rc(&index);
+        let g = frozen(saturate_rc(&index));
         let t1 = index.dense_id(crate::types::TxnId::new(0, 0));
         let t2 = index.dense_id(crate::types::TxnId::new(1, 0));
         assert!(
-            g.successors(t2)
-                .iter()
-                .any(|&(to, k)| to == t1 && !k.is_base()),
+            has_inferred(&g, t2, t1),
             "expected inferred edge t2 -> t1 despite intervening same-txn read"
         );
     }
@@ -332,13 +335,10 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let g = saturate_rc(&index);
+        let g = frozen(saturate_rc(&index));
         let t1 = index.dense_id(crate::types::TxnId::new(0, 0));
         let t2 = index.dense_id(crate::types::TxnId::new(1, 0));
-        assert!(g
-            .successors(t2)
-            .iter()
-            .any(|&(to, k)| to == t1 && !k.is_base()));
+        assert!(has_inferred(&g, t2, t1));
         assert!(g.is_acyclic());
     }
 
@@ -362,7 +362,10 @@ mod tests {
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
         assert!(super::g1_cycles(&index).is_empty(), "G1 accepts Fig. 4a");
-        assert!(!saturate_rc(&index).is_acyclic(), "full RC rejects it");
+        assert!(
+            !frozen(saturate_rc(&index)).is_acyclic(),
+            "full RC rejects it"
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! regression here silently destroys the complexity guarantees even while
 //! all verdicts stay correct.
 
+use awdit_core::graph::{is_inferred, target};
 use awdit_core::{
-    check_repeatable_reads, saturate_cc, saturate_ra, saturate_rc, CcStrategy, EdgeKind,
-    HistoryBuilder, HistoryIndex, IsolationLevel, SessionId,
+    check_repeatable_reads, saturate_cc, saturate_ra, saturate_rc, CcStrategy, HistoryBuilder,
+    HistoryIndex, IsolationLevel, SessionId,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -142,10 +143,12 @@ fn every_inferred_edge_is_required() {
                 graphs.push((IsolationLevel::Causal, g));
             }
         }
-        for (level, g) in graphs {
+        for (level, mut g) in graphs {
+            g.freeze();
             for t2 in 0..g.num_nodes() as u32 {
-                for &(t1, kind) in g.successors(t2) {
-                    if let EdgeKind::Inferred(_) = kind {
+                for &e in g.successors(t2) {
+                    let t1 = target(e);
+                    if is_inferred(e) {
                         assert!(
                             edge_is_required(&index, level, t2, t1),
                             "seed {seed} {level}: spurious edge {} -> {}",
@@ -170,24 +173,20 @@ fn inferred_edge_counts_are_bounded() {
         let total_pairs: usize = (0..index.num_committed() as u32)
             .map(|t| index.read_pairs(t).len())
             .sum();
-        let count_inferred = |g: &awdit_core::CommitGraph| -> usize {
+        let count_inferred = |mut g: awdit_core::CommitGraph| -> usize {
+            g.freeze();
             (0..g.num_nodes() as u32)
-                .map(|v| {
-                    g.successors(v)
-                        .iter()
-                        .filter(|(_, k)| matches!(k, EdgeKind::Inferred(_)))
-                        .count()
-                })
+                .map(|v| g.successors(v).iter().filter(|&&e| is_inferred(e)).count())
                 .sum()
         };
         let rc = saturate_rc(&index);
-        assert!(count_inferred(&rc) <= index.num_ext_reads());
+        assert!(count_inferred(rc) <= index.num_ext_reads());
         if check_repeatable_reads(&index).is_empty() {
             let ra = saturate_ra(&index);
-            assert!(count_inferred(&ra) <= 2 * total_pairs);
+            assert!(count_inferred(ra) <= 2 * total_pairs);
         }
         if let Ok(cc) = saturate_cc(&index, CcStrategy::BinarySearch) {
-            assert!(count_inferred(&cc) <= total_pairs * index.num_sessions());
+            assert!(count_inferred(cc) <= total_pairs * index.num_sessions());
         }
     }
 }

@@ -30,6 +30,13 @@
 //!     "timings"?: [ { "phase", "spans", "total_ms" } ] } ],
 //!   "engine"?: { "histories", "checks", "arena_growths", "arena_bytes" } }
 //! ```
+//!
+//! `graph_edges` and `inferred_edges` count **distinct** edges of the
+//! saturated commit graph: a pair emitted by several readers counts once,
+//! and a pair that is also a `so ∪ wr` edge counts as base, not inferred.
+//! (Before the commit graph deduplicated its edges, both fields counted
+//! every emission; the field names and types are unchanged, so the schema
+//! version is too.)
 
 use std::io::Write;
 
@@ -128,9 +135,10 @@ pub struct LevelReport {
     pub verdict: String,
     /// Committed transactions analyzed.
     pub committed_txns: u64,
-    /// Total edges of the saturated commit graph.
+    /// Distinct edges of the saturated commit graph.
     pub graph_edges: u64,
-    /// Inferred (non-`so ∪ wr`) edges added by saturation.
+    /// Distinct inferred (non-`so ∪ wr`) edges of the saturated commit
+    /// graph.
     pub inferred_edges: u64,
     /// All violations found (empty iff consistent).
     pub violations: Vec<ViolationReport>,

@@ -1161,7 +1161,8 @@ impl OnlineChecker {
 
     /// The per-commit CC inference: sequential for narrow commits, the
     /// `(key, writer)` pairs sharded across the worker pool for wide ones
-    /// (edge sinks merged in pair order — bit-identical to sequential).
+    /// (per-shard edge lists appended in pair order — bit-identical to
+    /// sequential).
     fn infer_cc(&self, slot: u32, clock: &VectorClock, edges: &mut Vec<(u32, u32, EdgeKind)>) {
         /// Sharding a handful of pairs costs more than inferring them.
         const MIN_PAIRS_PER_SHARD: usize = 32;
@@ -1178,12 +1179,12 @@ impl OnlineChecker {
             parallel::split_even(pairs.len(), threads.min(pairs.len() / MIN_PAIRS_PER_SHARD));
         let sinks =
             parallel::map_shards(&self.pool, threads, "stream_infer_cc", &shards, |_, r| {
-                let mut sink = parallel::EdgeBuf::new();
+                let mut sink: Vec<(u32, u32, EdgeKind)> = Vec::new();
                 let chunk = &pairs[r.start as usize..r.end as usize];
                 infer_cc_pairs(index, session, chunk, clock.entries(), &mut sink);
                 sink
             });
-        parallel::merge_sinks(edges, sinks);
+        edges.extend(sinks.into_iter().flatten());
     }
 
     fn report_cycle(&mut self, cycle: &[DagEdge]) {
@@ -1543,8 +1544,16 @@ impl OnlineChecker {
             }
         }
 
-        // One witness cycle per SCC of the deadlocked base relation.
+        // One witness cycle per SCC of the deadlocked base relation. The
+        // graph keeps one provenance bit per edge, so each pair's label
+        // (its first emission, as the cycle search would have kept) is
+        // tracked beside it.
         let mut g = CommitGraph::new(stuck.len());
+        let mut kinds: HashMap<(u32, u32), EdgeKind> = HashMap::new();
+        let mut add = |g: &mut CommitGraph, from: u32, to: u32, kind: EdgeKind| {
+            kinds.entry((from, to)).or_insert(kind);
+            g.add_edge(from, to, kind);
+        };
         for (li, &id) in stuck.iter().enumerate() {
             let st = &self.staged[&id];
             // so edge to the next staged transaction of the session (staged
@@ -1553,7 +1562,7 @@ impl OnlineChecker {
             if let Some(&next) = stuck.iter().find(|&&t| {
                 t.session == id.session && self.staged[&t].committed_pos == st.committed_pos + 1
             }) {
-                g.add_edge(li as u32, local[&next], EdgeKind::SessionOrder);
+                add(&mut g, li as u32, local[&next], EdgeKind::SessionOrder);
             }
             let mut seen: HashSet<TxnId> = HashSet::new();
             for (p, op) in st.ops.iter().enumerate() {
@@ -1563,7 +1572,7 @@ impl OnlineChecker {
                 if let ReadSrc::External { txn, .. } = st.sources[p] {
                     if let Some(&wl) = local.get(&txn) {
                         if seen.insert(txn) {
-                            g.add_edge(wl, li as u32, EdgeKind::WriteRead(key));
+                            add(&mut g, wl, li as u32, EdgeKind::WriteRead(key));
                         }
                     }
                 }
@@ -1583,7 +1592,7 @@ impl OnlineChecker {
                     .map(|e| WitnessEdge {
                         from: stuck[e.from as usize],
                         to: stuck[e.to as usize],
-                        kind: e.kind,
+                        kind: kinds[&(e.from, e.to)],
                     })
                     .collect(),
             };

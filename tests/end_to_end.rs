@@ -1,12 +1,14 @@
 //! End-to-end pipeline tests: workload → simulated database → file format
 //! round trip → checker → witness, spanning every crate in the workspace.
 
-use awdit::core::{check, check_with, CheckOptions};
+use awdit::baselines::{random_plausible_history, GenParams};
+use awdit::core::witness::WitnessCycle;
+use awdit::core::{check, check_with, CheckOptions, Key, TxnId};
 use awdit::simdb::Harness;
 use awdit::workloads::{CTwitter, CTwitterConfig, Rubis, RubisConfig, Tpcc, TpccConfig};
 use awdit::{
     collect_history, parse_history, validate_commit_order, write_history, DbIsolation, Format,
-    HistoryStats, IsolationLevel, SimConfig, Verdict,
+    History, HistoryStats, IsolationLevel, SimConfig, Verdict,
 };
 
 /// The guarantee ladder: a database configured for tier X must produce
@@ -103,64 +105,111 @@ fn injected_causality_cycle_is_caught_everywhere() {
     }
 }
 
-/// Every violation witness refers to real transactions of the history and
-/// witness cycles are closed walks whose base edges exist in `so ∪ wr`.
+/// Every violation witness refers to real transactions of the history,
+/// witness cycles are closed walks, and every edge label is true of the
+/// history: a `WriteRead(k)` target reads `k` from the source, and both
+/// endpoints of an `Inferred(k)` edge write `k`. The labels are re-derived
+/// after cycle search (the graph keeps one provenance bit per edge), so
+/// this pins that derivation at RC, RA and CC, at one and two threads —
+/// whose witnesses must also agree exactly.
 #[test]
 fn witnesses_are_well_formed() {
+    // An RC-tier store violates CC (Rubis) and RA (TPC-C); rare stale
+    // reads in generated histories violate RC as well, and their 700
+    // transactions clear the cutoff below which saturation stays
+    // sequential.
     let config = SimConfig::new(DbIsolation::ReadCommitted, 6, 53);
-    let mut workload = Rubis::new(RubisConfig::default());
-    let h = collect_history(config, &mut workload, 400).unwrap();
-    let out = check_with(
-        &h,
-        IsolationLevel::Causal,
-        &CheckOptions {
-            max_cycles: 64,
-            ..CheckOptions::default()
-        },
-    );
-    assert!(!out.is_consistent(), "rc-tier store should violate CC here");
-    let mut checked_cycles = 0;
-    for v in out.violations() {
-        if let awdit::Violation::CommitOrderCycle { cycle, .. } = v {
-            checked_cycles += 1;
-            assert!(!cycle.is_empty());
-            // Closed walk.
-            for (e, next) in cycle.edges.iter().zip(cycle.edges.iter().cycle().skip(1)) {
-                assert_eq!(e.to, next.from, "cycle must be a closed walk");
-            }
-            for e in &cycle.edges {
-                // Transactions exist and are committed.
-                assert!(h.txn(e.from).is_committed());
-                assert!(h.txn(e.to).is_committed());
-                match e.kind {
-                    awdit::core::EdgeKind::SessionOrder => {
-                        assert_eq!(e.from.session, e.to.session);
-                        assert!(e.from.index < e.to.index);
-                    }
-                    awdit::core::EdgeKind::WriteRead(_) => {
-                        // The reader must observe some value of the writer.
-                        let reads_from = h.txn(e.to).ops().iter().any(|op| {
-                            matches!(
-                                op.read_source(),
-                                Some(awdit::core::ReadSource::External { txn, .. }) if txn == e.from
-                            )
-                        });
-                        assert!(reads_from, "wr edge without a matching read");
-                    }
-                    awdit::core::EdgeKind::Inferred(_) => {}
-                    // Condensed edges only arise from streaming pruning,
-                    // never in batch witnesses.
-                    awdit::core::EdgeKind::Condensed => {
-                        panic!("batch witness contains a condensed edge")
-                    }
+    let mut histories = vec![
+        collect_history(config, &mut Rubis::new(RubisConfig::default()), 400).unwrap(),
+        collect_history(config, &mut Tpcc::new(TpccConfig::default()), 400).unwrap(),
+    ];
+    for seed in [2u64, 53] {
+        histories.push(random_plausible_history(
+            seed,
+            GenParams {
+                sessions: 6,
+                txns: 700,
+                keys: 40,
+                max_txn_ops: 3,
+                read_ratio: 0.5,
+                staleness: 0.05,
+            },
+        ));
+    }
+    for level in IsolationLevel::ALL {
+        let mut checked_cycles = 0;
+        for h in &histories {
+            let [one, two] = [1usize, 2].map(|threads| {
+                let opts = CheckOptions {
+                    max_cycles: 64,
+                    threads,
+                    ..CheckOptions::default()
+                };
+                check_with(h, level, &opts)
+            });
+            assert_eq!(
+                one.violations(),
+                two.violations(),
+                "{level}: witnesses differ between 1 and 2 threads"
+            );
+            for v in one.violations() {
+                if let awdit::Violation::CommitOrderCycle { cycle, .. } = v {
+                    checked_cycles += 1;
+                    assert_witness_labels_hold(h, cycle);
                 }
             }
-            // At least one inferred edge (otherwise it would have been a
-            // causality cycle).
-            assert!(cycle.inferred_count() >= 1);
+        }
+        assert!(checked_cycles >= 1, "expected a {level} cycle witness");
+    }
+}
+
+fn assert_witness_labels_hold(h: &History, cycle: &WitnessCycle) {
+    use awdit::core::{EdgeKind, Op, ReadSource};
+    assert!(!cycle.is_empty());
+    // Closed walk.
+    for (e, next) in cycle.edges.iter().zip(cycle.edges.iter().cycle().skip(1)) {
+        assert_eq!(e.to, next.from, "cycle must be a closed walk");
+    }
+    let writes = |t: TxnId, k: Key| {
+        h.txn(t)
+            .ops()
+            .iter()
+            .any(|op| matches!(*op, Op::Write { key, .. } if key == k))
+    };
+    for e in &cycle.edges {
+        // Transactions exist and are committed.
+        assert!(h.txn(e.from).is_committed());
+        assert!(h.txn(e.to).is_committed());
+        match e.kind {
+            EdgeKind::SessionOrder => {
+                assert_eq!(e.from.session, e.to.session);
+                assert!(e.from.index < e.to.index);
+            }
+            EdgeKind::WriteRead(k) => {
+                let reads_k_from_source = h.txn(e.to).ops().iter().any(|op| {
+                    matches!(
+                        *op,
+                        Op::Read { key, source: ReadSource::External { txn, .. }, .. }
+                            if key == k && txn == e.from
+                    )
+                });
+                assert!(
+                    reads_k_from_source,
+                    "{e}: target does not read {k} from source"
+                );
+            }
+            EdgeKind::Inferred(k) => {
+                assert!(writes(e.from, k), "{e}: source does not write {k}");
+                assert!(writes(e.to, k), "{e}: target does not write {k}");
+            }
+            // Condensed edges only arise from streaming pruning, never in
+            // batch witnesses.
+            EdgeKind::Condensed => panic!("batch witness contains a condensed edge"),
         }
     }
-    assert!(checked_cycles >= 1, "expected at least one cycle witness");
+    // At least one inferred edge (otherwise it would have been a causality
+    // cycle).
+    assert!(cycle.inferred_count() >= 1);
 }
 
 /// The checkers scale to six-digit histories in debug-test time.

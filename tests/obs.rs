@@ -15,8 +15,9 @@
 //! 3. **Prometheus golden output** — the text exposition format is
 //!    byte-stable for a known registry.
 //! 4. **Metric/stat reconciliation** — engine and stream counters equal
-//!    the corresponding `EngineStats`/`StreamStats` fields when the
-//!    `Obs` handle is attached before the first event.
+//!    the corresponding `EngineStats`/`StreamStats` fields (and the edge
+//!    counters the summed `CheckStats`) when the `Obs` handle is attached
+//!    before the first event.
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::obs::chrome::{json_lint, validate_trace, ChromeTraceRecorder};
@@ -159,13 +160,27 @@ fn engine_metrics_reconcile_with_engine_stats() {
         .obs(obs.clone())
         .build();
     let histories = gen_histories();
-    for (_, h) in &histories {
-        engine.check(h);
-    }
-    engine.check_all_levels(&histories[0].1);
+    let mut outcomes: Vec<_> = histories.iter().map(|(_, h)| engine.check(h)).collect();
+    outcomes.extend(engine.check_all_levels(&histories[0].1));
 
     let stats = engine.stats();
     let snap = obs.metrics().unwrap().snapshot();
+    // Edge counters: emitted (duplicates counted) and kept (distinct), per
+    // check, summed over every outcome.
+    let emitted: usize = outcomes.iter().map(|o| o.stats().emitted_edges).sum();
+    let kept: usize = outcomes.iter().map(|o| o.stats().graph_edges).sum();
+    assert!(
+        kept > 0 && emitted >= kept,
+        "emitted {emitted}, kept {kept}"
+    );
+    assert_eq!(
+        snap.counter("awdit_engine_edges_emitted_total"),
+        Some(emitted as u64)
+    );
+    assert_eq!(
+        snap.counter("awdit_engine_edges_kept_total"),
+        Some(kept as u64)
+    );
     assert_eq!(
         snap.counter("awdit_engine_histories_total"),
         Some(stats.histories)
