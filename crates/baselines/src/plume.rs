@@ -58,7 +58,7 @@ impl<'h> PlumeChecker<'h> {
         let g = base_commit_graph(&index);
         let topo = g.topological_order();
         let clocks = match &topo {
-            Some(t) => compute_hb(&index, &g, t),
+            Some(t) => compute_hb(&index, t),
             None => Vec::new(),
         };
         PlumeChecker {

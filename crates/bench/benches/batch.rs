@@ -1,8 +1,8 @@
 //! The `batch` group: a fleet of independent histories checked through
 //! **one reusable [`Engine`]** (recycled index/graph arenas, one
 //! fork–join pool) versus N **fresh per-check setups** (the stateless
-//! [`check_with`] free function, which re-allocates everything per
-//! history) — the amortization the engine API exists for.
+//! [`check`] free function, which re-allocates everything per history) —
+//! the amortization the engine API exists for.
 //!
 //! `AWDIT_BENCH_HISTORIES` and `AWDIT_BENCH_TXNS` (optional) override
 //! the fleet size and per-history length, so CI can smoke-run the path
@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use awdit_core::{check_with, CheckOptions, Engine, History, IsolationLevel};
+use awdit_core::{check, Engine, History, IsolationLevel};
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
 use awdit_workloads::Uniform;
 
@@ -65,11 +65,10 @@ fn bench_batch(c: &mut Criterion) {
             BenchmarkId::new(format!("fresh-setup-{}", level.short_name()), n),
             &histories,
             |b, histories| {
-                let opts = CheckOptions::default();
                 b.iter(|| {
                     histories
                         .iter()
-                        .filter(|h| check_with(h, level, &opts).is_consistent())
+                        .filter(|h| check(h, level).is_consistent())
                         .count()
                 })
             },

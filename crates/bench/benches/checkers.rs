@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use awdit_bench::make_history;
-use awdit_core::{check, check_with, CcStrategy, CheckOptions, IsolationLevel};
+use awdit_core::{check, CcStrategy, Engine, EngineConfig, IsolationLevel};
 use awdit_simdb::DbIsolation;
 use awdit_workloads::Benchmark;
 
@@ -30,12 +30,16 @@ fn bench_cc_strategies(c: &mut Criterion) {
         ("pointer-scan", CcStrategy::PointerScan),
         ("binary-search", CcStrategy::BinarySearch),
     ] {
-        let opts = CheckOptions {
+        let cfg = EngineConfig {
             cc_strategy: strategy,
-            ..CheckOptions::default()
+            ..EngineConfig::default()
         };
         group.bench_function(name, |b| {
-            b.iter(|| check_with(&h, IsolationLevel::Causal, &opts).is_consistent())
+            b.iter(|| {
+                Engine::with_config(cfg)
+                    .check_level(&h, IsolationLevel::Causal)
+                    .is_consistent()
+            })
         });
     }
     group.finish();

@@ -1,7 +1,6 @@
 //! Criterion benches for the Fig. 9 scaling axes (transactions, sessions,
 //! transaction size) at micro scale, plus per-stage thread scaling of the
-//! parallelized pipeline: CC saturation, the clock-table wavefront, SCC
-//! decomposition, and the streaming watermark GC.
+//! parallelized pipeline: CC saturation and the streaming watermark GC.
 //!
 //! `AWDIT_BENCH_TXNS` (optional) overrides the thread-scaling history
 //! size, and `AWDIT_BENCH_THREADS` (comma-separated, default `1,2,4,8`)
@@ -14,8 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use awdit_bench::make_history;
 use awdit_core::parallel::{map_shards, Pool};
 use awdit_core::{
-    base_commit_graph, check, compute_hb_wavefront_into, saturate_cc_with, CcStrategy, ClockTable,
-    CommitGraph, EdgeKind, HistoryIndex, IsolationLevel, Key,
+    check, saturate_cc_into, CcStrategy, ClockTable, CommitGraph, HistoryIndex, IsolationLevel,
 };
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
 use awdit_stream::{OnlineChecker, StreamConfig};
@@ -82,8 +80,9 @@ fn bench_txn_size_scaling(c: &mut Criterion) {
 }
 
 /// Thread scaling of the CC saturation on a wide 64-session uniform
-/// history: 1/2/4/8 worker threads over the identical index (the outputs
-/// are bit-identical; only wall-clock should move).
+/// history: 1/2/4/8 worker threads over the identical index, with the
+/// graph and clock arenas recycled across iterations as the engine does
+/// (the outputs are bit-identical; only wall-clock should move).
 fn bench_cc_thread_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale-threads-cc-saturation");
     group.sample_size(10);
@@ -94,63 +93,22 @@ fn bench_cc_thread_scaling(c: &mut Criterion) {
     let index = HistoryIndex::new(&h);
     group.throughput(Throughput::Elements(index.num_committed() as u64));
     for threads in thread_counts() {
+        let pool = Pool::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &index, |b, index| {
+            let mut g = CommitGraph::new(0);
+            let mut clocks = ClockTable::new();
             b.iter(|| {
-                saturate_cc_with(index, CcStrategy::BinarySearch, threads)
-                    .expect("acyclic base")
-                    .num_emitted_edges()
+                saturate_cc_into(
+                    &pool,
+                    index,
+                    CcStrategy::BinarySearch,
+                    threads,
+                    &mut g,
+                    &mut clocks,
+                )
+                .expect("acyclic base");
+                g.num_emitted_edges()
             })
-        });
-    }
-    group.finish();
-}
-
-/// Thread scaling of the clock-table wavefront alone (the `ComputeHB`
-/// pass the CC saturators run before inference), over the identical
-/// index and topological order.
-fn bench_clock_wavefront_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scale-threads-clock-pass");
-    group.sample_size(10);
-    let txns = scaling_txns(20_000);
-    let config = SimConfig::new(DbIsolation::Causal, 64, 13).with_max_lag(16);
-    let mut w = Uniform::default();
-    let h = collect_history(config, &mut w, txns).expect("history builds");
-    let index = HistoryIndex::new(&h);
-    let topo = base_commit_graph(&index)
-        .topological_order()
-        .expect("acyclic base");
-    group.throughput(Throughput::Elements(index.num_committed() as u64));
-    for threads in thread_counts() {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &index, |b, index| {
-            let mut table = ClockTable::new();
-            b.iter(|| {
-                compute_hb_wavefront_into(index, &topo, threads, &mut table);
-                table.row(topo[topo.len() - 1])[0]
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Thread scaling of the forward–backward SCC decomposition on one giant
-/// strongly connected component (the worst case for trimming: nothing
-/// peels, everything goes through the reachability rounds).
-fn bench_scc_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scale-threads-sccs");
-    group.sample_size(10);
-    let n = scaling_txns(50_000) as u32;
-    let mut g = CommitGraph::new(n as usize);
-    for v in 0..n {
-        g.add_edge(v, (v + 1) % n, EdgeKind::SessionOrder);
-    }
-    for v in (0..n).step_by(5) {
-        g.add_edge(v, (v + n / 3) % n, EdgeKind::Inferred(Key(0)));
-    }
-    g.freeze();
-    group.throughput(Throughput::Elements(n as u64));
-    for threads in thread_counts() {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &g, |b, g| {
-            b.iter(|| g.sccs_with(threads).len())
         });
     }
     group.finish();
@@ -254,8 +212,6 @@ criterion_group!(
     bench_session_scaling,
     bench_txn_size_scaling,
     bench_cc_thread_scaling,
-    bench_clock_wavefront_scaling,
-    bench_scc_scaling,
     bench_stream_gc_scaling
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 
 use awdit_baselines::PlumeChecker;
 use awdit_bench::{make_history, time, BenchArgs};
-use awdit_core::{check_with, CcStrategy, CheckOptions, IsolationLevel};
+use awdit_core::{check, CcStrategy, Engine, EngineConfig, IsolationLevel};
 use awdit_simdb::DbIsolation;
 use awdit_workloads::Benchmark;
 
@@ -30,11 +30,12 @@ fn main() {
             let h = make_history(DbIsolation::Causal, bench, sessions, txns, 0xAB1A);
             let mut cells = Vec::new();
             for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                let opts = CheckOptions {
+                let cfg = EngineConfig {
                     cc_strategy: strategy,
-                    ..CheckOptions::default()
+                    ..EngineConfig::default()
                 };
-                let (out, d) = time(|| check_with(&h, IsolationLevel::Causal, &opts));
+                let (out, d) =
+                    time(|| Engine::with_config(cfg).check_level(&h, IsolationLevel::Causal));
                 assert!(out.is_consistent());
                 cells.push(format!("{:>13.3}s", d.as_secs_f64()));
             }
@@ -57,7 +58,7 @@ fn main() {
     for bench in Benchmark::ALL {
         let h = make_history(DbIsolation::Causal, bench, 50, txns2, 0xAB1B);
         for level in IsolationLevel::ALL {
-            let (out, d_a) = time(|| check_with(&h, level, &CheckOptions::default()));
+            let (out, d_a) = time(|| check(&h, level));
             assert!(out.is_consistent());
             // Construction + solve, like a real end-to-end run.
             let ((ok, stats), d_p) = time(|| PlumeChecker::construct(&h).solve_with_stats(level));

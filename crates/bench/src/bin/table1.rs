@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use awdit_baselines::check_plume;
 use awdit_bench::{run_with_timeout, BenchArgs};
-use awdit_core::{check_with, CheckOptions, IsolationLevel, ViolationKind};
+use awdit_core::{Engine, EngineConfig, IsolationLevel, ViolationKind};
 use awdit_simdb::{AnomalyRates, DbIsolation, Harness, SimConfig};
 use awdit_workloads::{Tpcc, TpccConfig};
 use rand::rngs::SmallRng;
@@ -131,15 +131,12 @@ fn main() {
         // What AWDIT reports (union over the three levels, like the paper's
         // per-level runs).
         let mut found: BTreeSet<&'static str> = BTreeSet::new();
+        let mut engine = Engine::with_config(EngineConfig {
+            max_cycles: 4,
+            ..EngineConfig::default()
+        });
         for level in IsolationLevel::ALL {
-            let out = check_with(
-                &h,
-                level,
-                &CheckOptions {
-                    max_cycles: 4,
-                    ..CheckOptions::default()
-                },
-            );
+            let out = engine.check_level(&h, level);
             for v in out.violations() {
                 found.insert(match v.kind() {
                     ViolationKind::FutureRead => "Future Read",

@@ -26,8 +26,6 @@
 //!   search the write lists. `O(n·(k + log n))` time, live-clock memory
 //!   only.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
 use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle, EdgeKind};
 use crate::incremental::{EdgeSink, FnvMap};
 use crate::index::{HistoryIndex, NONE};
@@ -232,214 +230,13 @@ impl ClockTable {
 pub fn compute_hb_into(index: &HistoryIndex, topo: &[u32], table: &mut ClockTable) {
     let obs = awdit_obs::current();
     let _span = obs.span("cc_clock_pass");
-    table.begin(index.num_sessions(), index.num_committed());
+    let (k, m) = (index.num_sessions(), index.num_committed());
+    table.begin(k, m);
+    // Every transaction keeps its row: size the arena once.
+    table.rows.reserve_exact(k * m);
     for &t in topo {
         table.compute_row(index, t);
         table.store(t);
-    }
-}
-
-/// Work handed out per cursor grab inside a wavefront level — large
-/// enough to amortize the atomic, small enough to balance skewed rows.
-const WAVEFRONT_GRAIN: usize = 8;
-
-/// One wavefront row, written into `out`: seed from the session
-/// predecessor's sealed row (zeros for a session head), max-join each
-/// external-read writer's sealed row, then advance the own-session entry
-/// to the inclusive position. These are exactly the values
-/// [`ClockTable::compute_row`] produces — the session frontier a
-/// sequential pass seeds from *is* the predecessor's stored row, and the
-/// max-join is idempotent so its repeated-writer dedup is unnecessary.
-fn wavefront_row(index: &HistoryIndex, k: usize, rows: &[AtomicU32], t: u32, out: &mut [u32]) {
-    let s = index.session_of(t) as usize;
-    let pos = index.committed_pos(t);
-    if pos > 0 {
-        let pred = index.session_committed(SessionId(s as u32))[pos as usize - 1] as usize;
-        for (o, v) in out.iter_mut().zip(&rows[pred * k..pred * k + k]) {
-            *o = v.load(Ordering::Relaxed);
-        }
-    } else {
-        out.fill(0);
-    }
-    for r in index.ext_reads(t) {
-        let w = r.writer as usize;
-        for (o, v) in out.iter_mut().zip(&rows[w * k..w * k + k]) {
-            let v = v.load(Ordering::Relaxed);
-            if *o < v {
-                *o = v;
-            }
-        }
-    }
-    let inclusive = pos + 1;
-    if out[s] < inclusive {
-        out[s] = inclusive;
-    }
-}
-
-/// [`compute_hb_into`] on up to `threads` workers (`0` = all cores): a
-/// level-synchronous wavefront over the happens-before DAG, so the clock
-/// table fills on every core instead of serializing ahead of the sharded
-/// inference.
-///
-/// Each clock row is a pure join of already-sealed rows (the session
-/// predecessor's, plus each external-read writer's) followed by advancing
-/// the transaction's own session entry. Levels are longest-path depths in
-/// `so ∪ wr`: a transaction at level `l` reads only rows at levels `< l`,
-/// and levels strictly increase along a session, so a level holds at most
-/// one row per session and all of its writes are disjoint. The caller
-/// sweeps the levels in order, dispatching each wide level to the pool
-/// (an atomic cursor deals `WAVEFRONT_GRAIN`-row chunks) and running
-/// narrow levels inline — the scoped dispatch's drain barrier seals a
-/// level before the next one starts, replacing the old fixed-width thread
-/// barrier. Every written value is a pure function of sealed rows, so the
-/// resulting table is bit-identical to the sequential pass for every
-/// thread count and schedule (the rows land in identity slots rather than
-/// the sequential allocation order — [`ClockTable::row`] resolves both).
-///
-/// Falls back to the sequential [`compute_hb_into`] when `threads <= 1`,
-/// the history is below [`parallel::SEQUENTIAL_CUTOFF`], or there is only
-/// one session (level width is capped by the session count).
-pub fn compute_hb_wavefront_into(
-    index: &HistoryIndex,
-    topo: &[u32],
-    threads: usize,
-    table: &mut ClockTable,
-) {
-    compute_hb_wavefront_pool(&parallel::Pool::new(threads), index, topo, threads, table);
-}
-
-/// [`compute_hb_wavefront_into`] dispatching on a caller-owned [`Pool`]
-/// (the [`Engine`](crate::Engine)'s shared one) instead of an ephemeral
-/// one.
-///
-/// [`Pool`]: parallel::Pool
-pub fn compute_hb_wavefront_pool(
-    pool: &parallel::Pool,
-    index: &HistoryIndex,
-    topo: &[u32],
-    threads: usize,
-    table: &mut ClockTable,
-) {
-    let threads = parallel::effective_threads(threads).min(pool.width());
-    let m = index.num_committed();
-    let k = index.num_sessions();
-    if threads <= 1 || m < parallel::SEQUENTIAL_CUTOFF || k < 2 {
-        compute_hb_into(index, topo, table);
-        return;
-    }
-    let obs = awdit_obs::current();
-    let _span = obs.span("cc_clock_pass");
-    table.begin(k, m);
-    // Full-table identity layout: slot `t` holds `t`'s row.
-    table.rows.resize(m * k, 0);
-    for (t, slot) in table.slot_of.iter_mut().enumerate() {
-        *slot = t as u32;
-    }
-
-    // Level assignment: one cheap sequential sweep along the topological
-    // order (level = 1 + max over happens-before predecessors).
-    let mut level = vec![0u32; m];
-    let mut num_levels = 0usize;
-    for &t in topo {
-        let s = index.session_of(t) as usize;
-        let pos = index.committed_pos(t);
-        let mut lv = 0u32;
-        if pos > 0 {
-            let pred = index.session_committed(SessionId(s as u32))[pos as usize - 1];
-            lv = level[pred as usize] + 1;
-        }
-        for r in index.ext_reads(t) {
-            lv = lv.max(level[r.writer as usize] + 1);
-        }
-        level[t as usize] = lv;
-        num_levels = num_levels.max(lv as usize + 1);
-    }
-
-    // Stable counting sort of the topological order into level buckets —
-    // within a level, transactions keep their topological order.
-    let mut starts = vec![0u32; num_levels + 1];
-    for &t in topo {
-        starts[level[t as usize] as usize + 1] += 1;
-    }
-    for i in 1..starts.len() {
-        starts[i] += starts[i - 1];
-    }
-    let mut by_level = vec![0u32; topo.len()];
-    let mut cursor = starts.clone();
-    for &t in topo {
-        let l = level[t as usize] as usize;
-        by_level[cursor[l] as usize] = t;
-        cursor[l] += 1;
-    }
-
-    // The wavefront fills an atomic image of the row buffer: writes at the
-    // current level hit disjoint rows, reads touch only rows sealed at
-    // lower levels, and the scoped dispatch's drain barrier (the pool
-    // lock) publishes a level before the next one starts — relaxed
-    // atomics (plain loads/stores on every real ISA) add no ordering cost.
-    let scratch: Vec<AtomicU32> = (0..m * k).map(|_| AtomicU32::new(0)).collect();
-    let workers = threads.min(k);
-    let timed = obs.enabled();
-    let pool_start = timed.then(std::time::Instant::now);
-    let busy_total = AtomicU64::new(0);
-    let mut seq_out = vec![0u32; k];
-    for l in 0..num_levels {
-        let lo = starts[l] as usize;
-        let end = starts[l + 1] as usize;
-        let width = end - lo;
-        if width < WAVEFRONT_GRAIN * 2 {
-            // Narrow level: a pool wake costs more than the rows do. Run
-            // inline on the caller; the next dispatch's publish still
-            // orders these stores before any worker reads them.
-            let t0 = timed.then(std::time::Instant::now);
-            for &t in &by_level[lo..end] {
-                wavefront_row(index, k, &scratch, t, &mut seq_out);
-                let r = t as usize * k;
-                for (dst, &v) in scratch[r..r + k].iter().zip(seq_out.iter()) {
-                    dst.store(v, Ordering::Relaxed);
-                }
-            }
-            if let Some(t0) = t0 {
-                busy_total.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            continue;
-        }
-        let grab = AtomicUsize::new(lo);
-        let parts = workers.min(width.div_ceil(WAVEFRONT_GRAIN));
-        pool.scope(parts, |_| {
-            let mut out = vec![0u32; k];
-            let t0 = timed.then(std::time::Instant::now);
-            loop {
-                let i = grab.fetch_add(WAVEFRONT_GRAIN, Ordering::Relaxed);
-                if i >= end {
-                    break;
-                }
-                for &t in &by_level[i..end.min(i + WAVEFRONT_GRAIN)] {
-                    wavefront_row(index, k, &scratch, t, &mut out);
-                    let r = t as usize * k;
-                    for (dst, &v) in scratch[r..r + k].iter().zip(out.iter()) {
-                        dst.store(v, Ordering::Relaxed);
-                    }
-                }
-            }
-            if let Some(t0) = t0 {
-                busy_total.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        });
-    }
-    if let (Some(start), Some(metrics)) = (pool_start, obs.metrics()) {
-        let capacity_ns = (start.elapsed().as_nanos() as u64).saturating_mul(workers as u64);
-        parallel::record_pool_metrics(
-            metrics,
-            "cc_clock_pass",
-            busy_total.load(Ordering::Relaxed),
-            capacity_ns,
-        );
-        pool.publish_metrics(metrics);
-    }
-    // Publish the sealed image into the table's row arena.
-    for (dst, src) in table.rows.iter_mut().zip(&scratch) {
-        *dst = src.load(Ordering::Relaxed);
     }
 }
 
@@ -451,80 +248,38 @@ pub fn compute_hb_wavefront_pool(
 /// offending cycles (one per strongly connected component) are returned
 /// instead.
 pub fn saturate_cc(index: &HistoryIndex, strategy: CcStrategy) -> Result<CommitGraph, Vec<Cycle>> {
-    saturate_cc_with(index, strategy, 1)
+    let mut g = CommitGraph::new(0);
+    let mut clocks = ClockTable::new();
+    saturate_cc_into(
+        &parallel::Pool::new(1),
+        index,
+        strategy,
+        1,
+        &mut g,
+        &mut clocks,
+    )
+    .map(|()| g)
 }
 
-/// [`saturate_cc`] on up to `threads` worker threads (`0` = all cores).
+/// [`saturate_cc`] into a caller-owned graph and [`ClockTable`], on up to
+/// `threads` participants of `pool` (`0` = all cores) — the
+/// [`Engine`](crate::Engine)'s path: both arenas are re-armed in place,
+/// so a same-shape check grows neither (only [`CommitGraph::freeze`]'s
+/// scatter scratch is transient).
 ///
-/// Happens-before clocks fill on every worker via the level-synchronous
-/// [`compute_hb_wavefront_into`] pass; the inference over them is
-/// read-only per transaction, so it shards —
+/// The clock table is one sequential [`compute_hb_into`] pass; the
+/// inference over it is read-only per transaction, so it shards —
 /// contiguous chunks of the topological order for
 /// [`CcStrategy::BinarySearch`], contiguous session groups for
 /// [`CcStrategy::PointerScan`] — each into one of the graph's pair
 /// buffers, adopted in chunk order, reproducing the sequential emission
 /// bit-for-bit at every thread count.
-pub fn saturate_cc_with(
-    index: &HistoryIndex,
-    strategy: CcStrategy,
-    threads: usize,
-) -> Result<CommitGraph, Vec<Cycle>> {
-    let mut g = CommitGraph::new(0);
-    saturate_cc_into(index, strategy, threads, &mut g).map(|()| g)
-}
-
-/// [`saturate_cc_with`] into a caller-owned graph arena (reset and
-/// refilled; see [`CommitGraph::reset`]) — the [`Engine`](crate::Engine)'s
-/// allocation-recycling path.
 ///
 /// # Errors
 ///
 /// As [`saturate_cc`]: if `so ∪ wr` is cyclic the offending cycles are
 /// returned and the graph is left holding only the base edges, frozen.
 pub fn saturate_cc_into(
-    index: &HistoryIndex,
-    strategy: CcStrategy,
-    threads: usize,
-    g: &mut CommitGraph,
-) -> Result<(), Vec<Cycle>> {
-    let mut clocks = ClockTable::new();
-    saturate_cc_scratch(index, strategy, threads, g, &mut clocks)
-}
-
-/// [`saturate_cc_into`] with a caller-owned [`ClockTable`] as well — the
-/// fully-recycled form the [`Engine`](crate::Engine) runs: graph *and*
-/// clock arenas are re-armed in place, so a same-shape check grows
-/// neither (only [`CommitGraph::freeze`]'s scatter scratch is transient).
-///
-/// # Errors
-///
-/// As [`saturate_cc`].
-pub fn saturate_cc_scratch(
-    index: &HistoryIndex,
-    strategy: CcStrategy,
-    threads: usize,
-    g: &mut CommitGraph,
-    clocks: &mut ClockTable,
-) -> Result<(), Vec<Cycle>> {
-    saturate_cc_pool(
-        &parallel::Pool::new(threads),
-        index,
-        strategy,
-        threads,
-        g,
-        clocks,
-    )
-}
-
-/// [`saturate_cc_scratch`] dispatching on a caller-owned
-/// [`Pool`](parallel::Pool) — the form the [`Engine`](crate::Engine)
-/// runs, so every CC stage (clock wavefront, inference shards, cycle
-/// extraction on failure) reuses the engine's parked workers.
-///
-/// # Errors
-///
-/// As [`saturate_cc`].
-pub fn saturate_cc_pool(
     pool: &parallel::Pool,
     index: &HistoryIndex,
     strategy: CcStrategy,
@@ -543,7 +298,7 @@ pub fn saturate_cc_pool(
     g.freeze();
     let topo = match g.topological_order() {
         Some(t) => t,
-        None => return Err(g.find_cycles_pool(pool, usize::MAX, threads)),
+        None => return Err(g.find_cycles(usize::MAX)),
     };
     drop(topo_span);
     let threads = parallel::effective_threads(threads);
@@ -569,8 +324,7 @@ pub fn saturate_cc_pool(
 /// session, i.e. the *inclusive* clock. This is the boxed-clock
 /// convenience form; the saturators themselves run on the flat
 /// [`ClockTable`] via [`compute_hb_into`].
-pub fn compute_hb(index: &HistoryIndex, g: &CommitGraph, topo: &[u32]) -> Vec<VectorClock> {
-    let _ = g; // the base graph fixes the topological order's domain
+pub fn compute_hb(index: &HistoryIndex, topo: &[u32]) -> Vec<VectorClock> {
     let k = index.num_sessions();
     let mut table = ClockTable::new();
     compute_hb_into(index, topo, &mut table);
@@ -638,7 +392,7 @@ fn pointer_scan_par(
     threads: usize,
     clocks: &mut ClockTable,
 ) {
-    compute_hb_wavefront_pool(pool, index, topo, threads, clocks);
+    compute_hb_into(index, topo, clocks);
     let clocks = &*clocks;
     let groups = parallel::session_groups(index, threads * 2);
     g.fill_shards(
@@ -654,11 +408,13 @@ fn pointer_scan_par(
     );
 }
 
-/// Sharded `BinarySearch` strategy: the clock table is materialized by the
-/// wavefront [`compute_hb_wavefront_into`] pass, then contiguous chunks of the
-/// topological order run [`infer_cc_edges`] on workers, merged in chunk
-/// order (identical emission to the sequential on-the-fly variant, which
-/// also processes transactions in topological order).
+/// Sharded `BinarySearch` strategy: the clock table is materialized by
+/// [`compute_hb_into`], then contiguous chunks of the topological order
+/// run [`infer_cc_edges`] on workers, merged in chunk order (identical
+/// emission to the sequential on-the-fly variant, which also processes
+/// transactions in topological order).
+///
+/// [`infer_cc_edges`]: crate::incremental::infer_cc_edges
 fn binary_search_par(
     pool: &parallel::Pool,
     index: &HistoryIndex,
@@ -667,7 +423,7 @@ fn binary_search_par(
     threads: usize,
     clocks: &mut ClockTable,
 ) {
-    compute_hb_wavefront_pool(pool, index, topo, threads, clocks);
+    compute_hb_into(index, topo, clocks);
     let clocks = &*clocks;
     let shards = parallel::split_even(topo.len(), threads * 4);
     g.fill_shards(pool, threads, "cc_binary_search", &shards, |range, sink| {
@@ -722,15 +478,19 @@ fn binary_search(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks
     }
 }
 
-/// Convenience wrapper: does the history's `so ∪ wr` relation contain a
-/// cycle? (Required to be acyclic by every isolation level.)
+/// The cycles of the history's `so ∪ wr` relation, one per strongly
+/// connected component (empty when it is acyclic, as every isolation
+/// level requires).
+///
+/// This is also the weaker *Adya G1* reading of Read Committed (footnote 2
+/// of the paper): Read Consistency plus acyclicity of `so ∪ wr`, checkable
+/// in `O(n)` time. Some literature (e.g. Crooks et al. 2017) interprets RC
+/// this way; the paper's Definition 2.4 is strictly stronger. An empty
+/// result means the history satisfies G1-style RC — *given* Read
+/// Consistency, which the caller checks separately with
+/// [`check_read_consistency`](crate::check_read_consistency).
 pub fn causality_cycles(index: &HistoryIndex) -> Vec<Cycle> {
-    let g = base_commit_graph(index);
-    if g.topological_order().is_some() {
-        Vec::new()
-    } else {
-        g.find_cycles(usize::MAX)
-    }
+    base_commit_graph(index).find_cycles(usize::MAX)
 }
 
 #[cfg(test)]
@@ -904,7 +664,7 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let g = base_commit_graph(&index);
         let topo = g.topological_order().unwrap();
-        let clocks = compute_hb(&index, &g, &topo);
+        let clocks = compute_hb(&index, &topo);
         let t_reader = index.dense_id(crate::types::TxnId::new(1, 0));
         let t_next = index.dense_id(crate::types::TxnId::new(1, 1));
         // The reader saw s1's first txn; its session successor inherits it.
@@ -930,10 +690,11 @@ mod tests {
         }
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
+        let pool = parallel::Pool::new(1);
         for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
             let mut table = ClockTable::new();
             let mut g = CommitGraph::new(0);
-            saturate_cc_scratch(&index, strategy, 1, &mut g, &mut table).unwrap();
+            saturate_cc_into(&pool, &index, strategy, 1, &mut g, &mut table).unwrap();
             g.freeze();
             let edges = g.num_edges();
             let graph_bytes = g.heap_bytes();
@@ -941,7 +702,7 @@ mod tests {
             assert!(bytes > 0, "{strategy}: table must hold clock storage");
             for _ in 0..3 {
                 g.reset(0);
-                saturate_cc_scratch(&index, strategy, 1, &mut g, &mut table).unwrap();
+                saturate_cc_into(&pool, &index, strategy, 1, &mut g, &mut table).unwrap();
                 g.freeze();
                 assert_eq!(g.num_edges(), edges, "{strategy}");
                 assert_eq!(
@@ -981,13 +742,14 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let m = index.num_committed();
         let k = index.num_sessions();
+        let pool = parallel::Pool::new(1);
 
         let mut bs = ClockTable::new();
         let mut g = CommitGraph::new(0);
-        saturate_cc_scratch(&index, CcStrategy::BinarySearch, 1, &mut g, &mut bs).unwrap();
+        saturate_cc_into(&pool, &index, CcStrategy::BinarySearch, 1, &mut g, &mut bs).unwrap();
         let mut ps = ClockTable::new();
         let mut g2 = CommitGraph::new(0);
-        saturate_cc_scratch(&index, CcStrategy::PointerScan, 1, &mut g2, &mut ps).unwrap();
+        saturate_cc_into(&pool, &index, CcStrategy::PointerScan, 1, &mut g2, &mut ps).unwrap();
 
         // Pointer-scan materializes all m rows; binary-search far fewer.
         assert_eq!(ps.rows.len(), m * k);

@@ -7,8 +7,7 @@
 //! recycles its scratch arenas across checks and batches fleets through
 //! one thread pool ([`Engine::check_many`](crate::Engine::check_many)).
 
-use crate::cc::CcStrategy;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::history::History;
 use crate::isolation::IsolationLevel;
 use crate::types::TxnId;
@@ -28,35 +27,6 @@ impl std::fmt::Display for Verdict {
         match self {
             Verdict::Consistent => f.write_str("consistent"),
             Verdict::Inconsistent => f.write_str("inconsistent"),
-        }
-    }
-}
-
-/// Tuning knobs for [`check_with`].
-#[derive(Copy, Clone, Debug)]
-pub struct CheckOptions {
-    /// Which CC implementation variant to use (ignored for RC/RA).
-    pub cc_strategy: CcStrategy,
-    /// Produce a witnessing commit order on consistent histories
-    /// (an extra `O(n)` topological sort).
-    pub want_commit_order: bool,
-    /// Maximum number of commit-order/causality cycles to extract
-    /// (one per strongly connected component; Section 3.4).
-    pub max_cycles: usize,
-    /// Worker threads for the sharded saturation engine
-    /// ([`parallel`](crate::parallel)): `1` (the default) runs fully
-    /// sequential, `0` uses all available cores. The outcome — verdict,
-    /// violations, witnesses, stats — is bit-identical for every value.
-    pub threads: usize,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            cc_strategy: CcStrategy::default(),
-            want_commit_order: false,
-            max_cycles: 16,
-            threads: 1,
         }
     }
 }
@@ -127,7 +97,8 @@ impl Outcome {
     }
 
     /// A witnessing commit order, when the history is consistent and
-    /// [`CheckOptions::want_commit_order`] was set.
+    /// [`EngineConfig::want_commit_order`](crate::EngineConfig::want_commit_order)
+    /// was set.
     pub fn commit_order(&self) -> Option<&[TxnId]> {
         self.commit_order.as_deref()
     }
@@ -138,7 +109,9 @@ impl Outcome {
     }
 }
 
-/// Checks `history` against `level` with default options.
+/// Checks `history` against `level` with a default [`Engine`]; build one
+/// with [`Engine::with_config`] for any other
+/// [`EngineConfig`](crate::EngineConfig).
 ///
 /// # Examples
 ///
@@ -162,35 +135,24 @@ impl Outcome {
 /// # }
 /// ```
 pub fn check(history: &History, level: IsolationLevel) -> Outcome {
-    check_with(history, level, &CheckOptions::default())
-}
-
-/// Checks `history` against `level` with explicit [`CheckOptions`] — a
-/// thin wrapper running one check through a fresh default
-/// [`Engine`].
-pub fn check_with(history: &History, level: IsolationLevel, opts: &CheckOptions) -> Outcome {
-    Engine::with_config(EngineConfig::from_options(opts)).check_level(history, level)
+    Engine::new().check_level(history, level)
 }
 
 /// Checks a history against all three levels at once, weakest first.
 ///
 /// Handy for reports: by monotonicity (`CC ⊑ RA ⊑ RC`), the verdict
 /// sequence is anti-monotone — once a level fails, all stronger levels
-/// fail.
+/// fail. The underlying [`Engine`] builds the history index — and checks
+/// Read Consistency — **once**, shared across the three per-level checks.
 pub fn check_all_levels(history: &History) -> [Outcome; 3] {
-    check_all_levels_with(history, &CheckOptions::default())
-}
-
-/// [`check_all_levels`] with explicit [`CheckOptions`]. The underlying
-/// [`Engine`] builds the history index — and checks Read
-/// Consistency — **once**, shared across the three per-level checks.
-pub fn check_all_levels_with(history: &History, opts: &CheckOptions) -> [Outcome; 3] {
-    Engine::with_config(EngineConfig::from_options(opts)).check_all_levels(history)
+    Engine::new().check_all_levels(history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::CcStrategy;
+    use crate::engine::EngineConfig;
     use crate::history::HistoryBuilder;
     use crate::linearize::validate_commit_order;
     use crate::witness::ViolationKind;
@@ -227,11 +189,11 @@ mod tests {
     #[test]
     fn commit_order_is_produced_and_validates() {
         let h = level_separating_history();
-        let opts = CheckOptions {
+        let cfg = EngineConfig {
             want_commit_order: true,
-            ..CheckOptions::default()
+            ..EngineConfig::default()
         };
-        let out = check_with(&h, IsolationLevel::ReadCommitted, &opts);
+        let out = Engine::with_config(cfg).check_level(&h, IsolationLevel::ReadCommitted);
         let order = out.commit_order().expect("consistent => order");
         validate_commit_order(&h, IsolationLevel::ReadCommitted, order).unwrap();
     }
@@ -262,11 +224,11 @@ mod tests {
         b.read(s, 0, 1);
         b.commit(s);
         let h = b.finish().unwrap();
-        let opts = CheckOptions {
+        let cfg = EngineConfig {
             want_commit_order: true,
-            ..CheckOptions::default()
+            ..EngineConfig::default()
         };
-        let out = check_with(&h, IsolationLevel::ReadAtomic, &opts);
+        let out = Engine::with_config(cfg).check_level(&h, IsolationLevel::ReadAtomic);
         assert!(out.is_consistent());
         let order = out.commit_order().unwrap();
         validate_commit_order(&h, IsolationLevel::ReadAtomic, order).unwrap();
@@ -295,17 +257,17 @@ mod tests {
             b.commit(sb);
         }
         let h = b.finish().unwrap();
-        let opts = CheckOptions {
+        let cfg = EngineConfig {
             max_cycles: 1,
-            ..CheckOptions::default()
+            ..EngineConfig::default()
         };
-        let out = check_with(&h, IsolationLevel::ReadAtomic, &opts);
+        let out = Engine::with_config(cfg).check_level(&h, IsolationLevel::ReadAtomic);
         assert_eq!(out.violations().len(), 1);
-        let opts = CheckOptions {
+        let cfg = EngineConfig {
             max_cycles: 10,
-            ..CheckOptions::default()
+            ..EngineConfig::default()
         };
-        let out = check_with(&h, IsolationLevel::ReadAtomic, &opts);
+        let out = Engine::with_config(cfg).check_level(&h, IsolationLevel::ReadAtomic);
         assert!(out.violations().len() >= 2);
     }
 
@@ -322,11 +284,11 @@ mod tests {
     fn both_cc_strategies_give_same_verdict() {
         let h = level_separating_history();
         for strat in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            let opts = CheckOptions {
+            let cfg = EngineConfig {
                 cc_strategy: strat,
-                ..CheckOptions::default()
+                ..EngineConfig::default()
             };
-            let out = check_with(&h, IsolationLevel::Causal, &opts);
+            let out = Engine::with_config(cfg).check_level(&h, IsolationLevel::Causal);
             assert!(!out.is_consistent());
         }
     }

@@ -1,15 +1,14 @@
 //! The reusable checker engine: one configured handle, many checks.
 //!
 //! The free functions ([`check`](crate::check),
-//! [`check_with`](crate::check_with), …) are convenient but stateless —
-//! every call re-allocates the history index, the commit graph, and all
-//! scratch buffers from cold. Embedded testers check *fleets* of
+//! [`check_all_levels`](crate::check_all_levels)) are convenient but
+//! stateless — every call re-allocates the history index, the commit
+//! graph, and all scratch buffers from cold. Embedded testers check *fleets* of
 //! histories (directed test generation, CI sweeps, long-running
 //! monitoring services), where that setup cost is pure overhead. An
 //! [`Engine`] is the amortized form:
 //!
-//! * **One config.** [`EngineConfig`] unifies the batch
-//!   ([`CheckOptions`]) and streaming
+//! * **One config.** [`EngineConfig`] unifies the batch and streaming
 //!   (`awdit_stream::StreamConfig`) knobs — isolation level,
 //!   [`CcStrategy`], worker threads, witness budget, commit-order
 //!   production, pruning — so batch checks, batched fleets, and online
@@ -23,7 +22,7 @@
 //!   through one fork–join pool (one history per worker at a time,
 //!   work-stealing across them, per-worker scratch arenas), returning
 //!   outcomes in input order, bit-identical to per-history
-//!   [`check_with`](crate::check_with) at every thread count.
+//!   [`Engine::check`] at every thread count.
 //! * **Pluggable edges.** [`HistorySource`] abstracts where histories
 //!   come from (files, directories, NDJSON streams in `awdit-formats`;
 //!   simulator fleets in `awdit-simdb`); `awdit_stream::EngineExt::watch`
@@ -53,8 +52,8 @@
 
 use std::sync::Arc;
 
-use crate::cc::{saturate_cc_pool, CcStrategy, ClockTable};
-use crate::checker::{CheckOptions, CheckStats, Outcome};
+use crate::cc::{saturate_cc_into, CcStrategy, ClockTable};
+use crate::checker::{CheckStats, Outcome};
 use crate::graph::CommitGraph;
 use crate::history::{replay_history, BuildError, History, HistoryBuilder, HistorySink};
 use crate::index::HistoryIndex;
@@ -70,9 +69,7 @@ use awdit_obs::Obs;
 
 /// The unified tuning knobs shared by every engine entry point — batch
 /// checks, batched fleets ([`Engine::check_many`]), and online monitors
-/// (`awdit_stream::EngineExt::watch`). The batch-only subset round-trips
-/// to [`CheckOptions`] via [`check_options`](Self::check_options) /
-/// [`from_options`](Self::from_options).
+/// (`awdit_stream::EngineExt::watch`).
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct EngineConfig {
     /// The isolation level checked by [`Engine::check`] and
@@ -118,37 +115,6 @@ impl Default for EngineConfig {
             prune: true,
             prune_interval: 256,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The batch-check subset, for APIs still speaking [`CheckOptions`].
-    pub fn check_options(&self) -> CheckOptions {
-        CheckOptions {
-            cc_strategy: self.cc_strategy,
-            want_commit_order: self.want_commit_order,
-            max_cycles: self.max_cycles,
-            threads: self.threads,
-        }
-    }
-
-    /// Lifts [`CheckOptions`] into a full config (streaming knobs take
-    /// their defaults) — how the legacy free functions build their
-    /// per-call engine.
-    pub fn from_options(opts: &CheckOptions) -> Self {
-        EngineConfig {
-            cc_strategy: opts.cc_strategy,
-            want_commit_order: opts.want_commit_order,
-            max_cycles: opts.max_cycles,
-            threads: opts.threads,
-            ..EngineConfig::default()
-        }
-    }
-}
-
-impl From<CheckOptions> for EngineConfig {
-    fn from(opts: CheckOptions) -> Self {
-        EngineConfig::from_options(&opts)
     }
 }
 
@@ -439,7 +405,7 @@ impl Engine {
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
         let pool = Arc::clone(&self.pool);
-        let out = check_with_scratch(&pool, &self.cfg, &mut self.scratch, history, level);
+        let out = check_in_scratch(&pool, &self.cfg, &mut self.scratch, history, level);
         self.account(1, 1);
         out
     }
@@ -479,7 +445,7 @@ impl Engine {
     /// one whole history per worker at a time; each worker owns its own
     /// scratch arenas, recycled across every history it steals. Outcomes
     /// come back **in input order** and are bit-identical to running
-    /// [`check_with`](crate::check_with) on each history separately — at
+    /// [`check_level`](Self::check_level) on each history separately — at
     /// every thread count, including the sequential `threads <= 1` path
     /// (which reuses the handle's own arenas).
     pub fn check_many<'a, I>(&mut self, histories: I) -> Vec<Outcome>
@@ -523,7 +489,7 @@ impl Engine {
             "check_many",
             &items,
             Scratch::new,
-            |scratch, _, h| check_with_scratch(&pool, &cfg, scratch, h, level),
+            |scratch, _, h| check_in_scratch(&pool, &cfg, scratch, h, level),
         );
         self.stats.histories += outcomes.len() as u64;
         self.stats.checks += outcomes.len() as u64;
@@ -660,7 +626,7 @@ impl Engine {
                 let mut busy = std::time::Duration::ZERO;
                 while let Some((name, sink)) = work.recv() {
                     let t = Instant::now();
-                    let outcome = check_with_scratch(&pool, &cfg, scratch, &sink.arena, cfg.level);
+                    let outcome = check_in_scratch(&pool, &cfg, scratch, &sink.arena, cfg.level);
                     busy += t.elapsed();
                     out.push((name, outcome));
                     if done.send(sink).is_err() {
@@ -992,7 +958,7 @@ impl HistorySink for ArenaSink {
 /// [`Engine::check_level`], the [`check_many`](Engine::check_many)
 /// workers, and the overlapped [`check_source`](Engine::check_source)
 /// checker thread.
-fn check_with_scratch(
+fn check_in_scratch(
     pool: &parallel::Pool,
     cfg: &EngineConfig,
     scratch: &mut Scratch,
@@ -1019,8 +985,7 @@ fn check_with_scratch(
 
 /// The per-level check over a pre-built index and pre-computed Read
 /// Consistency violations, saturating into the caller's graph arena —
-/// the single code path behind every engine entry point *and* the legacy
-/// free functions.
+/// the single code path behind every engine entry point.
 #[allow(clippy::too_many_arguments)] // the one shared body behind every entry point
 fn check_prepared_into(
     pool: &parallel::Pool,
@@ -1052,7 +1017,6 @@ fn check_prepared_into(
                 saturate_rc_into(pool, index, cfg.threads, graph);
             }
             finish_graph(
-                pool,
                 index,
                 graph,
                 level,
@@ -1080,7 +1044,6 @@ fn check_prepared_into(
                         saturate_ra_into(pool, index, cfg.threads, graph);
                     }
                     finish_graph(
-                        pool,
                         index,
                         graph,
                         level,
@@ -1097,11 +1060,10 @@ fn check_prepared_into(
         IsolationLevel::Causal => {
             let sat = {
                 let _s = obs.span("saturate_cc");
-                saturate_cc_pool(pool, index, cfg.cc_strategy, cfg.threads, graph, clocks)
+                saturate_cc_into(pool, index, cfg.cc_strategy, cfg.threads, graph, clocks)
             };
             match sat {
                 Ok(()) => finish_graph(
-                    pool,
                     index,
                     graph,
                     level,
@@ -1126,9 +1088,7 @@ fn check_prepared_into(
 
 /// Builds the saturated graph's CSR, extracts witness cycles, and labels
 /// their edges.
-#[allow(clippy::too_many_arguments)] // one-caller helper of check_prepared_into
 fn finish_graph(
-    pool: &parallel::Pool,
     index: &HistoryIndex,
     g: &mut CommitGraph,
     level: IsolationLevel,
@@ -1156,7 +1116,7 @@ fn finish_graph(
     }
     let cycles = {
         let _s = obs.span("cycle_extraction");
-        g.find_cycles_pool(pool, cfg.max_cycles, cfg.threads)
+        g.find_cycles(cfg.max_cycles)
     };
     if cycles.is_empty() {
         if cfg.want_commit_order {
@@ -1325,22 +1285,6 @@ mod tests {
         assert_eq!(cfg.threads, 2);
         assert!(!cfg.prune);
         assert_eq!(cfg.prune_interval, 17);
-    }
-
-    #[test]
-    fn config_round_trips_check_options() {
-        let opts = CheckOptions {
-            cc_strategy: CcStrategy::PointerScan,
-            want_commit_order: true,
-            max_cycles: 5,
-            threads: 4,
-        };
-        let cfg = EngineConfig::from_options(&opts);
-        let back = cfg.check_options();
-        assert_eq!(back.cc_strategy, opts.cc_strategy);
-        assert_eq!(back.want_commit_order, opts.want_commit_order);
-        assert_eq!(back.max_cycles, opts.max_cycles);
-        assert_eq!(back.threads, opts.threads);
     }
 
     #[test]

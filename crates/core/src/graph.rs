@@ -13,24 +13,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::incremental::EdgeSink;
 use crate::index::HistoryIndex;
 use crate::parallel;
 use crate::types::{Key, SessionId};
-
-/// Frontier size below which a forward–backward reachability sweep stays
-/// on the calling thread (a fork–join over a tiny frontier costs more
-/// than expanding it).
-const FWBW_BFS_CUTOFF: usize = 1024;
-
-/// Bound on forward–backward split rounds: adversarial graphs (a long
-/// chain of 2-cycles) would otherwise degrade the decomposition to one
-/// BFS pair per component. Past the budget the remaining regions fall
-/// back to one masked Tarjan pass.
-const MAX_FWBW_ROUNDS: usize = 128;
 
 /// Label of a `co′` edge: how the ordering was established.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -404,56 +392,23 @@ impl CommitGraph {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Computes strongly connected components. Returns one `Vec` of nodes
-    /// per component, in reverse topological order of the condensation, in
-    /// the canonical form of [`sccs_with`](Self::sccs_with).
+    /// Computes strongly connected components with iterative Tarjan.
+    /// Returns one `Vec` of nodes per component, in a canonical
+    /// presentation that witness extraction depends on: nodes ascend
+    /// within each component, and components come in reverse topological
+    /// order of the condensation, breaking ties by emitting the ready
+    /// component with the smallest minimum node first.
     pub fn sccs(&self) -> Vec<Vec<u32>> {
-        self.sccs_with(1)
-    }
-
-    /// [`sccs`](Self::sccs) on up to `threads` worker threads (`0` = all
-    /// cores): a forward–backward reachability decomposition
-    /// (Fleischer–Hendrickson–Pilkington style) whose breadth-first sweeps
-    /// fan out over the pool — the dominant case of one huge SCC in a
-    /// violating history parallelizes where a depth-first Tarjan cannot.
-    ///
-    /// The SCC *partition* of a graph is unique, so determinism only needs
-    /// a canonical presentation: nodes ascend within each component, and
-    /// components come in the reverse topological order of the
-    /// condensation that repeatedly emits the ready component with the
-    /// smallest minimum node. The result is therefore bit-identical for
-    /// every thread count — the sequential path (`threads <= 1` or a small
-    /// graph) runs iterative Tarjan and canonicalizes the same way.
-    pub fn sccs_with(&self, threads: usize) -> Vec<Vec<u32>> {
-        self.sccs_pool(&parallel::Pool::new(threads), threads)
-    }
-
-    /// [`sccs_with`](Self::sccs_with) dispatching on a caller-owned
-    /// [`Pool`](parallel::Pool) — the [`Engine`](crate::Engine)'s shared
-    /// one — instead of an ephemeral pool.
-    pub fn sccs_pool(&self, pool: &parallel::Pool, threads: usize) -> Vec<Vec<u32>> {
         self.assert_frozen();
-        let threads = parallel::effective_threads(threads);
-        let comp_of = if threads <= 1 || self.n < parallel::SEQUENTIAL_CUTOFF {
-            let mut comp_of = vec![u32::MAX; self.n];
-            let mut next_comp = 0u32;
-            self.tarjan_assign(&mut comp_of, &mut next_comp);
-            comp_of
-        } else {
-            self.fwbw_comp_of(pool, threads)
-        };
+        let comp_of = self.tarjan();
         self.canonical_sccs(&comp_of)
     }
 
-    /// Iterative Tarjan restricted to the nodes still labeled `u32::MAX`
-    /// in `comp_of`, assigning fresh labels from `next_comp`. Edges to
-    /// already-labeled nodes are skipped — for nodes labeled before the
-    /// call that is the sub-graph restriction, and for nodes the run
-    /// itself finishes it coincides with Tarjan's visited-and-off-stack
-    /// no-op (labels are only assigned at pop time, so on-stack nodes
-    /// always pass the filter).
-    fn tarjan_assign(&self, comp_of: &mut [u32], next_comp: &mut u32) {
+    /// Iterative Tarjan: the component label of every node.
+    fn tarjan(&self) -> Vec<u32> {
         let n = self.n;
+        let mut comp_of = vec![u32::MAX; n];
+        let mut next_comp = 0u32;
         let mut index = vec![u32::MAX; n];
         let mut lowlink = vec![0u32; n];
         let mut on_stack = vec![false; n];
@@ -463,7 +418,7 @@ impl CommitGraph {
         // Explicit DFS stack: (node, next-successor-position).
         let mut call_stack: Vec<(u32, usize)> = Vec::new();
         for start in 0..n as u32 {
-            if index[start as usize] != u32::MAX || comp_of[start as usize] != u32::MAX {
+            if index[start as usize] != u32::MAX {
                 continue;
             }
             call_stack.push((start, 0));
@@ -481,9 +436,6 @@ impl CommitGraph {
                     let w = target(self.successors(v)[*pos]);
                     *pos += 1;
                     let wu = w as usize;
-                    if comp_of[wu] != u32::MAX {
-                        continue;
-                    }
                     if index[wu] == u32::MAX {
                         call_stack.push((w, 0));
                         recursed = true;
@@ -502,8 +454,8 @@ impl CommitGraph {
                     lowlink[pu] = lowlink[pu].min(lowlink[vu]);
                 }
                 if lowlink[vu] == index[vu] {
-                    let label = *next_comp;
-                    *next_comp += 1;
+                    let label = next_comp;
+                    next_comp += 1;
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w as usize] = false;
@@ -515,259 +467,7 @@ impl CommitGraph {
                 }
             }
         }
-    }
-
-    /// The forward–backward decomposition: pick the region's minimum node
-    /// as pivot, mark everything it reaches (forward BFS) and everything
-    /// that reaches it (backward BFS over a one-off reverse CSR), emit the
-    /// intersection as one SCC, and recurse on the three leftover parts —
-    /// no SCC ever spans a part. Regions first shed their in/out-degree-0
-    /// nodes (iterated queue peeling, each a singleton SCC), which
-    /// dissolves acyclic regions without any reachability sweep. Only the
-    /// partition matters (labels are canonicalized afterwards), so claim
-    /// races inside the parallel BFS are harmless.
-    fn fwbw_comp_of(&self, pool: &parallel::Pool, threads: usize) -> Vec<u32> {
-        const RETIRED: u32 = u32::MAX;
-        let n = self.n;
-        let mut comp_of = vec![u32::MAX; n];
-        if n == 0 {
-            return comp_of;
-        }
-        // Reverse CSR (targets only) for the backward sweeps.
-        let mut rev_offsets = vec![0u32; n + 1];
-        for v in 0..n as u32 {
-            for &e in self.successors(v) {
-                rev_offsets[target(e) as usize + 1] += 1;
-            }
-        }
-        for i in 1..=n {
-            rev_offsets[i] += rev_offsets[i - 1];
-        }
-        let mut rev_edges = vec![0u32; rev_offsets[n] as usize];
-        let mut fill: Vec<u32> = rev_offsets[..n].to_vec();
-        for v in 0..n as u32 {
-            for &e in self.successors(v) {
-                let w = target(e) as usize;
-                rev_edges[fill[w] as usize] = v;
-                fill[w] += 1;
-            }
-        }
-
-        let fwd_mark: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let bwd_mark: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let mut region_of = vec![0u32; n];
-        let mut deg_in = vec![0u32; n];
-        let mut deg_out = vec![0u32; n];
-        let mut next_comp = 0u32;
-        let mut next_rid = 1u32;
-        let mut epoch = 0u32;
-        let mut rounds = 0usize;
-        let mut regions: Vec<(u32, Vec<u32>)> = vec![(0, (0..n as u32).collect())];
-
-        while let Some((rid, mut nodes)) = regions.pop() {
-            if rounds >= MAX_FWBW_ROUNDS {
-                continue; // left unassigned for the masked-Tarjan fallback
-            }
-            // Trim: queue-peel nodes with no in- or out-edge inside the
-            // region; cycle members never peel, so SCCs survive intact.
-            let preds = |v: u32| {
-                &rev_edges[rev_offsets[v as usize] as usize..rev_offsets[v as usize + 1] as usize]
-            };
-            for &v in &nodes {
-                let vu = v as usize;
-                deg_in[vu] = preds(v)
-                    .iter()
-                    .filter(|&&p| region_of[p as usize] == rid)
-                    .count() as u32;
-                deg_out[vu] = self
-                    .successors(v)
-                    .iter()
-                    .filter(|&&e| region_of[target(e) as usize] == rid)
-                    .count() as u32;
-            }
-            let mut peel: Vec<u32> = nodes
-                .iter()
-                .copied()
-                .filter(|&v| deg_in[v as usize] == 0 || deg_out[v as usize] == 0)
-                .collect();
-            while let Some(v) = peel.pop() {
-                let vu = v as usize;
-                if region_of[vu] != rid {
-                    continue;
-                }
-                region_of[vu] = RETIRED;
-                comp_of[vu] = next_comp;
-                next_comp += 1;
-                for &p in preds(v) {
-                    let pu = p as usize;
-                    if region_of[pu] == rid {
-                        deg_out[pu] -= 1;
-                        if deg_out[pu] == 0 {
-                            peel.push(p);
-                        }
-                    }
-                }
-                for &e in self.successors(v) {
-                    let w = target(e);
-                    let wu = w as usize;
-                    if region_of[wu] == rid {
-                        deg_in[wu] -= 1;
-                        if deg_in[wu] == 0 {
-                            peel.push(w);
-                        }
-                    }
-                }
-            }
-            nodes.retain(|&v| region_of[v as usize] == rid);
-            if nodes.is_empty() {
-                continue;
-            }
-            if nodes.len() < parallel::SEQUENTIAL_CUTOFF {
-                continue; // small region: cheaper under the fallback Tarjan
-            }
-
-            // Forward/backward reachability from the region's minimum node.
-            epoch += 1;
-            let pivot = nodes[0];
-            self.fwbw_bfs(
-                pool,
-                &rev_offsets,
-                &rev_edges,
-                false,
-                &fwd_mark,
-                epoch,
-                pivot,
-                rid,
-                &region_of,
-                threads,
-            );
-            self.fwbw_bfs(
-                pool,
-                &rev_offsets,
-                &rev_edges,
-                true,
-                &bwd_mark,
-                epoch,
-                pivot,
-                rid,
-                &region_of,
-                threads,
-            );
-
-            // Split: SCC = fwd ∩ bwd; the three leftovers recurse.
-            let mut scc = Vec::new();
-            let mut f_only = Vec::new();
-            let mut b_only = Vec::new();
-            let mut rest = Vec::new();
-            for &v in &nodes {
-                let vu = v as usize;
-                let f = fwd_mark[vu].load(Ordering::Relaxed) == epoch;
-                let b = bwd_mark[vu].load(Ordering::Relaxed) == epoch;
-                match (f, b) {
-                    (true, true) => scc.push(v),
-                    (true, false) => f_only.push(v),
-                    (false, true) => b_only.push(v),
-                    (false, false) => rest.push(v),
-                }
-            }
-            let label = next_comp;
-            next_comp += 1;
-            for &v in &scc {
-                comp_of[v as usize] = label;
-                region_of[v as usize] = RETIRED;
-            }
-            for part in [f_only, b_only, rest] {
-                if part.is_empty() {
-                    continue;
-                }
-                let part_rid = next_rid;
-                next_rid += 1;
-                for &v in &part {
-                    region_of[v as usize] = part_rid;
-                }
-                regions.push((part_rid, part));
-            }
-            rounds += 1;
-        }
-
-        // Whatever the round budget or the size cutoff left behind: SCCs
-        // never span regions, so one Tarjan over all unassigned nodes
-        // produces exactly the per-region partitions.
-        if comp_of.contains(&u32::MAX) {
-            self.tarjan_assign(&mut comp_of, &mut next_comp);
-        }
         comp_of
-    }
-
-    /// One frontier-parallel BFS of the forward–backward decomposition:
-    /// stamps `mark` with `epoch` for every node of region `rid` reachable
-    /// from `pivot` along forward edges (`backward == false`) or reverse
-    /// edges. Nodes are claimed by compare-and-swap, so each joins exactly
-    /// one frontier; which worker wins a race only reorders the frontier,
-    /// never the final mark set.
-    #[allow(clippy::too_many_arguments)] // one-caller helper of fwbw_comp_of
-    fn fwbw_bfs(
-        &self,
-        pool: &parallel::Pool,
-        rev_offsets: &[u32],
-        rev_edges: &[u32],
-        backward: bool,
-        mark: &[AtomicU32],
-        epoch: u32,
-        pivot: u32,
-        rid: u32,
-        region_of: &[u32],
-        threads: usize,
-    ) {
-        let claim = |w: u32, out: &mut Vec<u32>| {
-            if region_of[w as usize] != rid {
-                return;
-            }
-            let m = &mark[w as usize];
-            let mut cur = m.load(Ordering::Relaxed);
-            while cur != epoch {
-                match m.compare_exchange_weak(cur, epoch, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => {
-                        out.push(w);
-                        return;
-                    }
-                    Err(now) => cur = now,
-                }
-            }
-        };
-        let expand = |v: u32, out: &mut Vec<u32>| {
-            if backward {
-                let vu = v as usize;
-                for &w in &rev_edges[rev_offsets[vu] as usize..rev_offsets[vu + 1] as usize] {
-                    claim(w, out);
-                }
-            } else {
-                for &e in self.successors(v) {
-                    claim(target(e), out);
-                }
-            }
-        };
-        mark[pivot as usize].store(epoch, Ordering::Relaxed);
-        let mut frontier = vec![pivot];
-        while !frontier.is_empty() {
-            if threads <= 1 || frontier.len() < FWBW_BFS_CUTOFF {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    expand(v, &mut next);
-                }
-                frontier = next;
-            } else {
-                let chunks = parallel::split_even(frontier.len(), threads * 4);
-                let parts = parallel::map_shards(pool, threads, "cycle_sccs", &chunks, |_, r| {
-                    let mut next = Vec::new();
-                    for &v in &frontier[r.start as usize..r.end as usize] {
-                        expand(v, &mut next);
-                    }
-                    next
-                });
-                frontier = parts.concat();
-            }
-        }
     }
 
     /// The canonical presentation of an SCC partition: nodes ascend within
@@ -822,7 +522,7 @@ impl CommitGraph {
 
     /// Returns `true` if the graph has no cycle (self-loops included).
     pub fn is_acyclic(&self) -> bool {
-        self.find_cycles(1).is_empty()
+        self.topological_order().is_some()
     }
 
     /// A topological order of the nodes, or `None` if the graph is cyclic.
@@ -854,40 +554,15 @@ impl CommitGraph {
     /// (Section 3.4). Within each SCC the cycle is chosen to pass through an
     /// inferred edge if one exists, closing it with a path that minimizes
     /// the number of further inferred edges (0–1 BFS with `so ∪ wr` edges at
-    /// weight 0).
+    /// weight 0). An acyclic graph — the common consistent-history case —
+    /// is dismissed by one linear Kahn pass before any SCC work.
     pub fn find_cycles(&self, max: usize) -> Vec<Cycle> {
-        self.find_cycles_with(max, 1)
-    }
-
-    /// [`find_cycles`](Self::find_cycles) on up to `threads` worker
-    /// threads (`0` = all cores): the SCC decomposition runs through
-    /// [`sccs_with`](Self::sccs_with), whose canonical output makes the
-    /// extracted cycles identical for every thread count. An acyclic graph
-    /// — the common consistent-history case — is dismissed by one linear
-    /// Kahn pass before any SCC work.
-    pub fn find_cycles_with(&self, max: usize, threads: usize) -> Vec<Cycle> {
-        self.find_cycles_pool(&parallel::Pool::new(threads), max, threads)
-    }
-
-    /// [`find_cycles_with`](Self::find_cycles_with) dispatching on a
-    /// caller-owned [`Pool`](parallel::Pool) — the
-    /// [`Engine`](crate::Engine)'s shared one — instead of an ephemeral
-    /// pool.
-    pub fn find_cycles_pool(
-        &self,
-        pool: &parallel::Pool,
-        max: usize,
-        threads: usize,
-    ) -> Vec<Cycle> {
-        if max == 0 {
-            return Vec::new();
-        }
-        if self.topological_order().is_some() {
+        if max == 0 || self.is_acyclic() {
             return Vec::new();
         }
         let n = self.n;
         let mut comp_of = vec![u32::MAX; n];
-        let sccs = self.sccs_pool(pool, threads);
+        let sccs = self.sccs();
         let mut cycles = Vec::new();
         for (ci, comp) in sccs.iter().enumerate() {
             for &v in comp {

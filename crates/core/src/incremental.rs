@@ -594,7 +594,7 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let g = base_commit_graph(&index);
         let topo = g.topological_order().unwrap();
-        let batch = crate::cc::compute_hb(&index, &g, &topo);
+        let batch = crate::cc::compute_hb(&index, &topo);
         let mut tracker = HbTracker::new();
         for &t in &topo {
             tracker.observe(&index, t);

@@ -89,20 +89,15 @@ pub mod rc;
 pub mod read_consistency;
 pub mod shrink;
 pub mod stats;
-pub mod tree_clock;
 pub mod types;
 pub mod vector_clock;
 pub mod witness;
 
 pub use cc::{
-    causality_cycles, compute_hb, compute_hb_into, compute_hb_wavefront_into,
-    compute_hb_wavefront_pool, saturate_cc, saturate_cc_pool, saturate_cc_scratch,
-    saturate_cc_with, CcStrategy, ClockTable,
+    causality_cycles, compute_hb, compute_hb_into, saturate_cc, saturate_cc_into, CcStrategy,
+    ClockTable,
 };
-pub use checker::{
-    check, check_all_levels, check_all_levels_with, check_with, CheckOptions, CheckStats, Outcome,
-    Verdict,
-};
+pub use checker::{check, check_all_levels, CheckStats, Outcome, Verdict};
 pub use csr::{Csr, CsrBuilder, ReadCols};
 pub use engine::{
     collect_source, Engine, EngineBuilder, EngineConfig, EngineStats, HistorySource, SourceError,
@@ -121,12 +116,11 @@ pub use isolation::{IsolationLevel, ParseIsolationLevelError};
 pub use linearize::{commit_order_from_graph, validate_commit_order, CommitOrderError};
 pub use op::{Op, ReadSource};
 pub use parallel::{Pool, PoolStats};
-pub use ra::{check_ra_single_session, check_repeatable_reads, saturate_ra, saturate_ra_with};
-pub use rc::{g1_cycles, saturate_rc, saturate_rc_with};
+pub use ra::{check_ra_single_session, check_repeatable_reads, saturate_ra, saturate_ra_into};
+pub use rc::{saturate_rc, saturate_rc_into};
 pub use read_consistency::check_read_consistency;
 pub use shrink::shrink_history;
 pub use stats::HistoryStats;
-pub use tree_clock::TreeClock;
 pub use types::{Key, OpLoc, SessionId, TxnId, Value};
 pub use vector_clock::VectorClock;
 pub use witness::{ReadConsistencyViolation, Violation, ViolationKind, WitnessCycle, WitnessEdge};

@@ -549,9 +549,9 @@ where
     debug_assert!(shards.len() <= u32::MAX as usize, "shard count fits u32");
     // The dispatch is instrumented through the *dispatcher's* obs
     // context: workers re-install it before running (nested instrumented
-    // code — the CC clock pass, whole checks under `Engine::check_many` —
-    // then finds it via `awdit_obs::current()`). Per-shard busy timing
-    // only runs when the handle is enabled.
+    // code — whole checks under `Engine::check_many` — then finds it via
+    // `awdit_obs::current()`). Per-shard busy timing only runs when the
+    // handle is enabled.
     let obs = awdit_obs::current();
     let timed = obs.enabled();
     let pool_start = timed.then(std::time::Instant::now);
@@ -667,9 +667,7 @@ fn claim_shard(slots: &[AtomicU64], p: usize, stolen: &AtomicU64) -> Option<usiz
 /// Emits one fork–join's pool metrics: the aggregate counters plus the
 /// per-stage labeled series (the labeled busy counters partition the
 /// aggregate, so a snapshot shows *which* stage saturates the pool).
-/// Shared by [`map_shards_with`] and custom dispatches (the CC clock
-/// wavefront) whose loop shape doesn't fit `map_shards`.
-pub(crate) fn record_pool_metrics(
+fn record_pool_metrics(
     metrics: &awdit_obs::metrics::MetricsRegistry,
     stage: &'static str,
     busy_ns: u64,

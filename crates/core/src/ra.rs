@@ -64,10 +64,15 @@ pub fn check_repeatable_reads(index: &HistoryIndex) -> Vec<Violation> {
 /// session order *within* each session, which the session-major sweep
 /// trivially provides).
 pub fn saturate_ra(index: &HistoryIndex) -> CommitGraph {
-    saturate_ra_with(index, 1)
+    let mut g = CommitGraph::new(0);
+    saturate_ra_into(&crate::parallel::Pool::new(1), index, 1, &mut g);
+    g
 }
 
-/// [`saturate_ra`] on up to `threads` worker threads (`0` = all cores).
+/// [`saturate_ra`] into a caller-owned graph arena (reset and refilled;
+/// see [`CommitGraph::reset`]) on up to `threads` participants of `pool`
+/// (`0` = all cores) — the [`Engine`](crate::Engine)'s
+/// allocation-recycling path.
 ///
 /// The RA kernel only consults the reading transaction's own session
 /// state, so *sessions* are sharded into contiguous groups (weighted by
@@ -75,15 +80,6 @@ pub fn saturate_ra(index: &HistoryIndex) -> CommitGraph {
 /// order with its own kernel into one of the graph's pair buffers, adopted
 /// in group order — bit-identical to the sequential session-major sweep
 /// for every thread count.
-pub fn saturate_ra_with(index: &HistoryIndex, threads: usize) -> CommitGraph {
-    let mut g = CommitGraph::new(0);
-    saturate_ra_into(&crate::parallel::Pool::new(threads), index, threads, &mut g);
-    g
-}
-
-/// [`saturate_ra_with`] into a caller-owned graph arena (reset and
-/// refilled; see [`CommitGraph::reset`]) — the [`Engine`](crate::Engine)'s
-/// allocation-recycling path, dispatching on the engine's shared pool.
 pub fn saturate_ra_into(
     pool: &crate::parallel::Pool,
     index: &HistoryIndex,

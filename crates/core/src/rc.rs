@@ -24,7 +24,7 @@
 //! `O(n^{3/2})` bound (Lemma 3.4); for histories whose transactions have
 //! `O(1)` size this collapses to `O(n)`.
 
-use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph};
+use crate::graph::{base_commit_graph_into, CommitGraph};
 use crate::incremental::RcKernel;
 use crate::index::HistoryIndex;
 use crate::parallel::{self, SEQUENTIAL_CUTOFF};
@@ -40,25 +40,21 @@ use crate::parallel::{self, SEQUENTIAL_CUTOFF};
 /// [`RcKernel`], the same inference body the
 /// streaming checker drives one commit at a time.
 pub fn saturate_rc(index: &HistoryIndex) -> CommitGraph {
-    saturate_rc_with(index, 1)
+    let mut g = CommitGraph::new(0);
+    saturate_rc_into(&parallel::Pool::new(1), index, 1, &mut g);
+    g
 }
 
-/// [`saturate_rc`] on up to `threads` worker threads (`0` = all cores).
+/// [`saturate_rc`] into a caller-owned graph arena (reset and refilled;
+/// see [`CommitGraph::reset`]) on up to `threads` participants of `pool`
+/// (`0` = all cores) — the [`Engine`](crate::Engine)'s
+/// allocation-recycling path.
 ///
 /// The RC inference body is transaction-local, so the dense-id range is
 /// sharded into contiguous chunks, each worker runs its own kernel into
 /// one of the graph's pair buffers, and the graph adopts the buffers in
 /// chunk order — the resulting graph is bit-identical to the sequential
 /// one for every thread count.
-pub fn saturate_rc_with(index: &HistoryIndex, threads: usize) -> CommitGraph {
-    let mut g = CommitGraph::new(0);
-    saturate_rc_into(&parallel::Pool::new(threads), index, threads, &mut g);
-    g
-}
-
-/// [`saturate_rc_with`] into a caller-owned graph arena (reset and
-/// refilled; see [`CommitGraph::reset`]) — the [`Engine`](crate::Engine)'s
-/// allocation-recycling path, dispatching on the engine's shared pool.
 pub fn saturate_rc_into(
     pool: &parallel::Pool,
     index: &HistoryIndex,
@@ -82,24 +78,6 @@ pub fn saturate_rc_into(
             kernel.process(index, t3, sink);
         }
     });
-}
-
-/// The weaker *Adya G1* reading of Read Committed (footnote 2 of the
-/// paper): Read Consistency plus acyclicity of `so ∪ wr`, checkable in
-/// `O(n)` time. Some literature (e.g. Crooks et al. 2017) interprets RC
-/// this way; the paper's Definition 2.4 is strictly stronger.
-///
-/// Returns the `so ∪ wr` cycles (one per strongly connected component), so
-/// an empty result means the history satisfies G1-style RC — *given* Read
-/// Consistency, which the caller checks separately with
-/// [`check_read_consistency`](crate::check_read_consistency).
-pub fn g1_cycles(index: &HistoryIndex) -> Vec<crate::graph::Cycle> {
-    let g = base_commit_graph(index);
-    if g.topological_order().is_some() {
-        Vec::new()
-    } else {
-        g.find_cycles(usize::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -361,7 +339,10 @@ mod tests {
         b.commit(s2);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        assert!(super::g1_cycles(&index).is_empty(), "G1 accepts Fig. 4a");
+        assert!(
+            crate::cc::causality_cycles(&index).is_empty(),
+            "G1 accepts Fig. 4a"
+        );
         assert!(
             !frozen(saturate_rc(&index)).is_acyclic(),
             "full RC rejects it"
@@ -383,7 +364,7 @@ mod tests {
         b.commit(s2);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let cycles = super::g1_cycles(&index);
+        let cycles = crate::cc::causality_cycles(&index);
         assert_eq!(cycles.len(), 1);
         assert!(cycles[0].is_closed());
     }

@@ -1003,7 +1003,7 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awdit_core::{check_all_levels, check_with, CheckOptions, HistoryBuilder, IsolationLevel};
+    use awdit_core::{check, check_all_levels, HistoryBuilder, IsolationLevel};
 
     fn violating_history() -> History {
         // Fig. 4b shape: RC-consistent, RA/CC-inconsistent.
@@ -1067,7 +1067,7 @@ mod tests {
     #[test]
     fn consistent_single_level_report() {
         let h = violating_history();
-        let out = check_with(&h, IsolationLevel::ReadCommitted, &CheckOptions::default());
+        let out = check(&h, IsolationLevel::ReadCommitted);
         let report = Report::new(vec![HistoryReport::new("one.awdit", &h, &[out], 0.5)]);
         assert!(!report.any_inconsistent());
         let back = Report::from_json(&report.to_json()).unwrap();

@@ -179,7 +179,7 @@ pub struct StreamConfig {
     pub prune_interval: u64,
     /// Maximum number of cycle violations reported (the verdict is
     /// unaffected; this caps witness extraction work, like
-    /// [`CheckOptions::max_cycles`](awdit_core::CheckOptions)).
+    /// [`EngineConfig::max_cycles`](awdit_core::EngineConfig::max_cycles)).
     pub max_cycle_reports: usize,
     /// Worker threads for the per-commit CC inference (`0` = all cores).
     /// A commit whose distinct `(key, writer)` read set is wide enough has

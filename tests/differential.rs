@@ -8,9 +8,9 @@ use awdit::baselines::{
     check_bruteforce, check_dbcop_cc, check_naive, check_plume, check_sat, random_noisy_history,
     random_plausible_history, GenParams,
 };
-use awdit::core::{check_with, CcStrategy, CheckOptions};
+use awdit::core::CcStrategy;
 use awdit::workloads::Uniform;
-use awdit::{check, collect_history, DbIsolation, IsolationLevel, SimConfig};
+use awdit::{check, collect_history, DbIsolation, Engine, EngineConfig, IsolationLevel, SimConfig};
 
 fn all_checkers_agree(h: &awdit::History, ctx: &str) {
     for level in IsolationLevel::ALL {
@@ -32,14 +32,11 @@ fn all_checkers_agree(h: &awdit::History, ctx: &str) {
                 "{ctx}: awdit vs dbcop (CC)"
             );
             for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                let out = check_with(
-                    h,
-                    level,
-                    &CheckOptions {
-                        cc_strategy: strategy,
-                        ..CheckOptions::default()
-                    },
-                );
+                let out = Engine::with_config(EngineConfig {
+                    cc_strategy: strategy,
+                    ..EngineConfig::default()
+                })
+                .check_level(h, level);
                 assert_eq!(
                     awdit_verdict,
                     out.is_consistent(),

@@ -3,12 +3,12 @@
 
 use awdit::baselines::{random_plausible_history, GenParams};
 use awdit::core::witness::WitnessCycle;
-use awdit::core::{check, check_with, CheckOptions, Key, TxnId};
+use awdit::core::{check, Key, TxnId};
 use awdit::simdb::Harness;
 use awdit::workloads::{CTwitter, CTwitterConfig, Rubis, RubisConfig, Tpcc, TpccConfig};
 use awdit::{
-    collect_history, parse_history, validate_commit_order, write_history, DbIsolation, Format,
-    History, HistoryStats, IsolationLevel, SimConfig, Verdict,
+    collect_history, parse_history, validate_commit_order, write_history, DbIsolation, Engine,
+    EngineConfig, Format, History, HistoryStats, IsolationLevel, SimConfig, Verdict,
 };
 
 /// The guarantee ladder: a database configured for tier X must produce
@@ -72,12 +72,12 @@ fn commit_orders_validate_against_the_axioms() {
         ..CTwitterConfig::default()
     });
     let h = collect_history(config, &mut workload, 400).unwrap();
-    let opts = CheckOptions {
+    let mut engine = Engine::with_config(EngineConfig {
         want_commit_order: true,
-        ..CheckOptions::default()
-    };
+        ..EngineConfig::default()
+    });
     for level in IsolationLevel::ALL {
-        let out = check_with(&h, level, &opts);
+        let out = engine.check_level(&h, level);
         assert!(out.is_consistent(), "causal store satisfies {level}");
         let order = out.commit_order().expect("consistent => commit order");
         validate_commit_order(&h, level, order)
@@ -140,12 +140,12 @@ fn witnesses_are_well_formed() {
         let mut checked_cycles = 0;
         for h in &histories {
             let [one, two] = [1usize, 2].map(|threads| {
-                let opts = CheckOptions {
+                Engine::with_config(EngineConfig {
                     max_cycles: 64,
                     threads,
-                    ..CheckOptions::default()
-                };
-                check_with(h, level, &opts)
+                    ..EngineConfig::default()
+                })
+                .check_level(h, level)
             });
             assert_eq!(
                 one.violations(),

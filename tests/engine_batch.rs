@@ -1,8 +1,8 @@
 //! Differential suite for the engine API's batch path:
 //! [`Engine::check_many`] must return outcomes **in input order** that
 //! are identical — verdict, violation list, witness cycles, commit
-//! order, stats — to running per-history [`check_with`] with the same
-//! options, across all three isolation levels × threads {1, 2, 8}; plus
+//! order, stats — to checking each history on a fresh [`Engine`] with
+//! the same config, across all three isolation levels × threads {1, 2, 8}; plus
 //! the allocation-reuse regression guard (a second same-shape check
 //! through one engine performs no arena growth, observed via
 //! [`EngineStats::arena_growths`]).
@@ -10,8 +10,8 @@
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::core::cc::CcStrategy;
 use awdit::{
-    check_with, collect_history, CheckOptions, DbIsolation, Engine, EngineConfig, History,
-    IsolationLevel, Outcome, SimConfig,
+    check, collect_history, DbIsolation, Engine, EngineConfig, History, IsolationLevel, Outcome,
+    SimConfig,
 };
 use awdit_workloads::Uniform;
 
@@ -62,19 +62,17 @@ fn check_many_is_identical_to_per_history_checks() {
     let batch = mixed_batch();
     for level in IsolationLevel::ALL {
         for threads in THREAD_COUNTS {
-            let opts = CheckOptions {
+            let cfg = EngineConfig {
+                level,
                 want_commit_order: true,
                 threads,
-                ..CheckOptions::default()
+                ..EngineConfig::default()
             };
             let reference: Vec<String> = batch
                 .iter()
-                .map(|h| fingerprint(&check_with(h, level, &opts)))
+                .map(|h| fingerprint(&Engine::with_config(cfg).check_level(h, level)))
                 .collect();
-            let mut engine = Engine::with_config(EngineConfig {
-                level,
-                ..EngineConfig::from_options(&opts)
-            });
+            let mut engine = Engine::with_config(cfg);
             let got: Vec<String> = engine
                 .check_many(batch.iter())
                 .iter()
@@ -82,7 +80,7 @@ fn check_many_is_identical_to_per_history_checks() {
                 .collect();
             assert_eq!(
                 reference, got,
-                "check_many diverged from per-history check_with \
+                "check_many diverged from per-history checks \
                  (level {level}, threads {threads})"
             );
         }
@@ -149,7 +147,7 @@ fn check_many_preserves_input_order_on_distinct_shapes() {
     let outcomes = engine.check_many(batch.iter());
     assert_eq!(outcomes.len(), batch.len());
     for (i, (h, o)) in batch.iter().zip(&outcomes).enumerate() {
-        let expected = check_with(h, IsolationLevel::Causal, &CheckOptions::default());
+        let expected = check(h, IsolationLevel::Causal);
         assert_eq!(
             o.stats().committed_txns,
             expected.stats().committed_txns,
@@ -271,14 +269,11 @@ fn alternating_shapes_do_not_leak_state() {
     let mut growths_after_first_round = 0;
     for round in 0..3 {
         for (i, h) in histories.iter().enumerate() {
-            let fresh = check_with(
-                h,
-                IsolationLevel::ReadAtomic,
-                &CheckOptions {
-                    want_commit_order: true,
-                    ..CheckOptions::default()
-                },
-            );
+            let fresh = Engine::with_config(EngineConfig {
+                want_commit_order: true,
+                ..EngineConfig::default()
+            })
+            .check_level(h, IsolationLevel::ReadAtomic);
             let reused = engine.check(h);
             assert_eq!(
                 fingerprint(&fresh),

@@ -219,7 +219,7 @@ fn pool_stage_series_partition_the_aggregates() {
         .obs(obs.clone())
         .build();
     // Big enough to clear the sequential cutoff so the sharded stages
-    // (clock wavefront included) actually fork; staleness 0 keeps the
+    // actually fork; staleness 0 keeps the
     // history repeatable-read-clean, so the RA level reaches saturation
     // instead of stopping at the precheck.
     let h = random_plausible_history(
@@ -250,18 +250,20 @@ fn pool_stage_series_partition_the_aggregates() {
             .map(|(_, v)| *v)
             .expect("aggregate series present")
     };
-    for stage in [
-        "saturate_rc",
-        "saturate_ra",
-        "cc_binary_search",
-        "cc_clock_pass",
-    ] {
+    for stage in ["saturate_rc", "saturate_ra", "cc_binary_search"] {
         let name = format!("awdit_pool_stage_forks_total{{stage=\"{stage}\"}}");
         assert!(
             series.iter().any(|(n, v)| *n == name && *v > 0.0),
             "missing stage series {name}"
         );
     }
+    // The clock pass runs on the calling thread: a phase, not a fork.
+    assert!(
+        obs.phase_timings()
+            .iter()
+            .any(|t| t.name == "cc_clock_pass" && t.count > 0),
+        "missing phase cc_clock_pass"
+    );
     assert_eq!(
         sum_of("awdit_pool_stage_forks_total"),
         total("awdit_pool_forks_total"),

@@ -11,20 +11,18 @@
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::core::cc::CcStrategy;
-use awdit::core::parallel::SEQUENTIAL_CUTOFF;
-use awdit::core::{
-    base_commit_graph, compute_hb_into, compute_hb_wavefront_into, saturate_cc_with, ClockTable,
-    CommitGraph, EdgeKind, HistoryIndex,
-};
-use awdit::{check_with, CheckOptions, DbIsolation, History, IsolationLevel};
+use awdit::core::graph::target;
+use awdit::core::parallel::{Pool, SEQUENTIAL_CUTOFF};
+use awdit::core::{saturate_cc_into, ClockTable, CommitGraph, EdgeKind, HistoryIndex};
+use awdit::{DbIsolation, Engine, EngineConfig, History, IsolationLevel};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Everything observable about an [`awdit::Outcome`], as one comparable
 /// string: verdict, violations (in order), witness cycles, commit order,
 /// and stats.
-fn fingerprint(h: &History, level: IsolationLevel, opts: &CheckOptions) -> String {
-    let o = check_with(h, level, opts);
+fn fingerprint(h: &History, level: IsolationLevel, cfg: EngineConfig) -> String {
+    let o = Engine::with_config(cfg).check_level(h, level);
     format!(
         "{:?}|{:?}|{:?}|{:?}",
         o.verdict(),
@@ -37,19 +35,19 @@ fn fingerprint(h: &History, level: IsolationLevel, opts: &CheckOptions) -> Strin
 fn assert_thread_invariant(h: &History, label: &str) {
     for level in IsolationLevel::ALL {
         for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            let base = CheckOptions {
+            let base = EngineConfig {
                 cc_strategy: strategy,
                 want_commit_order: true,
                 threads: 1,
-                ..CheckOptions::default()
+                ..EngineConfig::default()
             };
-            let reference = fingerprint(h, level, &base);
+            let reference = fingerprint(h, level, base);
             for threads in &THREAD_COUNTS[1..] {
-                let opts = CheckOptions {
+                let cfg = EngineConfig {
                     threads: *threads,
                     ..base
                 };
-                let got = fingerprint(h, level, &opts);
+                let got = fingerprint(h, level, cfg);
                 assert_eq!(
                     reference, got,
                     "outcome diverged [{label}] level {level} strategy {strategy:?} \
@@ -112,12 +110,24 @@ fn wide_history_cc_graph_is_edge_identical() {
     let h = wide_uniform_history(64, 1600, 42);
     let index = HistoryIndex::new(&h);
     assert!(index.num_committed() > SEQUENTIAL_CUTOFF);
+    let saturate = |strategy: CcStrategy, threads: usize| {
+        let mut g = CommitGraph::new(0);
+        saturate_cc_into(
+            &Pool::new(threads),
+            &index,
+            strategy,
+            threads,
+            &mut g,
+            &mut ClockTable::new(),
+        )
+        .expect("acyclic base");
+        g.freeze();
+        g
+    };
     for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-        let mut sequential = saturate_cc_with(&index, strategy, 1).expect("acyclic base");
-        sequential.freeze();
+        let sequential = saturate(strategy, 1);
         for threads in [2usize, 8] {
-            let mut parallel = saturate_cc_with(&index, strategy, threads).expect("acyclic base");
-            parallel.freeze();
+            let parallel = saturate(strategy, threads);
             assert_eq!(sequential.num_emitted_edges(), parallel.num_emitted_edges());
             assert_eq!(sequential.num_edges(), parallel.num_edges());
             assert_eq!(
@@ -184,73 +194,18 @@ fn online_checker_is_thread_invariant_on_wide_commits() {
     }
 }
 
-/// Per-stage differential: the wavefront clock pass must produce the
-/// exact clock table of the sequential `ComputeHB`, row for row (rows
-/// land in different *slots* — identity vs allocation order — so the
-/// comparison goes through [`ClockTable::row`], never raw buffers).
+/// The canonical SCC presentation witnesses depend on, pinned on three
+/// shapes: one giant SCC, a pure path (every node its own SCC), and a
+/// deterministic random mix of small SCCs inside a DAG. Nodes ascend
+/// within each component, and components come in reverse topological
+/// order of the condensation, the smallest-minimum-node ready component
+/// first; on the mixed graph the partition also matches brute-force
+/// mutual reachability.
 #[test]
-fn wavefront_clock_pass_matches_sequential_rows() {
-    let mut cases = vec![
-        ("wide", wide_uniform_history(64, 1600, 7)),
-        (
-            "noisy",
-            random_noisy_history(
-                11,
-                GenParams {
-                    sessions: 8,
-                    txns: SEQUENTIAL_CUTOFF + 400,
-                    keys: 16,
-                    ..GenParams::default()
-                },
-            ),
-        ),
-    ];
-    // One session: the wavefront has no width — the fallback must still
-    // produce identical rows.
-    cases.push((
-        "one-session",
-        random_plausible_history(
-            3,
-            GenParams {
-                sessions: 1,
-                txns: SEQUENTIAL_CUTOFF + 100,
-                keys: 8,
-                ..GenParams::default()
-            },
-        ),
-    ));
-    for (label, h) in &cases {
-        let index = HistoryIndex::new(h);
-        let g = base_commit_graph(&index);
-        let Some(topo) = g.topological_order() else {
-            panic!("[{label}] base graph must be acyclic");
-        };
-        let mut seq = ClockTable::new();
-        compute_hb_into(&index, &topo, &mut seq);
-        for threads in [2usize, 8] {
-            let mut par = ClockTable::new();
-            compute_hb_wavefront_into(&index, &topo, threads, &mut par);
-            for &t in &topo {
-                assert_eq!(
-                    seq.row(t),
-                    par.row(t),
-                    "clock row of t{t} diverged [{label}] at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-/// Per-stage differential: the forward–backward SCC decomposition must
-/// produce the same canonical partition *and* the same witness cycles as
-/// single-threaded Tarjan, on graph shapes chosen to stress it: one
-/// giant SCC (trim peels nothing), a pure path (trim peels everything),
-/// and a deterministic random mix of small SCCs inside a DAG.
-#[test]
-fn parallel_sccs_and_cycles_match_tarjan() {
+fn sccs_have_the_canonical_presentation() {
     let giant = {
         // A 3000-cycle plus deterministic chords: one SCC spanning every
-        // node, well above the FW-BW engagement cutoff.
+        // node.
         let n = 3000u32;
         let mut g = CommitGraph::new(n as usize);
         for v in 0..n {
@@ -298,20 +253,97 @@ fn parallel_sccs_and_cycles_match_tarjan() {
         g
     };
     for (label, g) in [("giant", &giant), ("path", &path), ("mixed", &mixed)] {
-        let sccs_ref = g.sccs_with(1);
-        let cycles_ref = g.find_cycles_with(usize::MAX, 1);
-        let n: usize = sccs_ref.iter().map(Vec::len).sum();
-        assert_eq!(n, g.num_nodes(), "[{label}] partition must cover the graph");
-        for threads in [2usize, 8] {
-            assert_eq!(
-                sccs_ref,
-                g.sccs_with(threads),
-                "[{label}] SCC partition diverged at {threads} threads"
+        let sccs = g.sccs();
+        let n = g.num_nodes();
+        let mut comp_of = vec![usize::MAX; n];
+        for (c, comp) in sccs.iter().enumerate() {
+            assert!(
+                comp.windows(2).all(|w| w[0] < w[1]),
+                "[{label}] nodes must ascend within component {c}"
             );
+            for &v in comp {
+                assert_eq!(comp_of[v as usize], usize::MAX, "[{label}] node {v} twice");
+                comp_of[v as usize] = c;
+            }
+        }
+        assert!(
+            comp_of.iter().all(|&c| c != usize::MAX),
+            "[{label}] partition must cover the graph"
+        );
+        // Reversed, the components must be the Kahn order of the
+        // condensation that always emits the ready component with the
+        // smallest minimum node.
+        let mut preds_left = vec![0usize; sccs.len()];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); sccs.len()];
+        for v in 0..n as u32 {
+            for &e in g.successors(v) {
+                let (cv, cw) = (comp_of[v as usize], comp_of[target(e) as usize]);
+                if cv != cw {
+                    succs[cv].push(cw);
+                    preds_left[cw] += 1;
+                }
+            }
+        }
+        let mut ready: std::collections::BTreeSet<(u32, usize)> = (0..sccs.len())
+            .filter(|&c| preds_left[c] == 0)
+            .map(|c| (sccs[c][0], c))
+            .collect();
+        for c in (0..sccs.len()).rev() {
+            let first = ready.pop_first();
             assert_eq!(
-                cycles_ref,
-                g.find_cycles_with(usize::MAX, threads),
-                "[{label}] witness cycles diverged at {threads} threads"
+                first,
+                Some((sccs[c][0], c)),
+                "[{label}] component {c} is out of canonical order"
+            );
+            for &w in &succs[c] {
+                preds_left[w] -= 1;
+                if preds_left[w] == 0 {
+                    ready.insert((sccs[w][0], w));
+                }
+            }
+        }
+        // One witness cycle per non-trivial SCC, each inside its SCC.
+        let cycles = g.find_cycles(usize::MAX);
+        let nontrivial = sccs.iter().filter(|c| c.len() > 1).count();
+        assert_eq!(cycles.len(), nontrivial, "[{label}] one cycle per SCC");
+        for cycle in &cycles {
+            assert!(cycle.is_closed(), "[{label}] cycle must be closed");
+            let c = comp_of[cycle.edges[0].from as usize];
+            assert!(cycle.nodes().iter().all(|&v| comp_of[v as usize] == c));
+        }
+    }
+    // Brute force on the mixed graph: u and v share a component iff each
+    // reaches the other.
+    let n = mixed.num_nodes();
+    let reach: Vec<Vec<bool>> = (0..n as u32)
+        .map(|src| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![src];
+            seen[src as usize] = true;
+            while let Some(v) = stack.pop() {
+                for &e in mixed.successors(v) {
+                    let w = target(e);
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        stack.push(w);
+                    }
+                }
+            }
+            seen
+        })
+        .collect();
+    let mut comp_of = vec![0usize; n];
+    for (c, comp) in mixed.sccs().iter().enumerate() {
+        for &v in comp {
+            comp_of[v as usize] = c;
+        }
+    }
+    for u in 0..n {
+        for v in 0..n {
+            assert_eq!(
+                comp_of[u] == comp_of[v],
+                reach[u][v] && reach[v][u],
+                "[mixed] SCC membership of {u} and {v} disagrees with reachability"
             );
         }
     }

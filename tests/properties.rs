@@ -3,11 +3,11 @@
 //! pointwise.
 
 use awdit::baselines::check_naive;
-use awdit::core::{check_with, CcStrategy, CheckOptions};
+use awdit::core::CcStrategy;
 use awdit::reductions::{general_reduction, UndirectedGraph};
 use awdit::{
-    check, parse_history, validate_commit_order, write_history, Format, HistoryBuilder,
-    HistoryStats, IsolationLevel,
+    check, parse_history, validate_commit_order, write_history, Engine, EngineConfig, Format,
+    HistoryBuilder, HistoryStats, IsolationLevel,
 };
 use proptest::prelude::*;
 
@@ -106,18 +106,14 @@ proptest! {
     #[test]
     fn cc_strategies_agree_and_orders_validate(program in history_program()) {
         let h = build(&program);
-        let opts_ptr = CheckOptions {
-            cc_strategy: CcStrategy::PointerScan,
-            want_commit_order: true,
-            ..CheckOptions::default()
-        };
-        let opts_bin = CheckOptions {
-            cc_strategy: CcStrategy::BinarySearch,
-            want_commit_order: true,
-            ..CheckOptions::default()
-        };
-        let a = check_with(&h, IsolationLevel::Causal, &opts_ptr);
-        let b = check_with(&h, IsolationLevel::Causal, &opts_bin);
+        let [a, b] = [CcStrategy::PointerScan, CcStrategy::BinarySearch].map(|cc_strategy| {
+            Engine::with_config(EngineConfig {
+                cc_strategy,
+                want_commit_order: true,
+                ..EngineConfig::default()
+            })
+            .check_level(&h, IsolationLevel::Causal)
+        });
         prop_assert_eq!(a.is_consistent(), b.is_consistent());
         for out in [a, b] {
             if let Some(order) = out.commit_order() {
