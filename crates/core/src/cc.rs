@@ -5,7 +5,11 @@
 //! and `t2 ≠ t1` writes `x` with `t2 →(so ∪ wr)+→ t3` (happens-before),
 //! then `t2` must commit before `t1`. Only the *session-latest*
 //! happens-before writer of `x` per session needs a direct edge — earlier
-//! ones are ordered transitively through it (minimality).
+//! ones are ordered transitively through it (minimality). The edge is also
+//! skipped when `t2` already happens before `t1`: a `so ∪ wr` path orders
+//! them, so the transitive closure, the SCCs and the valid commit orders
+//! are the same without it (see
+//! [`infer_cc_pairs`](crate::incremental::infer_cc_pairs)).
 //!
 //! Happens-before is represented by per-transaction [`VectorClock`]s
 //! (`ComputeHB`): entry `s` of `t`'s clock counts the committed
@@ -27,7 +31,7 @@
 //!   only.
 
 use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle, EdgeKind};
-use crate::incremental::{EdgeSink, FnvMap};
+use crate::incremental::{infer_cc_edges, EdgeSink, FnvMap};
 use crate::index::{HistoryIndex, NONE};
 use crate::parallel;
 use crate::types::SessionId;
@@ -350,6 +354,7 @@ fn pointer_scan_session<G: EdgeSink>(index: &HistoryIndex, clocks: &ClockTable, 
     for &t3 in index.session_committed(SessionId(s)) {
         let clock = clocks.row(t3);
         for &(x, t1) in index.read_pairs(t3) {
+            let row1 = clocks.row(t1);
             // Only sessions that write x can contribute a last writer.
             for (s_prime, writes) in index.key_writes(x) {
                 // Strict happens-before: own session excludes t3 itself
@@ -363,9 +368,10 @@ fn pointer_scan_session<G: EdgeSink>(index: &HistoryIndex, clocks: &ClockTable, 
                 while *p < writes.len() && index.committed_pos(writes[*p]) < bound {
                     *p += 1;
                 }
+                // Drop t2 when it already happens before t1.
                 if *p > 0 {
                     let t2 = writes[*p - 1];
-                    if t2 != t1 {
+                    if t2 != t1 && index.committed_pos(t2) >= row1[s_prime as usize] {
                         g.add_edge(t2, t1, EdgeKind::Inferred(x));
                     }
                 }
@@ -413,8 +419,6 @@ fn pointer_scan_par(
 /// run [`infer_cc_edges`] on workers, merged in chunk order (identical
 /// emission to the sequential on-the-fly variant, which also processes
 /// transactions in topological order).
-///
-/// [`infer_cc_edges`]: crate::incremental::infer_cc_edges
 fn binary_search_par(
     pool: &parallel::Pool,
     index: &HistoryIndex,
@@ -428,7 +432,7 @@ fn binary_search_par(
     let shards = parallel::split_even(topo.len(), threads * 4);
     g.fill_shards(pool, threads, "cc_binary_search", &shards, |range, sink| {
         for &t3 in &topo[range.start as usize..range.end as usize] {
-            crate::incremental::infer_cc_edges(index, t3, clocks.row(t3), sink);
+            infer_cc_edges(index, t3, clocks.row(t3), &|w| clocks.row(w), sink);
         }
     });
 }
@@ -453,6 +457,11 @@ fn binary_search(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks
 
     for &t3 in topo {
         clocks.compute_row(index, t3);
+        // Inference for t3, immediately while its clock is at hand and
+        // before its writers' rows are released — the kernel reads them to
+        // drop edges happens-before already implies.
+        infer_cc_edges(index, t3, &clocks.cur, &|w| clocks.row(w), g);
+
         for r in index.ext_reads(t3) {
             let w = r.writer as usize;
             // Dedup repeated reads of one writer by stamping `stamp_a` with
@@ -467,10 +476,6 @@ fn binary_search(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks
                 }
             }
         }
-
-        // Inference for t3, immediately while its clock is at hand — the
-        // shared per-transaction body also driven by the streaming checker.
-        crate::incremental::infer_cc_edges(index, t3, &clocks.cur, g);
 
         if clocks.readers_left[t3 as usize] > 0 {
             clocks.store(t3);
@@ -518,8 +523,7 @@ mod tests {
     }
 
     /// Figure 1b: the motivating CC-inconsistent history.
-    #[test]
-    fn fig1b_cc_inconsistent() {
+    fn fig1b() -> History {
         let mut b = HistoryBuilder::new();
         let s1 = b.session();
         let s2 = b.session();
@@ -555,14 +559,17 @@ mod tests {
         b.read(s4, x, 3);
         b.read(s4, y, 1);
         b.commit(s4);
-        let h = b.finish().unwrap();
-        assert!(!both_strategies_agree(&h), "Fig. 1b must violate CC");
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn fig1b_cc_inconsistent() {
+        assert!(!both_strategies_agree(&fig1b()), "Fig. 1b must violate CC");
     }
 
     /// Figure 4c violates CC: t4 observes t2 (via y written by t3 which
     /// read x=2) but reads the older x=1.
-    #[test]
-    fn fig4c_cc_inconsistent() {
+    fn fig4c() -> History {
         let mut b = HistoryBuilder::new();
         let s1 = b.session();
         let s2 = b.session();
@@ -582,7 +589,12 @@ mod tests {
         b.read(s3, y, 3);
         b.read(s3, x, 1); // t4
         b.commit(s3);
-        let h = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn fig4c_cc_inconsistent() {
+        let h = fig4c();
         assert!(!both_strategies_agree(&h));
         // ... while satisfying RA (Example 2.7).
         let index = HistoryIndex::new(&h);
@@ -622,6 +634,90 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         assert!(both_strategies_agree(&h));
+    }
+
+    /// One candidate edge is hb-implied: `t2 →so t2' →wr t1` already orders
+    /// `t2` before `t1`, so when `t3` reads `x` from `t1` and sees `t2`, the
+    /// inferred `t2 → t1` is dropped. The concurrent writer `t5`, which `t3`
+    /// also sees, still gets its edge `t5 → t1`.
+    #[test]
+    fn hb_implied_edge_is_dropped() {
+        let mut b = HistoryBuilder::new();
+        let s0 = b.session();
+        let s1 = b.session();
+        let s2 = b.session();
+        let s3 = b.session();
+        let (x, y, z) = (0, 1, 2);
+        b.begin(s0); // t2
+        b.write(s0, x, 2);
+        b.commit(s0);
+        b.begin(s0); // t2'
+        b.write(s0, y, 1);
+        b.commit(s0);
+        b.begin(s1); // t1
+        b.read(s1, y, 1);
+        b.write(s1, x, 1);
+        b.commit(s1);
+        b.begin(s3); // t5
+        b.write(s3, x, 5);
+        b.write(s3, z, 1);
+        b.commit(s3);
+        b.begin(s2); // t3
+        b.read(s2, z, 1);
+        b.read(s2, x, 1);
+        b.commit(s2);
+        let h = b.finish().unwrap();
+        let index = HistoryIndex::new(&h);
+        let t1 = index.dense_id(crate::types::TxnId::new(1, 0));
+        let t2 = index.dense_id(crate::types::TxnId::new(0, 0));
+        let t3 = index.dense_id(crate::types::TxnId::new(2, 0));
+        let t5 = index.dense_id(crate::types::TxnId::new(3, 0));
+
+        // Without writer rows the kernel emits both candidates.
+        let topo = base_commit_graph(&index).topological_order().unwrap();
+        let mut table = ClockTable::new();
+        compute_hb_into(&index, &topo, &mut table);
+        let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        infer_cc_edges(&index, t3, table.row(t3), &|_| &[], &mut emitted);
+        let pairs: Vec<(u32, u32)> = emitted.iter().map(|&(f, t, _)| (f, t)).collect();
+        assert_eq!(pairs, [(t2, t1), (t5, t1)]);
+
+        for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
+            let mut g = saturate_cc(&index, strategy).unwrap();
+            g.freeze();
+            assert_eq!(g.num_inferred_edges(), 1, "{strategy}");
+            assert!(
+                g.successors(t5)
+                    .contains(&(t1 | crate::graph::INFERRED_BIT)),
+                "{strategy}"
+            );
+            assert!(g.is_acyclic(), "{strategy}");
+        }
+    }
+
+    /// Provenance re-derives a label for every inferred edge of a witness
+    /// with the same hb filter the saturators use.
+    #[test]
+    fn provenance_labels_every_co_edge() {
+        for (name, h) in [("fig1b", fig1b()), ("fig4c", fig4c())] {
+            for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
+                let mut engine = crate::Engine::builder().cc_strategy(strategy).build();
+                let out = engine.check_level(&h, crate::IsolationLevel::Causal);
+                let mut co = 0;
+                for v in out.violations() {
+                    let crate::Violation::CommitOrderCycle { cycle, .. } = v else {
+                        panic!("{name} {strategy}: unexpected violation {v:?}");
+                    };
+                    for e in &cycle.edges {
+                        if let EdgeKind::Inferred(k) = e.kind {
+                            assert_eq!(h.key_name(k), 0, "{name} {strategy}: co on x");
+                            co += 1;
+                        }
+                    }
+                }
+                assert!(co > 0, "{name} {strategy}: a witness with a co edge");
+            }
+        }
     }
 
     #[test]

@@ -478,15 +478,35 @@ impl HbTracker {
 }
 
 /// The Causal Consistency inference body (Algorithm 3's main loop, shared
-/// by the batch `BinarySearch` strategy and the streaming checker): given
-/// `t3`'s inclusive happens-before clock — as a raw per-session entries
-/// slice, so both [`VectorClock`]s (via
+/// by the batch `BinarySearch` strategy, witness provenance and the
+/// streaming checker): given `t3`'s inclusive happens-before clock — as a raw
+/// per-session entries slice, so both [`VectorClock`]s (via
 /// [`entries`](VectorClock::entries)) and the flat
 /// [`ClockTable`](crate::cc::ClockTable) rows plug in without conversion —
 /// orders each session's latest visible writer of every read key before
-/// the observed writer.
-pub fn infer_cc_edges<V: CommitView, G: EdgeSink>(view: &V, t3: DenseId, clock: &[u32], g: &mut G) {
-    infer_cc_pairs(view, view.session_of(t3), view.read_pairs(t3), clock, g);
+/// the observed writer. See [`infer_cc_pairs`] for `writer_row`.
+pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
+    view: &V,
+    t3: DenseId,
+    clock: &[u32],
+    writer_row: &dyn Fn(DenseId) -> &'r [u32],
+    g: &mut G,
+) {
+    infer_cc_pairs(
+        view,
+        view.session_of(t3),
+        view.read_pairs(t3),
+        clock,
+        writer_row,
+        g,
+    );
+}
+
+/// Entry `s` of a clock row, reading 0 past the row's end (a clock that
+/// predates session `s` has seen none of it).
+#[inline]
+fn clock_entry(row: &[u32], s: u32) -> u32 {
+    row.get(s as usize).copied().unwrap_or(0)
 }
 
 /// [`infer_cc_edges`] over an explicit slice of the reader's `(key,
@@ -494,33 +514,44 @@ pub fn infer_cc_edges<V: CommitView, G: EdgeSink>(view: &V, t3: DenseId, clock: 
 /// the pairs of one wide transaction across workers and concatenate the
 /// sinks in slice order to reproduce the sequential emission exactly
 /// (`reader_session` is the session of the reading transaction).
-pub fn infer_cc_pairs<V: CommitView, G: EdgeSink>(
+///
+/// `writer_row(t1)` is the inclusive clock row of the writer `t1` a pair
+/// reads from. An edge `t2 → t1` is skipped when `t2` already happens
+/// before `t1` — its committed position is below `t1`'s entry for `t2`'s
+/// session — because a `so ∪ wr` path then orders the two, and the edge
+/// would change neither the transitive closure nor the SCCs. A session
+/// whose every visible writer `t1` already sees is skipped without a
+/// search. A row of `&[]` reads as all zeros and filters nothing.
+pub fn infer_cc_pairs<'r, V: CommitView, G: EdgeSink>(
     view: &V,
     reader_session: u32,
     pairs: &[(Key, DenseId)],
     clock: &[u32],
+    writer_row: &dyn Fn(DenseId) -> &'r [u32],
     g: &mut G,
 ) {
     let s = reader_session;
     for &(x, t1) in pairs {
+        let row1 = writer_row(t1);
         view.for_each_key_writes(x, &mut |s_prime, writes| {
             // Strict happens-before: the reader's own inclusive entry counts
             // the reader itself, so subtract it.
-            let entry = if (s_prime as usize) < clock.len() {
-                clock[s_prime as usize]
-            } else {
-                0
-            };
+            let entry = clock_entry(clock, s_prime);
             let bound = if s_prime == s {
                 entry.saturating_sub(1)
             } else {
                 entry
             };
+            // t1 already sees every writer of this session t3 sees.
+            let hb1 = clock_entry(row1, s_prime);
+            if hb1 >= bound {
+                return;
+            }
             // Latest writer with committed position < bound.
             let cnt = writes.partition_point(|&w| view.committed_pos(w) < bound);
             if cnt > 0 {
                 let t2 = writes[cnt - 1];
-                if t2 != t1 {
+                if t2 != t1 && view.committed_pos(t2) >= hb1 {
                     g.add_edge(t2, t1, EdgeKind::Inferred(x));
                 }
             }

@@ -14,10 +14,12 @@
 //!   per-transaction kernel ([`RcKernel`], [`RaKernel`],
 //!   [`infer_cc_edges`]) run over the readers of `t1` — every kernel
 //!   orders some other writer before the writer `t1` that a reader reads
-//!   from. The readers are visited in the saturator's sequential order,
-//!   so the label is the pair's first emission there: dense-id order
-//!   (session-major) for RC, RA and pointer-scan CC, the topological
-//!   order of `so ∪ wr` for binary-search CC.
+//!   from. The CC kernel gets the full clock table's rows, so it drops
+//!   the same hb-implied edges the saturator dropped. The readers are
+//!   visited in the saturator's sequential order, so the label is the
+//!   pair's first emission there: dense-id order (session-major) for RC,
+//!   RA and pointer-scan CC, the topological order of `so ∪ wr` for
+//!   binary-search CC.
 
 use std::collections::HashMap;
 
@@ -180,7 +182,7 @@ fn label_inferred(
                     .collect(),
             };
             for t3 in order {
-                infer_cc_edges(index, t3, table.row(t3), &mut emitted);
+                infer_cc_edges(index, t3, table.row(t3), &|w| table.row(w), &mut emitted);
                 if record(&mut emitted, labels, &mut pending) {
                     return;
                 }

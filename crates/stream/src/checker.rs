@@ -1163,6 +1163,15 @@ impl OnlineChecker {
     /// `(key, writer)` pairs sharded across the worker pool for wide ones
     /// (per-shard edge lists appended in pair order — bit-identical to
     /// sequential).
+    ///
+    /// Unlike the batch saturators, the kernel gets no writer rows
+    /// (`|_| &[]`), so edges that happens-before already implies are kept.
+    /// Dropping one is sound only while the `so ∪ wr` path behind it stays
+    /// in the live DAG, and watermark pruning does not guarantee that:
+    /// `retire()` condenses only a retired node's `so`/condensed
+    /// out-edges, so a path `t2 →* t1` through a retired transaction can
+    /// leave no live edge behind, and the inferred edge would be the DAG's
+    /// only record of that order.
     fn infer_cc(&self, slot: u32, clock: &VectorClock, edges: &mut Vec<(u32, u32, EdgeKind)>) {
         /// Sharding a handful of pairs costs more than inferring them.
         const MIN_PAIRS_PER_SHARD: usize = 32;
@@ -1170,7 +1179,7 @@ impl OnlineChecker {
         let meta = self.index.meta(slot);
         let pairs = &meta.read_pairs;
         if threads <= 1 || pairs.len() < 2 * MIN_PAIRS_PER_SHARD {
-            infer_cc_edges(&self.index, slot, clock.entries(), edges);
+            infer_cc_edges(&self.index, slot, clock.entries(), &|_| &[], edges);
             return;
         }
         let index = &self.index;
@@ -1181,7 +1190,7 @@ impl OnlineChecker {
             parallel::map_shards(&self.pool, threads, "stream_infer_cc", &shards, |_, r| {
                 let mut sink: Vec<(u32, u32, EdgeKind)> = Vec::new();
                 let chunk = &pairs[r.start as usize..r.end as usize];
-                infer_cc_pairs(index, session, chunk, clock.entries(), &mut sink);
+                infer_cc_pairs(index, session, chunk, clock.entries(), &|_| &[], &mut sink);
                 sink
             });
         edges.extend(sinks.into_iter().flatten());

@@ -2,12 +2,20 @@
 //! exercising the cross-crate invariants that the unit suites check only
 //! pointwise.
 
+use std::collections::HashSet;
+
 use awdit::baselines::check_naive;
-use awdit::core::CcStrategy;
+use awdit::core::graph::{is_inferred, target};
+use awdit::core::parallel::SEQUENTIAL_CUTOFF;
+use awdit::core::{
+    base_commit_graph, compute_hb_into, infer_cc_edges, saturate_cc_into, CcStrategy, ClockTable,
+    CommitGraph, EdgeKind, HistoryIndex, Pool,
+};
 use awdit::reductions::{general_reduction, UndirectedGraph};
+use awdit::workloads::Uniform;
 use awdit::{
-    check, parse_history, validate_commit_order, write_history, Engine, EngineConfig, Format,
-    HistoryBuilder, HistoryStats, IsolationLevel,
+    check, collect_history, parse_history, validate_commit_order, write_history, DbIsolation,
+    Engine, EngineConfig, Format, HistoryBuilder, HistoryStats, IsolationLevel, SimConfig,
 };
 use proptest::prelude::*;
 
@@ -174,6 +182,87 @@ proptest! {
                 triangle_free,
                 "level {}", level
             );
+        }
+    }
+}
+
+/// The distinct inferred `(from, to)` pairs of a frozen graph.
+fn inferred_edges(g: &CommitGraph) -> HashSet<(u32, u32)> {
+    (0..g.num_nodes() as u32)
+        .flat_map(|v| g.successors(v).iter().map(move |&e| (v, e)))
+        .filter(|&(_, e)| is_inferred(e))
+        .map(|(v, e)| (v, target(e)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// CC saturation drops only edges that happens-before already implies:
+    /// against the unfiltered kernel (no writer rows), the kept inferred
+    /// edges are a subset, every dropped `t2 → t1` has a `so ∪ wr` path,
+    /// and the SCC partition is unchanged — for both strategies, on the
+    /// sequential and the sharded path.
+    #[test]
+    fn hb_filter_preserves_the_closure(seed in 0u64..1_000_000) {
+        for db in [DbIsolation::Causal, DbIsolation::ReadCommitted, DbIsolation::ReadAtomic] {
+            let config = SimConfig::new(db, 8, seed).with_max_lag(16);
+            let h = collect_history(config, &mut Uniform::new(24, 6, 0.5), 600).unwrap();
+            let index = HistoryIndex::new(&h);
+            let n = index.num_committed();
+            prop_assert!(n >= SEQUENTIAL_CUTOFF, "threads 2 must take the sharded path");
+            let mut base = base_commit_graph(&index);
+            base.freeze();
+            let topo = base.topological_order().expect("a simulated history has an acyclic base");
+            let mut table = ClockTable::new();
+            compute_hb_into(&index, &topo, &mut table);
+            let mut unfiltered = base_commit_graph(&index);
+            let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
+            for &t3 in &topo {
+                infer_cc_edges(&index, t3, table.row(t3), &|_| &[], &mut emitted);
+            }
+            for &(from, to, kind) in &emitted {
+                unfiltered.add_edge(from, to, kind);
+            }
+            unfiltered.freeze();
+            let all = inferred_edges(&unfiltered);
+            let sccs = unfiltered.sccs();
+
+            // reach[v]: the transactions v reaches through so ∪ wr.
+            let mut reach = vec![Vec::new(); n];
+            for &v in topo.iter().rev() {
+                let mut r = vec![false; n];
+                for &e in base.successors(v) {
+                    let w = target(e) as usize;
+                    r[w] = true;
+                    for (a, &b) in r.iter_mut().zip(&reach[w]) {
+                        *a |= b;
+                    }
+                }
+                reach[v as usize] = r;
+            }
+
+            for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
+                for threads in [1, 2] {
+                    let mut g = CommitGraph::new(0);
+                    let mut clocks = ClockTable::new();
+                    let pool = Pool::new(threads);
+                    saturate_cc_into(&pool, &index, strategy, threads, &mut g, &mut clocks)
+                        .expect("acyclic base");
+                    g.freeze();
+                    let kept = inferred_edges(&g);
+                    let at = format!("{db:?} seed {seed} {strategy} t{threads}");
+                    prop_assert!(kept.is_subset(&all), "{}: an edge the kernel never emits", at);
+                    prop_assert!(kept.len() < all.len(), "{}: nothing was filtered", at);
+                    for &(t2, t1) in all.difference(&kept) {
+                        prop_assert!(
+                            reach[t2 as usize][t1 as usize],
+                            "{}: dropped t{} -> t{} without a so ∪ wr path", at, t2, t1
+                        );
+                    }
+                    prop_assert_eq!(&g.sccs(), &sccs, "{}", at);
+                }
+            }
         }
     }
 }
