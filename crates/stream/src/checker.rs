@@ -249,6 +249,7 @@ struct StreamMetrics {
     events: Arc<Counter>,
     processed: Arc<Counter>,
     retired: Arc<Counter>,
+    condensed: Arc<Counter>,
     violations: Arc<Counter>,
     horizon_misses: Arc<Counter>,
     gcs: Arc<Counter>,
@@ -264,6 +265,7 @@ impl StreamMetrics {
             events: m.counter("awdit_stream_events_total"),
             processed: m.counter("awdit_stream_processed_total"),
             retired: m.counter("awdit_stream_retired_total"),
+            condensed: m.counter("awdit_stream_condensed_edges_total"),
             violations: m.counter("awdit_stream_violations_total"),
             horizon_misses: m.counter("awdit_stream_horizon_misses_total"),
             gcs: m.counter("awdit_stream_gcs_total"),
@@ -1311,25 +1313,10 @@ impl OnlineChecker {
         // keep full cross-horizon precision but funnels unbounded degree
         // onto long-lived boundary writers; orderings through a retired
         // transaction into its one-off readers are settled at the horizon
-        // instead — `exact` mode keeps everything.)
-        let ins: Vec<u32> = self.dag.in_neighbors(slot).to_vec();
-        let outs: Vec<u32> = self
-            .dag
-            .out_neighbors(slot)
-            .iter()
-            .filter(|&&(_, kind)| matches!(kind, EdgeKind::SessionOrder | EdgeKind::Condensed))
-            .map(|&(w, _)| w)
-            .collect();
-        self.dag.remove_node(slot);
-        for &a in &ins {
-            for &b in &outs {
-                if a != b {
-                    // a → slot → b was acyclic, so a → b cannot close a
-                    // cycle; insertion only reorders.
-                    let _ = self.dag.insert_edge(a, b, EdgeKind::Condensed);
-                }
-            }
-        }
+        // instead — `exact` mode keeps everything.) A condensed edge
+        // follows a path that already exists, so it never closes a cycle
+        // or moves the topological order.
+        let condensed = self.dag.retire_node(slot);
         self.tracker.drop_clock(slot);
         let meta = self.index.retire(slot);
         for &(k, v) in &meta.writes {
@@ -1358,10 +1345,12 @@ impl OnlineChecker {
         self.sessions[s as usize].aborted_writes = kept;
 
         self.stats.retired_txns += 1;
+        self.stats.condensed_edges += condensed;
         self.stats.live_txns = self.index.num_live() as u64;
         self.stats.live_edges = self.dag.num_edges();
         if let Some(m) = &self.metrics {
             m.retired.inc();
+            m.condensed.add(condensed);
             m.live.set(self.stats.live_txns as f64);
             m.live_edges.set(self.stats.live_edges as f64);
         }

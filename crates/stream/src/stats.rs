@@ -17,6 +17,9 @@ pub struct StreamStats {
     pub processed: u64,
     /// Processed transactions retired by watermark pruning.
     pub retired_txns: u64,
+    /// `Condensed` edges that retirement added to the DAG: orderings
+    /// through a retired transaction that no live edge carried yet.
+    pub condensed_edges: u64,
     /// Processed transactions currently held live (`processed - retired`).
     pub live_txns: u64,
     /// High-water mark of `live_txns`.

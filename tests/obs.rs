@@ -278,6 +278,7 @@ fn pool_stage_series_partition_the_aggregates() {
 
 #[test]
 fn stream_metrics_reconcile_with_stream_stats() {
+    let mut condensed = 0;
     for (name, h) in gen_histories() {
         let obs = Obs::new();
         let mut checker = awdit::OnlineChecker::with_config(StreamConfig {
@@ -308,6 +309,11 @@ fn stream_metrics_reconcile_with_stream_stats() {
             "{name}"
         );
         assert_eq!(
+            snap.counter("awdit_stream_condensed_edges_total"),
+            Some(s.condensed_edges),
+            "{name}"
+        );
+        assert_eq!(
             snap.counter("awdit_stream_violations_total"),
             Some(s.violations),
             "{name}"
@@ -327,5 +333,7 @@ fn stream_metrics_reconcile_with_stream_stats() {
             Some(s.staged_txns as f64),
             "{name}"
         );
+        condensed += s.condensed_edges;
     }
+    assert!(condensed > 0, "no history condensed an edge");
 }

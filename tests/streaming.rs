@@ -289,6 +289,50 @@ fn sustained_stream_keeps_live_set_bounded() {
     assert!(final_stats.retired_txns > final_stats.processed / 2);
 }
 
+/// Retirement's condensation count on one small seeded stream, pinned:
+/// `condensed_edges` counts only the `Condensed` edges a retirement
+/// actually adds, never the orderings a live edge already carries.
+#[test]
+fn condensed_edge_count_is_pinned() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const SESSIONS: u64 = 4;
+    const KEYS: u64 = 16;
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let mut checker = OnlineChecker::with_config(StreamConfig {
+        level: IsolationLevel::Causal,
+        prune_interval: 16,
+        ..StreamConfig::default()
+    });
+    let mut latest: Vec<Option<u64>> = vec![None; KEYS as usize];
+    let mut next_value = 1u64;
+    for _ in 0..250 {
+        for s in 0..SESSIONS {
+            checker.begin(s).unwrap();
+            for _ in 0..3 {
+                let key = rng.gen_range(0..KEYS);
+                match latest[key as usize] {
+                    Some(v) if rng.gen_bool(0.5) => checker.read(s, key, v).unwrap(),
+                    _ => {
+                        checker.write(s, key, next_value).unwrap();
+                        latest[key as usize] = Some(next_value);
+                        next_value += 1;
+                    }
+                }
+            }
+            checker.commit(s).unwrap();
+        }
+    }
+    let outcome = checker.finish().unwrap();
+    assert!(outcome.is_consistent());
+    let s = outcome.stats();
+    assert_eq!(
+        (s.processed, s.retired_txns, s.condensed_edges, s.live_edges),
+        (1000, 916, 4894, 373)
+    );
+}
+
 /// Violations are emitted as soon as they become detectable, not at
 /// `finish`: a fractured read (RA) surfaces at the reader's commit.
 #[test]
