@@ -734,7 +734,7 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
-    use std::io::{BufRead, Read, Seek};
+    use std::io::{BufRead, Read};
 
     let flags = Flags::parse(args)?;
     let path = flags
@@ -791,8 +791,10 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     );
 
     let mut line_no = 0usize;
-    let mut feed = |checker: &mut OnlineChecker, line: &str| -> Result<(), String> {
+    let mut feed = |checker: &mut OnlineChecker, line: &[u8]| -> Result<(), String> {
         line_no += 1;
+        let line =
+            std::str::from_utf8(line).map_err(|e| format!("line {line_no}: invalid UTF-8: {e}"))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return Ok(());
@@ -848,9 +850,8 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    if path == "-" {
-        let stdin = std::io::stdin();
-        let mut lock = stdin.lock();
+    let (what, mut input): (&str, Box<dyn Read>) = if path == "-" {
+        let mut lock = std::io::stdin().lock();
         let prefix = lock.fill_buf().map_err(|e| format!("stdin: {e}"))?;
         if looks_binary(prefix) {
             return Err("stdin: binary input is not an NDJSON event stream \
@@ -858,59 +859,56 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                 .to_string());
         }
         reject_non_events("stdin", detect_bytes(prefix))?;
-        let mut line = String::new();
-        loop {
-            if shutdown.is_triggered() {
-                eprintln!("shutdown requested; finalizing");
-                break;
-            }
-            line.clear();
-            match lock.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    feed(&mut checker, &line)?;
-                    maybe_heartbeat(&mut last_stats, stats_interval, &checker);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("stdin: {e}")),
-            }
-        }
+        ("stdin", Box::new(lock))
     } else {
         let detected = detect_path(std::path::Path::new(path))
             .map_err(|e| format!("cannot open `{path}`: {e}"))?;
         reject_non_events(path, detected)?;
-        let mut file =
-            std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-        let mut buf = String::new();
-        let mut pos = 0u64;
-        loop {
-            file.seek(std::io::SeekFrom::Start(pos))
-                .map_err(|e| format!("{path}: {e}"))?;
-            buf.clear();
-            match file.read_to_string(&mut buf) {
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("{path}: {e}")),
-            }
-            // Only consume whole lines; a partial tail is re-read next poll.
-            let consumed = buf.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            for line in buf[..consumed].lines() {
-                feed(&mut checker, line)?;
-            }
-            pos += consumed as u64;
-            if !follow {
-                for line in buf[consumed..].lines() {
-                    feed(&mut checker, line)?;
+        let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
+        (path, Box::new(file))
+    };
+    // Fixed-size reads: each whole line is fed as soon as its newline
+    // arrives, and only the partial last line is carried into the next
+    // read, so memory does not grow with the stream. At end of input
+    // `--follow` polls a file for appended lines; otherwise the
+    // unterminated tail is the last line.
+    let poll = follow && path != "-";
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut carry: Vec<u8> = Vec::new();
+    loop {
+        if shutdown.is_triggered() {
+            eprintln!("shutdown requested; finalizing");
+            break;
+        }
+        let n = match input.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(format!("{what}: {e}")),
+        };
+        if n == 0 {
+            if !poll {
+                if !carry.is_empty() {
+                    feed(&mut checker, &carry)?;
                 }
-                break;
-            }
-            if shutdown.is_triggered() {
-                eprintln!("shutdown requested; finalizing");
                 break;
             }
             maybe_heartbeat(&mut last_stats, stats_interval, &checker);
             std::thread::sleep(std::time::Duration::from_millis(200));
+            continue;
         }
+        let mut rest = &chunk[..n];
+        while let Some(i) = rest.iter().position(|&b| b == b'\n') {
+            if carry.is_empty() {
+                feed(&mut checker, &rest[..i])?;
+            } else {
+                carry.extend_from_slice(&rest[..i]);
+                feed(&mut checker, &carry)?;
+                carry.clear();
+            }
+            rest = &rest[i + 1..];
+        }
+        carry.extend_from_slice(rest);
+        maybe_heartbeat(&mut last_stats, stats_interval, &checker);
     }
 
     let outcome = checker.finish().map_err(|e| format!("{e}"))?;

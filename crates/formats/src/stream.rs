@@ -231,18 +231,32 @@ pub(crate) fn read_events_lines<R: BufRead, S: HistorySink + ?Sized>(
 
 /// Parses one NDJSON line into an event. `line_no` is used for error
 /// reporting (1-based).
+///
+/// One pass over the line, borrowing every field from it: the first
+/// `type`, `session`, `key` and `value` fields are kept, any other field is
+/// syntax-checked and skipped, and nothing is allocated unless the line is
+/// rejected.
 pub fn parse_event(line: &str, line_no: usize) -> Result<Event, ParseError> {
-    let fields = parse_flat_object(line, line_no)?;
-    let typ = fields
-        .iter()
-        .find(|(k, _)| k == "type")
-        .ok_or_else(|| ParseError::new(line_no, "missing \"type\" field"))?;
-    let JsonValue::Str(typ) = &typ.1 else {
-        return Err(ParseError::new(line_no, "\"type\" must be a string"));
+    let (mut typ, mut session, mut key, mut value) = (None, None, None, None);
+    parse_flat_object(line, |name, v| {
+        let slot = match name {
+            "type" => &mut typ,
+            "session" => &mut session,
+            "key" => &mut key,
+            "value" => &mut value,
+            _ => return,
+        };
+        slot.get_or_insert(v);
+    })
+    .map_err(|msg| ParseError::new(line_no, msg))?;
+    let typ = match typ {
+        Some(JsonValue::Str(t)) => t,
+        Some(_) => return Err(ParseError::new(line_no, "\"type\" must be a string")),
+        None => return Err(ParseError::new(line_no, "missing \"type\" field")),
     };
-    let get_num = |name: &str| -> Result<u64, ParseError> {
-        match fields.iter().find(|(k, _)| k == name) {
-            Some((_, JsonValue::Num(n))) => Ok(*n),
+    let num = |name: &str, v: Option<JsonValue>| -> Result<u64, ParseError> {
+        match v {
+            Some(JsonValue::Num(n)) => Ok(n),
             Some(_) => Err(ParseError::new(
                 line_no,
                 format!("\"{name}\" must be a number"),
@@ -253,24 +267,29 @@ pub fn parse_event(line: &str, line_no: usize) -> Result<Event, ParseError> {
             )),
         }
     };
-    let session = get_num("session")?;
-    match typ.as_str() {
+    let session = num("session", session)?;
+    // No type name contains `"` or `\`, so the raw string body matches
+    // exactly when its unescaped form does.
+    match typ {
         "begin" => Ok(Event::Begin { session }),
         "commit" => Ok(Event::Commit { session }),
         "abort" => Ok(Event::Abort { session }),
         "write" => Ok(Event::Write {
             session,
-            key: get_num("key")?,
-            value: get_num("value")?,
+            key: num("key", key)?,
+            value: num("value", value)?,
         }),
         "read" => Ok(Event::Read {
             session,
-            key: get_num("key")?,
-            value: get_num("value")?,
+            key: num("key", key)?,
+            value: num("value", value)?,
         }),
         other => Err(ParseError::new(
             line_no,
-            format!("unknown event type \"{other}\""),
+            format!(
+                "unknown event type \"{}\"",
+                other.replace("\\\"", "\"").replace("\\\\", "\\")
+            ),
         )),
     }
 }
@@ -288,57 +307,55 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, ParseError> {
     Ok(events)
 }
 
-#[derive(Debug, PartialEq)]
-enum JsonValue {
+/// A field value, borrowed from the line.
+enum JsonValue<'a> {
     Num(u64),
-    Str(String),
+    /// A string body, still escaped.
+    Str(&'a str),
     /// Any other scalar in an ignored field (bool, null, float, negative
     /// number): tolerated, never used by an event field.
     Other,
 }
 
-/// Parses a flat JSON object of string/number fields.
-fn parse_flat_object(line: &str, line_no: usize) -> Result<Vec<(String, JsonValue)>, ParseError> {
+/// Walks a flat JSON object of string/number fields, handing each field
+/// name and value to `field` in order; the error is the first syntax
+/// fault.
+fn parse_flat_object<'a>(
+    line: &'a str,
+    mut field: impl FnMut(&'a str, JsonValue<'a>),
+) -> Result<(), &'static str> {
     let s = line.trim();
     let inner = s
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| ParseError::new(line_no, "expected a JSON object"))?;
-    let mut fields = Vec::new();
+        .ok_or("expected a JSON object")?;
     let mut rest = inner.trim();
     while !rest.is_empty() {
         // "key"
         let r = rest
             .strip_prefix('"')
-            .ok_or_else(|| ParseError::new(line_no, "expected a quoted field name"))?;
-        let end = r
-            .find('"')
-            .ok_or_else(|| ParseError::new(line_no, "unterminated field name"))?;
-        let name = r[..end].to_string();
+            .ok_or("expected a quoted field name")?;
+        let end = r.find('"').ok_or("unterminated field name")?;
+        let name = &r[..end];
         let r = r[end + 1..].trim_start();
         // :
         let r = r
             .strip_prefix(':')
-            .ok_or_else(|| ParseError::new(line_no, "expected ':' after field name"))?
+            .ok_or("expected ':' after field name")?
             .trim_start();
         // value: quoted string, unsigned integer, or any other scalar
         // (tolerated in ignored fields).
         let (value, r) = if let Some(r) = r.strip_prefix('"') {
-            let end = string_end(r)
-                .ok_or_else(|| ParseError::new(line_no, "unterminated string value"))?;
-            (
-                JsonValue::Str(r[..end].replace("\\\"", "\"").replace("\\\\", "\\")),
-                r[end + 1..].trim_start(),
-            )
+            let end = string_end(r).ok_or("unterminated string value")?;
+            (JsonValue::Str(&r[..end]), r[end + 1..].trim_start())
         } else {
             let end = r
                 .find(|c: char| c == ',' || c.is_whitespace())
                 .unwrap_or(r.len());
             if end == 0 {
-                return Err(ParseError::new(line_no, "expected a value"));
+                return Err("expected a value");
             }
-            let token = &r[..end];
-            let value = match token.parse::<u64>() {
+            let value = match r[..end].parse::<u64>() {
                 Ok(n) => JsonValue::Num(n),
                 // Bools, null, floats, negatives: legal JSON scalars that no
                 // event field uses; keep them skippable.
@@ -346,13 +363,10 @@ fn parse_flat_object(line: &str, line_no: usize) -> Result<Vec<(String, JsonValu
             };
             (value, r[end..].trim_start())
         };
-        fields.push((name, value));
-        rest = match rest_after_comma(r) {
-            Ok(next) => next,
-            Err(msg) => return Err(ParseError::new(line_no, msg)),
-        };
+        field(name, value);
+        rest = rest_after_comma(r)?;
     }
-    Ok(fields)
+    Ok(())
 }
 
 /// Index of the closing quote of a JSON string body (handles `\\"` and
@@ -389,6 +403,229 @@ fn rest_after_comma(r: &str) -> Result<&str, &'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating parser `parse_event` replaced, kept verbatim as the
+    /// reference for the differential test below.
+    mod reference {
+        use super::*;
+
+        #[derive(Debug, PartialEq)]
+        enum JsonValue {
+            Num(u64),
+            Str(String),
+            Other,
+        }
+
+        pub fn parse_event(line: &str, line_no: usize) -> Result<Event, ParseError> {
+            let fields = parse_flat_object(line, line_no)?;
+            let typ = fields
+                .iter()
+                .find(|(k, _)| k == "type")
+                .ok_or_else(|| ParseError::new(line_no, "missing \"type\" field"))?;
+            let JsonValue::Str(typ) = &typ.1 else {
+                return Err(ParseError::new(line_no, "\"type\" must be a string"));
+            };
+            let get_num = |name: &str| -> Result<u64, ParseError> {
+                match fields.iter().find(|(k, _)| k == name) {
+                    Some((_, JsonValue::Num(n))) => Ok(*n),
+                    Some(_) => Err(ParseError::new(
+                        line_no,
+                        format!("\"{name}\" must be a number"),
+                    )),
+                    None => Err(ParseError::new(
+                        line_no,
+                        format!("missing \"{name}\" field"),
+                    )),
+                }
+            };
+            let session = get_num("session")?;
+            match typ.as_str() {
+                "begin" => Ok(Event::Begin { session }),
+                "commit" => Ok(Event::Commit { session }),
+                "abort" => Ok(Event::Abort { session }),
+                "write" => Ok(Event::Write {
+                    session,
+                    key: get_num("key")?,
+                    value: get_num("value")?,
+                }),
+                "read" => Ok(Event::Read {
+                    session,
+                    key: get_num("key")?,
+                    value: get_num("value")?,
+                }),
+                other => Err(ParseError::new(
+                    line_no,
+                    format!("unknown event type \"{other}\""),
+                )),
+            }
+        }
+
+        fn parse_flat_object(
+            line: &str,
+            line_no: usize,
+        ) -> Result<Vec<(String, JsonValue)>, ParseError> {
+            let s = line.trim();
+            let inner = s
+                .strip_prefix('{')
+                .and_then(|s| s.strip_suffix('}'))
+                .ok_or_else(|| ParseError::new(line_no, "expected a JSON object"))?;
+            let mut fields = Vec::new();
+            let mut rest = inner.trim();
+            while !rest.is_empty() {
+                let r = rest
+                    .strip_prefix('"')
+                    .ok_or_else(|| ParseError::new(line_no, "expected a quoted field name"))?;
+                let end = r
+                    .find('"')
+                    .ok_or_else(|| ParseError::new(line_no, "unterminated field name"))?;
+                let name = r[..end].to_string();
+                let r = r[end + 1..].trim_start();
+                let r = r
+                    .strip_prefix(':')
+                    .ok_or_else(|| ParseError::new(line_no, "expected ':' after field name"))?
+                    .trim_start();
+                let (value, r) = if let Some(r) = r.strip_prefix('"') {
+                    let end = string_end(r)
+                        .ok_or_else(|| ParseError::new(line_no, "unterminated string value"))?;
+                    (
+                        JsonValue::Str(r[..end].replace("\\\"", "\"").replace("\\\\", "\\")),
+                        r[end + 1..].trim_start(),
+                    )
+                } else {
+                    let end = r
+                        .find(|c: char| c == ',' || c.is_whitespace())
+                        .unwrap_or(r.len());
+                    if end == 0 {
+                        return Err(ParseError::new(line_no, "expected a value"));
+                    }
+                    let token = &r[..end];
+                    let value = match token.parse::<u64>() {
+                        Ok(n) => JsonValue::Num(n),
+                        Err(_) => JsonValue::Other,
+                    };
+                    (value, r[end..].trim_start())
+                };
+                fields.push((name, value));
+                rest = match rest_after_comma(r) {
+                    Ok(next) => next,
+                    Err(msg) => return Err(ParseError::new(line_no, msg)),
+                };
+            }
+            Ok(fields)
+        }
+    }
+
+    /// Bench-shaped lines with reordered, duplicated and unknown fields,
+    /// every scalar kind, `u64` overflow and negatives, then byte
+    /// deletions and insertions of JSON's structural characters and
+    /// whitespace: the borrowing parser must return exactly what the
+    /// allocating one does, errors included.
+    #[test]
+    fn parse_event_matches_the_allocating_parser() {
+        let mut seed = 0x243f6a8885a308d3u64;
+        let mut next = move |n: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) % n as u64) as usize
+        };
+        const TYPES: [&str; 10] = [
+            "begin",
+            "commit",
+            "abort",
+            "write",
+            "read",
+            "warp",
+            "Begin",
+            "be\\\"gin",
+            "beg\\\\in",
+            "",
+        ];
+        const SCALARS: [&str; 16] = [
+            "0",
+            "7",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "-3",
+            "1.5",
+            "1e3",
+            "true",
+            "false",
+            "null",
+            "\"\"",
+            "\"x\"",
+            "\"a\\\"b\"",
+            "\"c\\\\\"",
+            "+4",
+        ];
+        const NAMES: [&str; 6] = ["type", "session", "key", "value", "agent", "lag"];
+        const INSERTS: [&str; 8] = ["\"", "\\", ",", ":", " ", "\t", "\u{2003}", "}"];
+        let mut lines: Vec<String> = Vec::new();
+        for _ in 0..4000 {
+            let mut fields: Vec<String> = Vec::new();
+            let typ = if next(4) == 0 {
+                SCALARS[next(SCALARS.len())].to_string()
+            } else {
+                format!("\"{}\"", TYPES[next(TYPES.len())])
+            };
+            fields.push(format!("\"type\":{typ}"));
+            for name in &NAMES[1..] {
+                for _ in 0..[1, 1, 1, 2][next(4)] {
+                    if next(8) != 0 {
+                        let v = if next(3) == 0 {
+                            SCALARS[next(SCALARS.len())].to_string()
+                        } else {
+                            next(1 << 20).to_string()
+                        };
+                        fields.push(format!("\"{name}\":{v}"));
+                    }
+                }
+            }
+            // Reorder by a few random swaps.
+            for _ in 0..next(4) {
+                let (i, j) = (next(fields.len()), next(fields.len()));
+                fields.swap(i, j);
+            }
+            let seps = [",", ", ", " ,", ",\t"];
+            let mut line = String::from(["{", "{ ", " {"][next(3)]);
+            for (i, f) in fields.iter().enumerate() {
+                if i > 0 {
+                    line.push_str(seps[next(seps.len())]);
+                }
+                line.push_str(f);
+            }
+            line.push_str(["}", " }", "} "][next(3)]);
+            lines.push(line.clone());
+            // Mutants: each a few byte deletions and insertions.
+            for _ in 0..4 {
+                let mut bytes = line.clone().into_bytes();
+                for _ in 0..1 + next(3) {
+                    let at = next(bytes.len() + 1);
+                    if next(2) == 0 && at < bytes.len() {
+                        bytes.remove(at);
+                    } else {
+                        let ins = INSERTS[next(INSERTS.len())].as_bytes();
+                        bytes.splice(at..at, ins.iter().copied());
+                    }
+                }
+                if let Ok(m) = String::from_utf8(bytes) {
+                    lines.push(m);
+                }
+            }
+        }
+        let (mut ok, mut err) = (0, 0);
+        for (i, line) in lines.iter().enumerate() {
+            let got = parse_event(line, i + 1);
+            assert_eq!(got, reference::parse_event(line, i + 1), "line {line:?}");
+            if got.is_ok() {
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        assert!(ok > 1000 && err > 10000, "{ok} parsed, {err} rejected");
+    }
 
     #[test]
     fn round_trips_every_event_kind() {

@@ -32,10 +32,14 @@
 //! memory tracks the watermark lag, not the stream length.
 //!
 //! Commit-order constraints threaded *through* a retired transaction are
-//! condensed onto its session-order successors (see
-//! [`EdgeKind::Condensed`](awdit_core::graph::EdgeKind)); constraints into
-//! a retired transaction's one-off readers are considered settled at the
-//! horizon. A later read of a pruned write misses the retained window and
+//! condensed onto the session chains (see
+//! [`EdgeKind::Condensed`](awdit_core::graph::EdgeKind) and the
+//! [`dag`](crate::dag) module): every live transaction keeps a *link* edge
+//! to the next live transaction of its session, and retiring a transaction
+//! joins the latest in-neighbour of each session to the earliest link
+//! successor of each session, so each retirement adds at most one edge per
+//! (source session, target session) pair. Constraints into a retired
+//! transaction's one-off readers are considered settled at the horizon. A later read of a pruned write misses the retained window and
 //! is reported as a [`StreamViolation::BeyondHorizon`] (counted in
 //! [`StreamStats::horizon_misses`]) rather than misclassified. With
 //! pruning disabled the checker is exact and agrees with the batch
@@ -1053,7 +1057,7 @@ impl OnlineChecker {
             pending_readers: 0,
         };
         let slot = self.index.insert(meta);
-        self.dag.ensure_node(slot);
+        self.dag.ensure_node(slot, session, committed_pos);
 
         // 3. Repeatable reads (RA only, mirroring the batch dispatcher).
         if self.cfg.level == IsolationLevel::ReadAtomic {
@@ -1170,8 +1174,8 @@ impl OnlineChecker {
     /// (`|_| &[]`), so edges that happens-before already implies are kept.
     /// Dropping one is sound only while the `so ∪ wr` path behind it stays
     /// in the live DAG, and watermark pruning does not guarantee that:
-    /// `retire()` condenses only a retired node's `so`/condensed
-    /// out-edges, so a path `t2 →* t1` through a retired transaction can
+    /// `retire()` condenses only through a retired node's link out-edges,
+    /// so a path `t2 →* t1` through a retired transaction's `wr` edge can
     /// leave no live edge behind, and the inferred edge would be the DAG's
     /// only record of that order.
     fn infer_cc(&self, slot: u32, clock: &VectorClock, edges: &mut Vec<(u32, u32, EdgeKind)>) {
@@ -1240,8 +1244,9 @@ impl OnlineChecker {
                     && m.committed_pos < wm.get(m.session as usize)
                     && m.pending_readers == 0
                     // The session's latest processed txn must stay until its
-                    // so-successor is processed: the successor edge is what
-                    // condensation threads cross-horizon constraints onto.
+                    // so-successor is processed: the successor's link edge
+                    // is what condensation threads cross-horizon
+                    // constraints onto.
                     && self.sessions[m.session as usize].last_processed_slot != Some(slot)
             })
             .map(|(slot, _)| (self.dag.order_of(slot), slot))
@@ -1305,17 +1310,18 @@ impl OnlineChecker {
     }
 
     fn retire(&mut self, slot: u32) {
-        // Condense orderings that flow through this node along the
-        // session-order backbone: each live in-neighbor keeps a `Condensed`
-        // edge to the node's `so`/condensed successors, so commit-order
-        // constraints threaded through the retired chain still participate
-        // in cycle detection. (Shortcutting through *every* out-edge would
-        // keep full cross-horizon precision but funnels unbounded degree
-        // onto long-lived boundary writers; orderings through a retired
-        // transaction into its one-off readers are settled at the horizon
-        // instead — `exact` mode keeps everything.) A condensed edge
-        // follows a path that already exists, so it never closes a cycle
-        // or moves the topological order.
+        // Condense orderings that flow through this node along the session
+        // chains: the latest in-neighbor of each session gets a link edge
+        // to the node's earliest link successor of each session, and the
+        // session chains carry every other (in-neighbor, link successor)
+        // pair, so commit-order constraints threaded through the retired
+        // chain still participate in cycle detection. (Shortcutting through
+        // *every* out-edge would keep full cross-horizon precision but
+        // funnels unbounded degree onto long-lived boundary writers;
+        // orderings through a retired transaction into its one-off readers
+        // are settled at the horizon instead — `exact` mode keeps
+        // everything.) A condensed edge follows a path that already exists,
+        // so it never closes a cycle or moves the topological order.
         let condensed = self.dag.retire_node(slot);
         self.tracker.drop_clock(slot);
         let meta = self.index.retire(slot);

@@ -291,7 +291,8 @@ fn sustained_stream_keeps_live_set_bounded() {
 
 /// Retirement's condensation count on one small seeded stream, pinned:
 /// `condensed_edges` counts only the `Condensed` edges a retirement
-/// actually adds, never the orderings a live edge already carries.
+/// actually adds — at most one per (source session, target session) pair
+/// — never the orderings a live edge already carries.
 #[test]
 fn condensed_edge_count_is_pinned() {
     use rand::rngs::SmallRng;
@@ -329,7 +330,7 @@ fn condensed_edge_count_is_pinned() {
     let s = outcome.stats();
     assert_eq!(
         (s.processed, s.retired_txns, s.condensed_edges, s.live_edges),
-        (1000, 916, 4894, 373)
+        (1000, 916, 2953, 342)
     );
 }
 
