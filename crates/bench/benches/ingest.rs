@@ -12,9 +12,7 @@
 //! * **binary-load** — the `.awb` columnar file mmap-loaded straight
 //!   into a recycled arena (no parsing, no read resolution);
 //! * **shard-parse** — the parallel sharded text parser at each thread
-//!   count in `AWDIT_BENCH_THREADS` (comma-separated, default `1,2,4,8`);
-//! * **engine-overlap-{on,off}** — `Engine::check_source` over a fleet
-//!   of files with read/check overlap enabled versus disabled.
+//!   count in `AWDIT_BENCH_THREADS` (comma-separated, default `1,2,4,8`).
 //!
 //! Throughput is operations per second of the parsed history.
 //! `AWDIT_BENCH_TXNS` overrides the history length so CI can smoke-run
@@ -228,33 +226,6 @@ fn bench_ingest(c: &mut Criterion) {
                     read_sharded(bytes, Format::Native, threads, &mut builder).expect("parse");
                     builder.finish_into(&mut arena).expect("finish");
                     arena.size()
-                })
-            },
-        );
-    }
-
-    // Read/check overlap across a fleet of files: parse N+1 while
-    // checking N, versus the strictly serial loop.
-    let fleet: Vec<std::path::PathBuf> = (0..4)
-        .map(|i| {
-            let path = dir.join(format!("fleet-{i}.awdit"));
-            std::fs::write(&path, write_history(&h, Format::Native)).expect("write fleet");
-            path
-        })
-        .collect();
-    for overlap in [false, true] {
-        let label = if overlap { "on" } else { "off" };
-        group.bench_with_input(
-            BenchmarkId::new(format!("engine-overlap-{label}"), ops),
-            &fleet,
-            |b, fleet| {
-                let mut engine = Engine::builder()
-                    .level(IsolationLevel::ReadCommitted)
-                    .overlap(overlap)
-                    .build();
-                b.iter(|| {
-                    let mut src = FilesSource::new(fleet.iter().cloned());
-                    engine.check_source(&mut src).expect("check").len()
                 })
             },
         );

@@ -1,11 +1,11 @@
 //! Criterion benches for the Fig. 9 scaling axes (transactions, sessions,
-//! transaction size) at micro scale, plus per-stage thread scaling of the
-//! parallelized pipeline: CC saturation and the streaming watermark GC.
+//! transaction size) at micro scale, plus thread scaling of CC saturation
+//! and of the worker pool's dispatch.
 //!
 //! `AWDIT_BENCH_TXNS` (optional) overrides the thread-scaling history
 //! size, and `AWDIT_BENCH_THREADS` (comma-separated, default `1,2,4,8`)
 //! the swept thread counts, so CI can smoke-run the perf path with a tiny
-//! budget. Every swept stage is bit-identical across thread counts — only
+//! budget. CC saturation is bit-identical across thread counts — only
 //! wall-clock should move.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -16,7 +16,6 @@ use awdit_core::{
     check, saturate_cc_into, CcStrategy, ClockTable, CommitGraph, HistoryIndex, IsolationLevel,
 };
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
-use awdit_stream::{OnlineChecker, StreamConfig};
 use awdit_workloads::{Benchmark, Uniform};
 
 /// Thread counts for the per-stage sweeps: `AWDIT_BENCH_THREADS=1,2,8`.
@@ -114,41 +113,6 @@ fn bench_cc_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread scaling of the streaming watermark GC: an all-overwriting
-/// multi-session stream whose prune sweeps carry hundreds of candidates
-/// through the parallel boundary scan.
-fn bench_stream_gc_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scale-threads-stream-gc");
-    group.sample_size(10);
-    let rounds = (scaling_txns(20_000) / 8) as u64;
-    for threads in thread_counts() {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &rounds,
-            |b, &rounds| {
-                b.iter(|| {
-                    let mut c = OnlineChecker::with_config(StreamConfig {
-                        level: IsolationLevel::Causal,
-                        prune: true,
-                        prune_interval: 512,
-                        threads,
-                        ..StreamConfig::default()
-                    });
-                    for round in 0..rounds {
-                        for s in 0..8u64 {
-                            c.begin(s).unwrap();
-                            c.write(s, s, round + 1).unwrap();
-                            c.commit(s).unwrap();
-                        }
-                    }
-                    c.finish().unwrap().stats().retired_txns
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Pure dispatch overhead: forking and joining a trivial shard set via a
 /// fresh `std::thread::scope` spawn per iteration versus a single warm
 /// [`Pool`]. The shard work is near-zero on purpose — the measurement is
@@ -211,7 +175,6 @@ criterion_group!(
     bench_txn_scaling,
     bench_session_scaling,
     bench_txn_size_scaling,
-    bench_cc_thread_scaling,
-    bench_stream_gc_scaling
+    bench_cc_thread_scaling
 );
 criterion_main!(benches);

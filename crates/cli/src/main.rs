@@ -6,7 +6,7 @@
 //!             [--format auto|native|plume|dbcop|cobra] [--report text|json]
 //!             [--trace FILE] [--metrics FILE|-]
 //!             [--output FILE] FILE... | DIR
-//! awdit watch [--isolation rc|ra|cc] [--threads N] [--cc-strategy S]
+//! awdit watch [--isolation rc|ra|cc] [--interval N] [--witnesses N]
 //!             [--no-prune] [--follow] [--trace FILE] [--metrics FILE|-]
 //!             [--stats-interval SECS] FILE|-
 //! awdit serve [--addr HOST:PORT] [--threads N] [--isolation rc|ra|cc]
@@ -87,17 +87,18 @@ fn print_usage() {
 USAGE:
     awdit check [--isolation rc|ra|cc|all] [--threads N] [--format FMT]
                 [--witnesses N] [--cc-strategy STRAT] [--report text|json]
-                [--stable-report] [--no-overlap] [--trace FILE]
-                [--metrics FILE|-] [--output FILE] FILE... | DIR
-    awdit watch [--isolation rc|ra|cc] [--threads N] [--interval N]
-                [--witnesses N] [--cc-strategy STRAT] [--no-prune]
-                [--trace FILE] [--metrics FILE|-] [--stats-interval SECS]
-                [--follow] FILE|-   (NDJSON event stream)
+                [--stable-report] [--trace FILE] [--metrics FILE|-]
+                [--output FILE] FILE... | DIR
+    awdit watch [--isolation rc|ra|cc] [--interval N] [--witnesses N]
+                [--no-prune] [--trace FILE] [--metrics FILE|-]
+                [--stats-interval SECS] [--follow] FILE|-
+                (NDJSON event stream, one event per line of at most 64 KiB)
     awdit serve [--addr HOST:PORT] [--threads N] [--check-threads N]
                 [--isolation rc|ra|cc] [--no-prune] [--interval N]
                 [--staging-budget N] [--warm-pool N] [--max-body BYTES]
                 [--timeout SECS] [--trace FILE] [--metrics FILE|-]
-    awdit shrink [--isolation rc|ra|cc] [--format FMT] [-o OUT] FILE
+    awdit shrink [--isolation rc|ra|cc] [--format FMT] [--cc-strategy STRAT]
+                 [-o OUT] FILE
     awdit stats [--report text|json] FILE
     awdit convert [--format FMT] [--to FMT] IN [OUT]
     awdit generate --benchmark NAME --db MODE --sessions K --txns N
@@ -108,26 +109,26 @@ FORMATS: native (default), plume, dbcop, cobra, auto (check/stats only);
          binary columnar .awb form (magic-sniffed, mmap-loaded)
 BENCHMARKS: tpcc, ctwitter, rubis, uniform
 DB MODES: ser, causal, ra, rc
-THREADS: saturation worker threads (1 = sequential, 0 = auto: all
+THREADS: `check` worker threads (1 = sequential, 0 = auto: all
          available cores, resolved once when the engine starts and
          reported in stats//healthz); the verdict and witnesses are
          identical for every value;
-         at 1 thread `check` streams each file straight into the
-         engine's recycled ingest arenas (lowest peak memory);
+         at 1 thread `check` runs on one thread and streams each file
+         straight into the engine's recycled ingest arenas, checking it
+         before reading the next (lowest peak memory);
          above 1, text files also parse in parallel byte-range
-         shards, bit-identical to the sequential parse
+         shards, bit-identical to the sequential parse;
+         `watch` and serve's tenants check each stream on one thread
 CC STRATEGIES: binary-search (default), pointer-scan — interchangeable
          implementations of the batch Causal Consistency checker
-         (Algorithm 3); `watch` accepts the flag for config parity, but
-         the streaming checker runs a single incremental CC kernel, so
-         its verdicts are strategy-independent
+         (Algorithm 3) for `check` and `shrink`; the streaming checker
+         runs a single incremental CC kernel
 CHECK: accepts several FILEs and/or a DIR (every file inside, sorted);
          --report json emits the versioned machine-readable report
          (schema v2: per-phase timings + engine stats when traced),
          --output writes the report to a file; --stable-report zeroes
          timings and omits engine stats so identical inputs give
-         byte-identical JSON; --no-overlap disables the read/check
-         pipeline (parse and check strictly alternate)
+         byte-identical JSON
 OBSERVABILITY: --trace FILE writes a Chrome trace_event JSON of every
          engine phase (open in chrome://tracing or Perfetto); --metrics
          writes a Prometheus text snapshot to FILE (`-` = stdout);
@@ -150,7 +151,7 @@ CONVERT: streams IN (any supported format, auto-detected) to OUT via the
          (.awdit/.plume/.dbcop/.cobra/.ndjson/.awb); `-o OUT` also
          works, and omitting OUT writes to stdout (--to required)
 EXIT CODES: 0 = consistent, 1 = any history inconsistent,
-         2 = usage or parse error"
+         2 = usage or parse error (an unknown flag included)"
     );
 }
 
@@ -161,26 +162,31 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `cmd`'s arguments against its flags, each list
+    /// space-separated: `valued` flags take a value, `switches` do not,
+    /// and `-o` is short for `--out` where `out` is valued. Any other flag
+    /// is a usage error that names it.
+    fn parse(cmd: &str, args: &[String], valued: &str, switches: &str) -> Result<Self, String> {
+        let known = |list: &str, name: &str| list.split_whitespace().any(|f| f == name);
         let mut pairs = Vec::new();
         let mut positional = Vec::new();
-        const SWITCHES: [&str; 4] = ["no-prune", "follow", "no-overlap", "stable-report"];
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if SWITCHES.contains(&name) {
-                    pairs.push((name.to_string(), "true".to_string()));
+            let name = match (a.strip_prefix("--"), a.as_str()) {
+                (Some(name), _) => name,
+                (None, "-o") => "out",
+                _ => {
+                    positional.push(a.clone());
                     continue;
                 }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
+            };
+            if known(switches, name) {
+                pairs.push((name.to_string(), "true".to_string()));
+            } else if known(valued, name) {
+                let value = it.next().ok_or_else(|| format!("flag {a} needs a value"))?;
                 pairs.push((name.to_string(), value.clone()));
-            } else if a == "-o" {
-                let value = it.next().ok_or("flag -o needs a value")?;
-                pairs.push(("out".to_string(), value.clone()));
             } else {
-                positional.push(a.clone());
+                return Err(format!("{cmd}: unknown flag {a} (try `awdit help`)"));
             }
         }
         Ok(Flags { pairs, positional })
@@ -361,7 +367,12 @@ fn gather_histories(flags: &Flags, threads: usize) -> Result<Vec<SourcedHistory>
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "check",
+        args,
+        "isolation threads format witnesses cc-strategy report trace metrics output out",
+        "stable-report",
+    )?;
     if flags.positional.is_empty() {
         return Err("check: missing history file(s) or directory".to_string());
     }
@@ -375,7 +386,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         max_cycles: parse_witnesses(&flags, 16)?,
         threads: parse_threads(&flags)?,
         cc_strategy: parse_cc_strategy(&flags)?,
-        overlap: flags.get("no-overlap").is_none(),
         ..EngineConfig::default()
     };
 
@@ -511,7 +521,7 @@ fn emit_report(report: &Report, mode: &str, output: Option<&str>) -> Result<(), 
 }
 
 fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("shrink", args, "isolation format cc-strategy out", "")?;
     let path = flags
         .positional
         .first()
@@ -563,7 +573,7 @@ fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("stats", args, "format report", "")?;
     let path = flags
         .positional
         .first()
@@ -625,7 +635,7 @@ fn convert_target(to: Option<&str>, out_path: Option<&str>) -> Result<ConvertTar
 }
 
 fn cmd_convert(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("convert", args, "format to out", "")?;
     let input = flags
         .positional
         .first()
@@ -677,7 +687,12 @@ fn cmd_convert(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "generate",
+        args,
+        "benchmark db sessions txns seed format out",
+        "",
+    )?;
     let sessions: usize = flags
         .get("sessions")
         .unwrap_or("10")
@@ -736,7 +751,12 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     use std::io::{BufRead, Read};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "watch",
+        args,
+        "isolation interval witnesses trace metrics stats-interval",
+        "no-prune follow",
+    )?;
     let path = flags
         .positional
         .first()
@@ -768,9 +788,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         prune,
         prune_interval,
         max_cycles: parse_witnesses(&flags, 64)?,
-        threads: parse_threads(&flags)?,
-        cc_strategy: parse_cc_strategy(&flags)?,
-        want_commit_order: false,
         ..EngineConfig::default()
     });
     engine.set_obs(setup.obs.clone());
@@ -790,9 +807,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         if prune { "on" } else { "off" }
     );
 
-    let mut line_no = 0usize;
-    let mut feed = |checker: &mut OnlineChecker, line: &[u8]| -> Result<(), String> {
-        line_no += 1;
+    let feed = |checker: &mut OnlineChecker, line: &[u8], line_no: usize| -> Result<(), String> {
         let line =
             std::str::from_utf8(line).map_err(|e| format!("line {line_no}: invalid UTF-8: {e}"))?;
         let trimmed = line.trim();
@@ -869,12 +884,18 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     };
     // Fixed-size reads: each whole line is fed as soon as its newline
     // arrives, and only the partial last line is carried into the next
-    // read, so memory does not grow with the stream. At end of input
-    // `--follow` polls a file for appended lines; otherwise the
-    // unterminated tail is the last line.
+    // read, so memory does not grow with the stream. An event line is a
+    // few dozen bytes; one longer than `MAX_LINE` is rejected as soon as
+    // the carry would pass the cap, so a newline-free input cannot grow
+    // it. At end of input `--follow` polls a file for appended lines;
+    // otherwise the unterminated tail is the last line.
+    const MAX_LINE: usize = 64 * 1024;
+    let too_long =
+        |line_no: usize| format!("line {line_no}: event line longer than {MAX_LINE} bytes");
     let poll = follow && path != "-";
-    let mut chunk = vec![0u8; 64 * 1024];
+    let mut chunk = vec![0u8; MAX_LINE];
     let mut carry: Vec<u8> = Vec::new();
+    let mut line_no = 0usize;
     loop {
         if shutdown.is_triggered() {
             eprintln!("shutdown requested; finalizing");
@@ -888,7 +909,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         if n == 0 {
             if !poll {
                 if !carry.is_empty() {
-                    feed(&mut checker, &carry)?;
+                    feed(&mut checker, &carry, line_no + 1)?;
                 }
                 break;
             }
@@ -898,14 +919,21 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
         let mut rest = &chunk[..n];
         while let Some(i) = rest.iter().position(|&b| b == b'\n') {
+            line_no += 1;
             if carry.is_empty() {
-                feed(&mut checker, &rest[..i])?;
+                feed(&mut checker, &rest[..i], line_no)?;
             } else {
+                if carry.len() + i > MAX_LINE {
+                    return Err(too_long(line_no));
+                }
                 carry.extend_from_slice(&rest[..i]);
-                feed(&mut checker, &carry)?;
+                feed(&mut checker, &carry, line_no)?;
                 carry.clear();
             }
             rest = &rest[i + 1..];
+        }
+        if carry.len() + rest.len() > MAX_LINE {
+            return Err(too_long(line_no + 1));
         }
         carry.extend_from_slice(rest);
         maybe_heartbeat(&mut last_stats, stats_interval, &checker);
@@ -939,7 +967,13 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "serve",
+        args,
+        "addr threads check-threads isolation interval staging-budget warm-pool \
+         max-body timeout witnesses trace metrics",
+        "no-prune",
+    )?;
     if let Some(extra) = flags.positional.first() {
         return Err(format!("serve: unexpected argument `{extra}`"));
     }
@@ -1006,7 +1040,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         prune,
         prune_interval: prune_interval.max(1),
         max_cycle_reports: parse_witnesses(&flags, 64)?,
-        threads: 1,
+        ..StreamConfig::default()
     };
     let server = Server::bind(ServeConfig {
         addr,

@@ -321,8 +321,9 @@ fn json_report_round_trips() {
     let _ = std::fs::remove_file(json_path);
 }
 
-/// `--cc-strategy` is reachable from the CLI on both `check` and `watch`,
-/// and both strategies agree on the verdict.
+/// `--cc-strategy` is reachable from `check`, both strategies agree on
+/// the verdict, and `watch` (whose single CC kernel has no strategy)
+/// agrees with them.
 #[test]
 fn cc_strategy_flag_on_check_and_watch() {
     let file = tmp("strat.awdit");
@@ -348,14 +349,13 @@ fn cc_strategy_flag_on_check_and_watch() {
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "{strategy}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("verdict:  consistent"));
-
-        let out = awdit()
-            .args(["watch", "--isolation", "cc", "--cc-strategy", strategy])
-            .arg(events.to_str().unwrap())
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(0), "watch {strategy}");
     }
+    let out = awdit()
+        .args(["watch", "--isolation", "cc"])
+        .arg(events.to_str().unwrap())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "watch");
     // A bogus strategy is a usage error.
     let out = awdit()
         .args(["check", "--cc-strategy", "quantum", file.to_str().unwrap()])
@@ -707,7 +707,7 @@ fn convert_to_awb_and_back_checks_identically() {
 }
 
 #[test]
-fn check_threads_and_overlap_flags_agree() {
+fn check_threads_flag_agrees() {
     let file = tmp("flags.awdit");
     awdit()
         .args(["generate", "--benchmark", "uniform", "--db", "causal"])
@@ -733,9 +733,8 @@ fn check_threads_and_overlap_flags_agree() {
         String::from_utf8(out.stdout).unwrap()
     };
     let reference = run(&[]);
-    assert_eq!(reference, run(&["--no-overlap"]));
     assert_eq!(reference, run(&["--threads", "8"]));
-    assert_eq!(reference, run(&["--threads", "2", "--no-overlap"]));
+    assert_eq!(reference, run(&["--threads", "2"]));
     let _ = std::fs::remove_file(file);
 }
 
@@ -759,16 +758,17 @@ fn unrecognized_binary_input_exits_2_with_clean_error() {
 
 /// Fig. 4b as an event stream: session 0 commits `W(x,1)` and then
 /// `W(x,2) W(y,2)`; session 1 reads `x = 1, y = 2` — one fractured read.
-/// The first write carries a padding field longer than `watch`'s read
-/// chunk, one line ends in CRLF, and the last has no newline.
+/// Two writes carry 40,000-byte padding fields, so the second straddles
+/// `watch`'s 64 KiB read boundary; one line ends in CRLF, and the last
+/// has no newline.
 fn fractured_read_stream() -> String {
-    let pad = "p".repeat(150_000);
+    let pad = "p".repeat(40_000);
     [
         r#"{"type":"begin","session":0}"#.to_string(),
         format!(r#"{{"type":"write","session":0,"key":0,"value":1,"pad":"{pad}"}}"#),
         r#"{"type":"commit","session":0}"#.to_string() + "\r",
         r#"{"type":"begin","session":0}"#.to_string(),
-        r#"{"type":"write","session":0,"key":0,"value":2}"#.to_string(),
+        format!(r#"{{"type":"write","session":0,"key":0,"value":2,"pad":"{pad}"}}"#),
         r#"{"type":"write","session":0,"key":1,"value":2}"#.to_string(),
         r#"{"type":"commit","session":0}"#.to_string(),
         r#"{"type":"begin","session":1}"#.to_string(),
@@ -876,4 +876,97 @@ fn watch_follow_completes_a_partial_line() {
         "{lines:?}"
     );
     let _ = std::fs::remove_file(events);
+}
+
+/// `watch` caps an event line at 64 KiB: a longer line, even one with no
+/// newline at all, is an input error (exit 2) naming its line, from a
+/// file and from stdin.
+#[test]
+fn watch_rejects_an_overlong_line() {
+    let events = tmp("overlong.ndjson");
+    let begin = r#"{"type":"begin","session":0}"#;
+    let write = r#"{"type":"write","session":0,"key":5,"value":5}"#;
+    let long = format!(
+        r#"{{"type":"write","session":0,"key":0,"value":1,"pad":"{}"#,
+        "p".repeat(200_000)
+    );
+    for (text, line) in [
+        (long.clone(), 1),
+        (format!("{begin}\n{write}\n{long}"), 3),
+        (format!("{begin}\n{long}\n{write}\n"), 2),
+    ] {
+        std::fs::write(&events, &text).unwrap();
+        let from_file = awdit().arg("watch").arg(&events).output().unwrap();
+        let from_stdin = awdit()
+            .args(["watch", "-"])
+            .stdin(std::fs::File::open(&events).unwrap())
+            .output()
+            .unwrap();
+        for out in [from_file, from_stdin] {
+            assert_eq!(out.status.code(), Some(2));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("line {line}: event line longer than 65536 bytes")),
+                "{stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(events);
+}
+
+/// Every subcommand rejects a flag it does not know with exit 2 and names
+/// it, instead of reading it as a value pair. A misspelt `--isolation`
+/// would otherwise check the default level (CC) on a history that only
+/// claims RC: exit 1 instead of 0.
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    let history = tmp("flags-fig4b.ndjson");
+    let fig4b = [
+        r#"{"type":"begin","session":0}"#,
+        r#"{"type":"write","session":0,"key":0,"value":1}"#,
+        r#"{"type":"commit","session":0}"#,
+        r#"{"type":"begin","session":0}"#,
+        r#"{"type":"write","session":0,"key":0,"value":2}"#,
+        r#"{"type":"write","session":0,"key":1,"value":2}"#,
+        r#"{"type":"commit","session":0}"#,
+        r#"{"type":"begin","session":1}"#,
+        r#"{"type":"read","session":1,"key":0,"value":1}"#,
+        r#"{"type":"read","session":1,"key":1,"value":2}"#,
+        r#"{"type":"commit","session":1}"#,
+    ];
+    std::fs::write(&history, fig4b.join("\n") + "\n").unwrap();
+    let h = history.to_str().unwrap();
+    let code = |args: &[&str]| awdit().args(args).output().unwrap().status.code();
+    assert_eq!(code(&["check", "--isolation", "rc", h]), Some(0));
+    assert_eq!(code(&["check", h]), Some(1));
+
+    for (args, flag) in [
+        (vec!["check", "--isolaton", "rc", h], "--isolaton"),
+        (vec!["check", "--no-overlap", h], "--no-overlap"),
+        (vec!["watch", "--threads", "2", h], "--threads"),
+        (
+            vec!["watch", "--cc-strategy", "pointer-scan", h],
+            "--cc-strategy",
+        ),
+        (
+            vec!["serve", "--addr", "127.0.0.1:0", "--stream-threads", "2"],
+            "--stream-threads",
+        ),
+        (
+            vec!["shrink", "--isolation", "ra", "--witnesses", "3", h],
+            "--witnesses",
+        ),
+        (vec!["stats", "--to", "awb", h], "--to"),
+        (vec!["convert", "--report", "json", h], "--report"),
+        (vec!["generate", "--txns", "10", "--follow"], "--follow"),
+    ] {
+        let out = awdit().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(history);
 }

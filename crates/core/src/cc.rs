@@ -8,8 +8,7 @@
 //! ones are ordered transitively through it (minimality). The edge is also
 //! skipped when `t2` already happens before `t1`: a `so ∪ wr` path orders
 //! them, so the transitive closure, the SCCs and the valid commit orders
-//! are the same without it (see
-//! [`infer_cc_pairs`](crate::incremental::infer_cc_pairs)).
+//! are the same without it (see [`infer_cc_edges`]).
 //!
 //! Happens-before is represented by per-transaction [`VectorClock`]s
 //! (`ComputeHB`): entry `s` of `t`'s clock counts the committed

@@ -86,15 +86,10 @@ pub struct EngineConfig {
     /// Worker threads (`1` = sequential, `0` = all cores). Shared by the
     /// sharded saturators, the [`check_many`](Engine::check_many)
     /// fork–join pool, and (via [`HistorySource::set_threads`]) sharded
-    /// source parsing; outcomes are bit-identical for every value.
+    /// source parsing; outcomes are bit-identical for every value. At `1`
+    /// the engine spawns no thread. Online monitors ignore it: the stream
+    /// checker is sequential.
     pub threads: usize,
-    /// Overlap ingest with checking in
-    /// [`check_source`](Engine::check_source)'s streaming path: history
-    /// `N + 1` parses on the calling thread while history `N` is checked
-    /// on one worker, double-buffering the ingest arenas. Outcomes are
-    /// bit-identical either way; off trades the overlap win for strictly
-    /// single-threaded execution.
-    pub overlap: bool,
     /// Online monitors only: whether watermark pruning runs (off = exact
     /// batch agreement, memory grows with the stream).
     pub prune: bool,
@@ -111,7 +106,6 @@ impl Default for EngineConfig {
             want_commit_order: false,
             max_cycles: 16,
             threads: 1,
-            overlap: true,
             prune: true,
             prune_interval: 256,
         }
@@ -185,13 +179,6 @@ impl EngineBuilder {
     /// Sets the worker-thread count (`1` = sequential, `0` = all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
-        self
-    }
-
-    /// Toggles read/check overlap in
-    /// [`check_source`](Engine::check_source)'s streaming path.
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.cfg.overlap = overlap;
         self
     }
 
@@ -292,11 +279,6 @@ pub struct Engine {
     /// [`seal_ingest`](Self::seal_ingest) must then skip the (empty)
     /// builder.
     direct_loaded: bool,
-    /// Second double-buffer pair for the overlapped
-    /// [`check_source`](Self::check_source) path, idle otherwise.
-    spare_ingest: HistoryBuilder,
-    /// See `spare_ingest`.
-    spare: History,
     /// `ingested`'s heap footprint, cached at seal time — the arena is
     /// temporarily `mem::take`n while a check borrows it, so accounting
     /// must not read `ingested.heap_bytes()` directly.
@@ -305,9 +287,8 @@ pub struct Engine {
     /// Observability handle; disabled by default.
     obs: Obs,
     /// The persistent worker pool every parallel stage dispatches on —
-    /// created once at build (or shared in via
-    /// [`with_config_pool`](Self::with_config_pool)), workers parked
-    /// between forks. Width 1 owns no threads at all.
+    /// created once at build, workers parked between forks. Width 1 owns
+    /// no threads at all.
     pool: Arc<parallel::Pool>,
 }
 
@@ -328,17 +309,7 @@ impl Engine {
     /// A `threads` knob of `0` ("use all cores") is resolved here, once,
     /// against [`parallel::available_threads`] — every later fork–join
     /// sees the concrete count, and [`stats`](Self::stats) reports it.
-    pub fn with_config(cfg: EngineConfig) -> Self {
-        let pool = Arc::new(parallel::Pool::new(cfg.threads));
-        Engine::with_config_pool(cfg, pool)
-    }
-
-    /// [`with_config`](Self::with_config) dispatching on a caller-owned
-    /// [`Pool`](parallel::Pool) — how `awdit serve` shares one pool
-    /// between its batch engine and every stream checker. The engine's
-    /// per-dispatch budget is still `cfg.threads`; the pool's width caps
-    /// it.
-    pub fn with_config_pool(mut cfg: EngineConfig, pool: Arc<parallel::Pool>) -> Self {
+    pub fn with_config(mut cfg: EngineConfig) -> Self {
         cfg.threads = parallel::effective_threads(cfg.threads);
         Engine {
             cfg,
@@ -346,17 +317,15 @@ impl Engine {
             ingest: HistoryBuilder::new(),
             ingested: History::default(),
             direct_loaded: false,
-            spare_ingest: HistoryBuilder::new(),
-            spare: History::default(),
             ingested_bytes: 0,
             stats: EngineStats::default(),
             obs: Obs::disabled(),
-            pool,
+            pool: Arc::new(parallel::Pool::new(cfg.threads)),
         }
     }
 
-    /// The engine's worker pool (shareable; see
-    /// [`with_config_pool`](Self::with_config_pool)).
+    /// The engine's worker pool (its [`stats`](parallel::Pool::stats)
+    /// count wakes, steals and parks).
     pub fn pool(&self) -> &Arc<parallel::Pool> {
         &self.pool
     }
@@ -508,25 +477,20 @@ impl Engine {
     /// pairing each outcome with the source-provided name, in source
     /// order.
     ///
-    /// With `threads <= 1` this is the **streaming fast path**: each
-    /// history's events are pushed straight into the engine's recycled
-    /// ingest arenas via [`HistorySource::next_into`] and checked by
-    /// [`finish_ingest`](Self::finish_ingest) — no intermediate
-    /// materialization, peak memory bounded by the largest single
-    /// history's columnar form. With [`EngineConfig::overlap`] on
-    /// (default), ingest and checking run concurrently: history `N + 1`
-    /// parses on the calling thread while history `N` is checked on one
-    /// scoped worker, handing double-buffered arenas back and forth
-    /// through a bounded slot — same outcomes, same recycling, ~2×
-    /// throughput when parse and check cost are balanced. With more
-    /// threads, histories are collected first and run through the
-    /// [`check_many`](Self::check_many) pool (and the source is told via
-    /// [`HistorySource::set_threads`] so file sources parse sharded).
+    /// With `threads <= 1` this is the **streaming path**, on the calling
+    /// thread alone: each history's events are pushed straight into the
+    /// engine's recycled ingest arenas via [`HistorySource::next_into`]
+    /// and checked by [`finish_ingest`](Self::finish_ingest) before the
+    /// next history is read — no intermediate materialization, peak
+    /// memory bounded by the largest single history's columnar form.
+    /// With more threads, histories are collected first and run through
+    /// the [`check_many`](Self::check_many) pool (and the source is told
+    /// via [`HistorySource::set_threads`] so file sources parse sharded).
     ///
     /// # Errors
     ///
     /// Fails fast on the first source error (unreadable file, parse
-    /// error, generator failure). On the streaming paths, histories
+    /// error, generator failure). On the streaming path, histories
     /// yielded *before* the error have already been checked (and are
     /// reflected in [`stats`](Self::stats)) but their outcomes are
     /// discarded; the parallel path checks nothing.
@@ -552,9 +516,6 @@ impl Engine {
             let outcomes = self.check_many(sourced.iter().map(|s| &s.history));
             return Ok(sourced.into_iter().map(|s| s.name).zip(outcomes).collect());
         }
-        if self.cfg.overlap {
-            return self.check_source_overlapped(source);
-        }
         let mut out = Vec::new();
         loop {
             let next = {
@@ -579,161 +540,6 @@ impl Engine {
                     }
                 },
             }
-        }
-    }
-
-    /// The overlapped streaming path of [`check_source`](Self::check_source):
-    /// the calling thread parses, one scoped worker checks, and the two
-    /// double-buffered `(builder, arena)` pairs shuttle between them
-    /// through capacity-one [`parallel::HandoffSlot`]s — bounded memory,
-    /// no queueing, source order preserved.
-    fn check_source_overlapped<S: HistorySource + ?Sized>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<(String, Outcome)>, SourceError> {
-        use std::time::Instant;
-
-        let obs = self.obs.clone();
-        let _ctx = awdit_obs::set_current(&obs);
-        let started = Instant::now();
-        let mut parse_busy = std::time::Duration::ZERO;
-
-        let mut free: Vec<ArenaSink> = vec![
-            ArenaSink {
-                builder: std::mem::take(&mut self.ingest),
-                arena: std::mem::take(&mut self.ingested),
-                direct: false,
-            },
-            ArenaSink {
-                builder: std::mem::take(&mut self.spare_ingest),
-                arena: std::mem::take(&mut self.spare),
-                direct: false,
-            },
-        ];
-
-        let cfg = self.cfg;
-        let pool = Arc::clone(&self.pool);
-        let scratch = &mut self.scratch;
-        let work: parallel::HandoffSlot<(String, ArenaSink)> = parallel::HandoffSlot::new();
-        let done: parallel::HandoffSlot<ArenaSink> = parallel::HandoffSlot::new();
-
-        let (out, check_busy, mut failure) = std::thread::scope(|scope| {
-            let worker_obs = obs.clone();
-            let (work, done) = (&work, &done);
-            let checker = scope.spawn(move || {
-                let _ctx = awdit_obs::set_current(&worker_obs);
-                let mut out = Vec::new();
-                let mut busy = std::time::Duration::ZERO;
-                while let Some((name, sink)) = work.recv() {
-                    let t = Instant::now();
-                    let outcome = check_in_scratch(&pool, &cfg, scratch, &sink.arena, cfg.level);
-                    busy += t.elapsed();
-                    out.push((name, outcome));
-                    if done.send(sink).is_err() {
-                        break;
-                    }
-                }
-                (out, busy)
-            });
-
-            let mut in_flight = 0usize;
-            let mut failure: Option<SourceError> = None;
-            loop {
-                let mut unit = match free.pop() {
-                    Some(unit) => unit,
-                    None => match done.recv() {
-                        Some(unit) => {
-                            in_flight -= 1;
-                            unit
-                        }
-                        None => break,
-                    },
-                };
-                let t = Instant::now();
-                let next = {
-                    let _s = obs.span("ingest");
-                    source.next_into(&mut unit)
-                };
-                match next {
-                    None => {
-                        parse_busy += t.elapsed();
-                        free.push(unit);
-                        break;
-                    }
-                    Some(Err(e)) => {
-                        parse_busy += t.elapsed();
-                        unit.discard();
-                        free.push(unit);
-                        failure = Some(e);
-                        break;
-                    }
-                    Some(Ok(name)) => {
-                        let sealed = {
-                            let _s = obs.span("ingest_seal");
-                            unit.seal()
-                        };
-                        parse_busy += t.elapsed();
-                        match sealed {
-                            Ok(()) => {
-                                if let Err((_, unit)) = work.send((name, unit)) {
-                                    free.push(unit);
-                                    break;
-                                }
-                                in_flight += 1;
-                            }
-                            Err(e) => {
-                                free.push(unit);
-                                failure = Some(SourceError {
-                                    origin: name,
-                                    message: e.to_string(),
-                                });
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            work.close();
-            while in_flight > 0 {
-                match done.recv() {
-                    Some(unit) => {
-                        free.push(unit);
-                        in_flight -= 1;
-                    }
-                    None => break,
-                }
-            }
-            let (out, check_busy) = checker.join().expect("overlap checker panicked");
-            (out, check_busy, failure)
-        });
-
-        // Hand the double-buffer pairs back to their engine slots (order
-        // is immaterial: both are interchangeable recycled arenas).
-        debug_assert_eq!(free.len(), 2, "an overlap arena pair went missing");
-        if let Some(unit) = free.pop() {
-            self.ingest = unit.builder;
-            self.ingested = unit.arena;
-        }
-        if let Some(unit) = free.pop() {
-            self.spare_ingest = unit.builder;
-            self.spare = unit.arena;
-        }
-        self.ingested_bytes = self.ingested.heap_bytes();
-        let checked = out.len() as u64;
-        if checked > 0 {
-            self.account(checked, checked);
-        }
-        if let Some(metrics) = obs.metrics() {
-            let wall = started.elapsed().as_secs_f64();
-            if wall > 0.0 {
-                // 1.0 = both threads busy the whole time (perfect overlap).
-                let util = (parse_busy.as_secs_f64() + check_busy.as_secs_f64()) / (2.0 * wall);
-                metrics.gauge("awdit_overlap_utilization").set(util);
-            }
-        }
-        match failure.take() {
-            Some(e) => Err(e),
-            None => Ok(out),
         }
     }
 
@@ -831,11 +637,7 @@ impl Engine {
     fn account(&mut self, histories: u64, checks: u64) {
         self.stats.histories += histories;
         self.stats.checks += checks;
-        let bytes = self.scratch.heap_bytes()
-            + self.ingest.heap_bytes()
-            + self.ingested_bytes
-            + self.spare_ingest.heap_bytes()
-            + self.spare.heap_bytes();
+        let bytes = self.scratch.heap_bytes() + self.ingest.heap_bytes() + self.ingested_bytes;
         let grew = bytes > self.stats.arena_bytes;
         if grew {
             self.stats.arena_growths += 1;
@@ -892,72 +694,11 @@ impl HistorySink for Engine {
     }
 }
 
-/// One half of the overlapped ingest double-buffer: a recycled
-/// [`HistoryBuilder`] for streamed events plus the [`History`] arena it
-/// seals into (or that a binary loader fills directly via
-/// [`HistorySink::load_resolved`]).
-#[derive(Debug)]
-struct ArenaSink {
-    builder: HistoryBuilder,
-    arena: History,
-    direct: bool,
-}
-
-impl ArenaSink {
-    /// Finishes the streamed events into the arena (a no-op after a
-    /// direct bulk load).
-    fn seal(&mut self) -> Result<(), BuildError> {
-        if std::mem::take(&mut self.direct) && self.builder.num_sessions() == 0 {
-            return Ok(());
-        }
-        let mut h = std::mem::take(&mut self.arena);
-        let result = self.builder.finish_into(&mut h);
-        self.arena = h;
-        result
-    }
-
-    /// Drops a partial ingest after a source error.
-    fn discard(&mut self) {
-        self.builder.reset();
-        self.direct = false;
-    }
-}
-
-impl HistorySink for ArenaSink {
-    fn session(&mut self) -> SessionId {
-        self.builder.session()
-    }
-    fn num_sessions(&self) -> usize {
-        self.builder.num_sessions()
-    }
-    fn begin(&mut self, session: SessionId) {
-        self.builder.begin(session);
-    }
-    fn write(&mut self, session: SessionId, key: u64, value: u64) {
-        self.builder.write(session, key, value);
-    }
-    fn read(&mut self, session: SessionId, key: u64, value: u64) {
-        self.builder.read(session, key, value);
-    }
-    fn commit(&mut self, session: SessionId) {
-        self.builder.commit(session);
-    }
-    fn abort(&mut self, session: SessionId) {
-        self.builder.abort(session);
-    }
-    fn load_resolved(&mut self) -> Option<&mut History> {
-        self.builder.reset();
-        self.direct = true;
-        Some(&mut self.arena)
-    }
-}
-
 /// One full check — Read Consistency, index rebuild, per-level
 /// saturation — against an explicit scratch-arena set, with phase spans
 /// flowing to the **thread-current** obs handle: the shared body of
-/// [`Engine::check_level`], the [`check_many`](Engine::check_many)
-/// workers, and the overlapped [`check_source`](Engine::check_source)
-/// checker thread.
+/// [`Engine::check_level`] and the [`check_many`](Engine::check_many)
+/// workers.
 fn check_in_scratch(
     pool: &parallel::Pool,
     cfg: &EngineConfig,

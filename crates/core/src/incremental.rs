@@ -477,31 +477,6 @@ impl HbTracker {
     }
 }
 
-/// The Causal Consistency inference body (Algorithm 3's main loop, shared
-/// by the batch `BinarySearch` strategy, witness provenance and the
-/// streaming checker): given `t3`'s inclusive happens-before clock — as a raw
-/// per-session entries slice, so both [`VectorClock`]s (via
-/// [`entries`](VectorClock::entries)) and the flat
-/// [`ClockTable`](crate::cc::ClockTable) rows plug in without conversion —
-/// orders each session's latest visible writer of every read key before
-/// the observed writer. See [`infer_cc_pairs`] for `writer_row`.
-pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
-    view: &V,
-    t3: DenseId,
-    clock: &[u32],
-    writer_row: &dyn Fn(DenseId) -> &'r [u32],
-    g: &mut G,
-) {
-    infer_cc_pairs(
-        view,
-        view.session_of(t3),
-        view.read_pairs(t3),
-        clock,
-        writer_row,
-        g,
-    );
-}
-
 /// Entry `s` of a clock row, reading 0 past the row's end (a clock that
 /// predates session `s` has seen none of it).
 #[inline]
@@ -509,11 +484,14 @@ fn clock_entry(row: &[u32], s: u32) -> u32 {
     row.get(s as usize).copied().unwrap_or(0)
 }
 
-/// [`infer_cc_edges`] over an explicit slice of the reader's `(key,
-/// writer)` pairs. The per-pair work is independent, so callers may shard
-/// the pairs of one wide transaction across workers and concatenate the
-/// sinks in slice order to reproduce the sequential emission exactly
-/// (`reader_session` is the session of the reading transaction).
+/// The Causal Consistency inference body (Algorithm 3's main loop, shared
+/// by the batch `BinarySearch` strategy, witness provenance and the
+/// streaming checker): given `t3`'s inclusive happens-before clock — as a raw
+/// per-session entries slice, so both [`VectorClock`]s (via
+/// [`entries`](VectorClock::entries)) and the flat
+/// [`ClockTable`](crate::cc::ClockTable) rows plug in without conversion —
+/// orders each session's latest visible writer of every read key before
+/// the observed writer.
 ///
 /// `writer_row(t1)` is the inclusive clock row of the writer `t1` a pair
 /// reads from. An edge `t2 → t1` is skipped when `t2` already happens
@@ -522,16 +500,15 @@ fn clock_entry(row: &[u32], s: u32) -> u32 {
 /// would change neither the transitive closure nor the SCCs. A session
 /// whose every visible writer `t1` already sees is skipped without a
 /// search. A row of `&[]` reads as all zeros and filters nothing.
-pub fn infer_cc_pairs<'r, V: CommitView, G: EdgeSink>(
+pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
     view: &V,
-    reader_session: u32,
-    pairs: &[(Key, DenseId)],
+    t3: DenseId,
     clock: &[u32],
     writer_row: &dyn Fn(DenseId) -> &'r [u32],
     g: &mut G,
 ) {
-    let s = reader_session;
-    for &(x, t1) in pairs {
+    let s = view.session_of(t3);
+    for &(x, t1) in view.read_pairs(t3) {
         let row1 = writer_row(t1);
         view.for_each_key_writes(x, &mut |s_prime, writes| {
             // Strict happens-before: the reader's own inclusive entry counts

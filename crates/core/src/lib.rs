@@ -108,9 +108,7 @@ pub use history::{
     replay_history, BuildError, ColumnsError, History, HistoryBuilder, HistoryColumns, HistorySink,
     SessionIter, SessionView, TxnView,
 };
-pub use incremental::{
-    infer_cc_edges, infer_cc_pairs, CommitView, EdgeSink, HbTracker, RaKernel, RcKernel,
-};
+pub use incremental::{infer_cc_edges, CommitView, EdgeSink, HbTracker, RaKernel, RcKernel};
 pub use index::{DenseId, ExtRead, HistoryIndex, NONE};
 pub use isolation::{IsolationLevel, ParseIsolationLevelError};
 pub use linearize::{commit_order_from_graph, validate_commit_order, CommitOrderError};

@@ -748,85 +748,6 @@ pub fn split_weighted(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A bounded, capacity-one rendezvous slot between exactly two threads —
-/// the handoff primitive behind the engine's read/check overlap.
-///
-/// [`send`](Self::send) blocks while the slot is occupied, so a producer
-/// can never race more than one item ahead of its consumer: there is no
-/// unbounded queueing anywhere, and peak memory stays at the
-/// double-buffer pair the caller allocated. [`close`](Self::close) wakes
-/// both sides; a closed, empty slot makes [`recv`](Self::recv) return
-/// `None` and [`send`](Self::send) return `false` (handing the item
-/// back).
-#[derive(Debug)]
-pub struct HandoffSlot<T> {
-    state: std::sync::Mutex<SlotState<T>>,
-    cond: std::sync::Condvar,
-}
-
-#[derive(Debug)]
-struct SlotState<T> {
-    item: Option<T>,
-    closed: bool,
-}
-
-impl<T> Default for HandoffSlot<T> {
-    fn default() -> Self {
-        HandoffSlot::new()
-    }
-}
-
-impl<T> HandoffSlot<T> {
-    /// An empty, open slot.
-    pub fn new() -> Self {
-        HandoffSlot {
-            state: std::sync::Mutex::new(SlotState {
-                item: None,
-                closed: false,
-            }),
-            cond: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Places `item` in the slot, blocking while it is occupied. Returns
-    /// `Err(item)` if the slot was closed first.
-    pub fn send(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().unwrap();
-        while state.item.is_some() && !state.closed {
-            state = self.cond.wait(state).unwrap();
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.item = Some(item);
-        self.cond.notify_all();
-        Ok(())
-    }
-
-    /// Takes the item, blocking while the slot is empty. Returns `None`
-    /// once the slot is closed **and** drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.item.take() {
-                self.cond.notify_all();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.cond.wait(state).unwrap();
-        }
-    }
-
-    /// Closes the slot: an item already inside stays receivable, further
-    /// sends fail, and blocked threads wake.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cond.notify_all();
-    }
-}
-
 /// Contiguous session groups for per-session sharding (RA, pointer-scan
 /// CC), weighted by each session's committed-transaction count so skewed
 /// session lengths still balance.
@@ -927,27 +848,5 @@ mod tests {
     fn effective_threads_resolves_zero() {
         assert!(effective_threads(0) >= 1);
         assert_eq!(effective_threads(3), 3);
-    }
-
-    #[test]
-    fn handoff_slot_delivers_in_order_and_closes_cleanly() {
-        let slot = HandoffSlot::new();
-        let got = std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                let mut got = Vec::new();
-                while let Some(i) = slot.recv() {
-                    got.push(i);
-                }
-                got
-            });
-            for i in 0..64 {
-                slot.send(i).unwrap();
-            }
-            slot.close();
-            consumer.join().unwrap()
-        });
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-        assert_eq!(slot.send(99), Err(99));
-        assert_eq!(slot.recv(), None);
     }
 }

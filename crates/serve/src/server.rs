@@ -56,9 +56,8 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Worker threads for the shared batch-check engine behind
     /// `POST /v1/check` (`0` = all cores). Independent of the accept
-    /// threads *and* of the per-tenant stream config: a one-shot batch
-    /// check can saturate the box even when online tenants are tuned
-    /// down.
+    /// threads: a one-shot batch check can saturate the box while each
+    /// online tenant's checker runs on the connection thread feeding it.
     pub check_threads: usize,
     /// Default per-tenant stream configuration (level, pruning, …).
     pub stream: StreamConfig,
@@ -197,18 +196,11 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let threads = parallel::effective_threads(cfg.threads);
-        // One worker pool for the whole daemon, wide enough for the
-        // widest dispatcher: the batch engine and every tenant checker
-        // share its parked threads instead of spawning their own.
-        let pool_width = parallel::effective_threads(cfg.check_threads)
-            .max(parallel::effective_threads(cfg.stream.threads));
-        let pool = Arc::new(parallel::Pool::new(pool_width));
-        let engine_cfg = EngineConfig {
+        let mut engine = Engine::with_config(EngineConfig {
             level: cfg.stream.level,
             threads: cfg.check_threads,
             ..EngineConfig::default()
-        };
-        let mut engine = Engine::with_config_pool(engine_cfg, Arc::clone(&pool));
+        });
         engine.set_obs(cfg.obs.clone());
         let metrics = ServeMetrics::new(&cfg.obs);
         Ok(Server {
@@ -218,7 +210,6 @@ impl Server {
                 cfg.stream,
                 cfg.staging_budget.max(1),
                 cfg.warm_pool,
-                pool,
                 cfg.obs.clone(),
             ),
             engine: Mutex::new(engine),

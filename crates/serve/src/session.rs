@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use awdit_core::parallel::Pool;
 use awdit_core::IsolationLevel;
 use awdit_obs::Obs;
 use awdit_stream::{OnlineChecker, StreamConfig, StreamStats, StreamViolation};
@@ -223,31 +222,19 @@ pub struct SessionHub {
     /// Cap on pooled warm checkers (beyond it, finished checkers are
     /// simply dropped).
     warm_cap: usize,
-    /// The server-wide worker pool every tenant checker dispatches on —
-    /// one set of parked threads for the whole daemon, not one per
-    /// tenant.
-    worker_pool: Arc<Pool>,
     obs: Obs,
 }
 
 impl SessionHub {
     /// A hub whose tenants default to `defaults` and `staging_budget`,
-    /// parks at most `warm_cap` finished checkers for reuse, and runs
-    /// every checker on the shared `worker_pool`.
-    pub fn new(
-        defaults: StreamConfig,
-        staging_budget: u64,
-        warm_cap: usize,
-        worker_pool: Arc<Pool>,
-        obs: Obs,
-    ) -> Self {
+    /// and that parks at most `warm_cap` finished checkers for reuse.
+    pub fn new(defaults: StreamConfig, staging_budget: u64, warm_cap: usize, obs: Obs) -> Self {
         SessionHub {
             tenants: Mutex::new(HashMap::new()),
             pool: Mutex::new(Vec::new()),
             defaults,
             default_budget: staging_budget,
             warm_cap,
-            worker_pool,
             obs,
         }
     }
@@ -273,7 +260,7 @@ impl SessionHub {
     }
 
     /// A warm checker from the pool (reconfigured for `cfg`), or a fresh
-    /// one on the shared worker pool.
+    /// one.
     fn checker_for(&self, cfg: StreamConfig) -> OnlineChecker {
         match self.pool.lock().unwrap().pop() {
             Some(mut c) => {
@@ -281,7 +268,7 @@ impl SessionHub {
                 c
             }
             None => {
-                let mut c = OnlineChecker::with_config_pool(cfg, Arc::clone(&self.worker_pool));
+                let mut c = OnlineChecker::with_config(cfg);
                 c.set_obs(self.obs.clone());
                 c
             }
@@ -389,13 +376,7 @@ mod tests {
     use awdit_stream::Event;
 
     fn hub() -> SessionHub {
-        SessionHub::new(
-            StreamConfig::default(),
-            1024,
-            32,
-            Arc::new(Pool::new(1)),
-            Obs::disabled(),
-        )
+        SessionHub::new(StreamConfig::default(), 1024, 32, Obs::disabled())
     }
 
     #[test]

@@ -48,8 +48,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use awdit_core::graph::{CommitGraph, EdgeKind};
-use awdit_core::incremental::{infer_cc_edges, infer_cc_pairs, HbTracker, RaKernel, RcKernel};
-use awdit_core::parallel;
+use awdit_core::incremental::{infer_cc_edges, HbTracker, RaKernel, RcKernel};
 use awdit_core::witness::{
     ReadConsistencyViolation, Violation, ViolationKind, WitnessCycle, WitnessEdge,
 };
@@ -185,12 +184,8 @@ pub struct StreamConfig {
     /// unaffected; this caps witness extraction work, like
     /// [`EngineConfig::max_cycles`](awdit_core::EngineConfig::max_cycles)).
     pub max_cycle_reports: usize,
-    /// Worker threads for the per-commit CC inference (`0` = all cores).
-    /// A commit whose distinct `(key, writer)` read set is wide enough has
-    /// its pairs sharded across scoped workers and the edge sinks merged
-    /// in pair order, so the emitted edges — and every verdict and
-    /// violation — are bit-identical to `threads = 1`. Narrow commits run
-    /// sequentially regardless.
+    /// Ignored: the online checker runs on the calling thread. The field
+    /// stays so that existing struct literals keep compiling.
     pub threads: usize,
 }
 
@@ -212,16 +207,17 @@ impl From<&awdit_core::EngineConfig> for StreamConfig {
     /// [`Engine`](awdit_core::Engine) agree on their tuning
     /// (`max_cycles` maps to [`max_cycle_reports`](StreamConfig::max_cycle_reports)).
     ///
-    /// The engine's `cc_strategy` is **not** projected: the streaming
-    /// checker runs a single incremental CC kernel, so online verdicts
-    /// are strategy-independent by construction.
+    /// The engine's `cc_strategy` and `threads` are **not** projected:
+    /// the streaming checker runs a single incremental CC kernel on the
+    /// calling thread, so online verdicts are strategy-independent by
+    /// construction.
     fn from(cfg: &awdit_core::EngineConfig) -> Self {
         StreamConfig {
             level: cfg.level,
             prune: cfg.prune,
             prune_interval: cfg.prune_interval,
             max_cycle_reports: cfg.max_cycles,
-            threads: cfg.threads,
+            ..StreamConfig::default()
         }
     }
 }
@@ -446,12 +442,6 @@ pub struct OnlineChecker {
     obs: Obs,
     metrics: Option<StreamMetrics>,
     shutdown: ShutdownToken,
-    /// The persistent worker pool the sharded stages (CC inference, GC
-    /// boundary scan) dispatch on. Created at build, or shared in via
-    /// [`with_config_pool`](Self::with_config_pool) (`awdit serve` hands
-    /// every checker the server-wide pool); survives
-    /// [`reconfigure`](Self::reconfigure). Width 1 owns no threads.
-    pool: Arc<parallel::Pool>,
 }
 
 impl OnlineChecker {
@@ -465,19 +455,8 @@ impl OnlineChecker {
 
     /// A checker with explicit configuration.
     pub fn with_config(cfg: StreamConfig) -> Self {
-        let pool = Arc::new(parallel::Pool::new(cfg.threads));
-        Self::with_config_pool(cfg, pool)
-    }
-
-    /// [`with_config`](Self::with_config) dispatching on a caller-owned
-    /// [`Pool`](parallel::Pool) — how `awdit serve` shares one pool
-    /// across every tenant checker and its batch engine. The checker's
-    /// per-dispatch budget is still `cfg.threads`; the pool's width caps
-    /// it.
-    pub fn with_config_pool(cfg: StreamConfig, pool: Arc<parallel::Pool>) -> Self {
         OnlineChecker {
             cfg,
-            pool,
             error: None,
             session_ids: HashMap::new(),
             sessions: Vec::new(),
@@ -534,14 +513,6 @@ impl OnlineChecker {
     /// The current watermark (pointwise-minimum frontier clock).
     pub fn watermark(&self) -> VectorClock {
         self.tracker.watermark()
-    }
-
-    /// The retained (not yet pruned) committed transactions, sorted — the
-    /// thread-count differential suites compare this live set after GC.
-    pub fn live_txn_ids(&self) -> Vec<TxnId> {
-        let mut ids: Vec<TxnId> = self.index.live_slots().map(|(_, m)| m.txn_id).collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Takes the violations emitted since the last drain (for live
@@ -1165,10 +1136,7 @@ impl OnlineChecker {
         }
     }
 
-    /// The per-commit CC inference: sequential for narrow commits, the
-    /// `(key, writer)` pairs sharded across the worker pool for wide ones
-    /// (per-shard edge lists appended in pair order — bit-identical to
-    /// sequential).
+    /// The per-commit CC inference.
     ///
     /// Unlike the batch saturators, the kernel gets no writer rows
     /// (`|_| &[]`), so edges that happens-before already implies are kept.
@@ -1179,27 +1147,7 @@ impl OnlineChecker {
     /// leave no live edge behind, and the inferred edge would be the DAG's
     /// only record of that order.
     fn infer_cc(&self, slot: u32, clock: &VectorClock, edges: &mut Vec<(u32, u32, EdgeKind)>) {
-        /// Sharding a handful of pairs costs more than inferring them.
-        const MIN_PAIRS_PER_SHARD: usize = 32;
-        let threads = parallel::effective_threads(self.cfg.threads);
-        let meta = self.index.meta(slot);
-        let pairs = &meta.read_pairs;
-        if threads <= 1 || pairs.len() < 2 * MIN_PAIRS_PER_SHARD {
-            infer_cc_edges(&self.index, slot, clock.entries(), &|_| &[], edges);
-            return;
-        }
-        let index = &self.index;
-        let session = meta.session;
-        let shards =
-            parallel::split_even(pairs.len(), threads.min(pairs.len() / MIN_PAIRS_PER_SHARD));
-        let sinks =
-            parallel::map_shards(&self.pool, threads, "stream_infer_cc", &shards, |_, r| {
-                let mut sink: Vec<(u32, u32, EdgeKind)> = Vec::new();
-                let chunk = &pairs[r.start as usize..r.end as usize];
-                infer_cc_pairs(index, session, chunk, clock.entries(), &|_| &[], &mut sink);
-                sink
-            });
-        edges.extend(sinks.into_iter().flatten());
+        infer_cc_edges(&self.index, slot, clock.entries(), &|_| &[], edges);
     }
 
     fn report_cycle(&mut self, cycle: &[DagEdge]) {
@@ -1255,18 +1203,16 @@ impl OnlineChecker {
 
         // Keep boundary writers: the latest retained writer of each
         // (session, key) must survive so later CC lookups below the
-        // watermark still find their visible writer. The check is
-        // read-only per candidate, so it fans out over the pool ahead of
-        // the sequential retire sweep. Precomputing every verdict before
-        // any retire matches the interleaved sequential sweep exactly:
-        // candidates run in DAG order, which within one (session, key)
-        // writer list is session-position order, so a retire only ever
-        // removes writers *before* a later candidate in its list — the
-        // successor entry its check reads is untouched, and boundary
-        // writers themselves are never retired.
-        const MIN_CANDIDATES_PER_SHARD: usize = 32;
+        // watermark still find their visible writer. Every verdict is
+        // taken before the first retire; that matches deciding each
+        // candidate just before retiring it, because candidates run in
+        // DAG order, which within one (session, key) writer list is
+        // session-position order, so a retire only ever removes writers
+        // *before* a later candidate in its list — the successor entry
+        // its check reads is untouched, and boundary writers themselves
+        // are never retired.
         let index = &self.index;
-        let check = |slot: u32| -> bool {
+        let is_boundary = |slot: u32| -> bool {
             let m = index.meta(slot);
             let bound = wm.get(m.session as usize);
             debug_assert!(m.committed_pos < bound);
@@ -1282,29 +1228,12 @@ impl OnlineChecker {
                 }
             })
         };
-        let threads = parallel::effective_threads(self.cfg.threads);
-        let boundary: Vec<bool> = if threads <= 1 || candidates.len() < 2 * MIN_CANDIDATES_PER_SHARD
-        {
-            candidates.iter().map(|&(_, slot)| check(slot)).collect()
-        } else {
-            let shards = parallel::split_even(
-                candidates.len(),
-                threads.min(candidates.len() / MIN_CANDIDATES_PER_SHARD),
-            );
-            let verdicts =
-                parallel::map_shards(&self.pool, threads, "stream_gc", &shards, |_, r| {
-                    candidates[r.start as usize..r.end as usize]
-                        .iter()
-                        .map(|&(_, slot)| check(slot))
-                        .collect::<Vec<bool>>()
-                });
-            verdicts.concat()
-        };
-
-        for (&(_, slot), &is_boundary) in candidates.iter().zip(&boundary) {
-            if is_boundary {
-                continue;
-            }
+        let retirable: Vec<u32> = candidates
+            .iter()
+            .map(|&(_, slot)| slot)
+            .filter(|&slot| !is_boundary(slot))
+            .collect();
+        for slot in retirable {
             self.retire(slot);
         }
     }
@@ -1419,9 +1348,8 @@ impl OnlineChecker {
     }
 
     /// [`reset`](Self::reset) with a new configuration — how a pooled
-    /// checker is re-issued to a tenant with different tuning. The worker
-    /// pool is kept (that's the point of warm reuse): the new `threads`
-    /// budget dispatches on it, capped by its width.
+    /// checker is re-issued to a tenant with different tuning, keeping
+    /// its warm allocations.
     pub fn reconfigure(&mut self, cfg: StreamConfig) {
         self.reset();
         self.cfg = cfg;
@@ -1622,14 +1550,12 @@ mod tests {
         let engine = Engine::builder()
             .level(IsolationLevel::ReadAtomic)
             .max_cycles(7)
-            .threads(3)
             .prune(false)
             .prune_interval(99)
             .build();
         let cfg = StreamConfig::from(engine.config());
         assert_eq!(cfg.level, IsolationLevel::ReadAtomic);
         assert_eq!(cfg.max_cycle_reports, 7);
-        assert_eq!(cfg.threads, 3);
         assert!(!cfg.prune);
         assert_eq!(cfg.prune_interval, 99);
     }

@@ -146,54 +146,6 @@ fn wide_history_cc_graph_is_edge_identical() {
     assert_thread_invariant(&h, "wide-uniform");
 }
 
-/// The online checker's sharded per-commit CC inference: a stream with
-/// very wide read sets must produce identical violations and stats at
-/// every thread count.
-#[test]
-fn online_checker_is_thread_invariant_on_wide_commits() {
-    use awdit::stream::{OnlineChecker, StreamConfig};
-
-    let run = |threads: usize| {
-        let mut c = OnlineChecker::with_config(StreamConfig {
-            level: IsolationLevel::Causal,
-            prune: false,
-            threads,
-            ..StreamConfig::default()
-        });
-        // 4 writer sessions × 96 keys, then readers with wide (fractured)
-        // read sets touching every key.
-        let keys = 96u64;
-        for w in 0..4u64 {
-            c.begin(w).unwrap();
-            for k in 0..keys {
-                c.write(w, k, w * keys + k + 1).unwrap();
-            }
-            c.commit(w).unwrap();
-        }
-        for r in 0..3u64 {
-            let reader = 10 + r;
-            c.begin(reader).unwrap();
-            for k in 0..keys {
-                // Mix writers per key: stale reads that CC must order.
-                let w = (k + r) % 4;
-                c.read(reader, k, w * keys + k + 1).unwrap();
-            }
-            c.commit(reader).unwrap();
-        }
-        let outcome = c.finish().unwrap();
-        format!("{:?}|{:?}", outcome.violations(), outcome.stats())
-    };
-
-    let reference = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            reference,
-            run(threads),
-            "stream diverged at {threads} threads"
-        );
-    }
-}
-
 /// The canonical SCC presentation witnesses depend on, pinned on three
 /// shapes: one giant SCC, a pure path (every node its own SCC), and a
 /// deterministic random mix of small SCCs inside a DAG. Nodes ascend
@@ -344,82 +296,6 @@ fn sccs_have_the_canonical_presentation() {
                 comp_of[u] == comp_of[v],
                 reach[u][v] && reach[v][u],
                 "[mixed] SCC membership of {u} and {v} disagrees with reachability"
-            );
-        }
-    }
-}
-
-/// Per-stage differential: the parallel watermark-GC boundary scan must
-/// retire the exact transactions the sequential sweep retires — checked
-/// through the retained live set and the full stream stats, on an
-/// all-retirable workload (every write overwritten, watermark chasing
-/// the stream) and a single-session one.
-#[test]
-fn parallel_stream_gc_matches_sequential_live_set() {
-    use awdit::stream::{OnlineChecker, StreamConfig};
-
-    // Every session overwrites the same tiny key set round after round
-    // and reads its peers' latest values, so the watermark advances and
-    // each sweep sees hundreds of retirable candidates.
-    let run_all_retirable = |threads: usize| {
-        let mut c = OnlineChecker::with_config(StreamConfig {
-            level: IsolationLevel::Causal,
-            prune: true,
-            prune_interval: 256,
-            threads,
-            ..StreamConfig::default()
-        });
-        let sessions = 4u64;
-        let keys = 3u64;
-        for round in 0..200u64 {
-            for s in 0..sessions {
-                c.begin(s).unwrap();
-                for k in 0..keys {
-                    c.write(s, k, (round * sessions + s) * keys + k + 1)
-                        .unwrap();
-                }
-                c.commit(s).unwrap();
-            }
-        }
-        let live = c.live_txn_ids();
-        let outcome = c.finish().unwrap();
-        (
-            live,
-            format!("{:?}|{:?}", outcome.violations(), outcome.stats()),
-        )
-    };
-    // One session: every write is its own session's latest until
-    // overwritten; the candidate list is long and entirely local.
-    let run_one_session = |threads: usize| {
-        let mut c = OnlineChecker::with_config(StreamConfig {
-            level: IsolationLevel::Causal,
-            prune: true,
-            prune_interval: 128,
-            threads,
-            ..StreamConfig::default()
-        });
-        for i in 0..1200u64 {
-            c.begin(0).unwrap();
-            c.write(0, i % 5, i + 1).unwrap();
-            c.commit(0).unwrap();
-        }
-        let live = c.live_txn_ids();
-        let outcome = c.finish().unwrap();
-        (
-            live,
-            format!("{:?}|{:?}", outcome.violations(), outcome.stats()),
-        )
-    };
-    for (label, run) in [
-        ("all-retirable", &run_all_retirable as &dyn Fn(usize) -> _),
-        ("one-session", &run_one_session),
-    ] {
-        let reference = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                reference,
-                run(threads),
-                "[{label}] GC diverged at {threads} threads"
             );
         }
     }

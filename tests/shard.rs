@@ -1,8 +1,8 @@
-//! Differential suite for parallel sharded ingest and read/check overlap:
-//! the sharded parser must be **bit-identical to sequential at every
-//! thread count**, with shard boundaries forced mid-line, mid-transaction,
-//! and mid-session, and `Engine::check_source` must produce the same
-//! outcomes with overlap on, off, or replaced by the thread pool.
+//! Differential suite for parallel sharded ingest: the sharded parser
+//! must be **bit-identical to sequential at every thread count**, with
+//! shard boundaries forced mid-line, mid-transaction, and mid-session,
+//! and `Engine::check_source` must produce the same outcomes on its
+//! sequential streaming path and through the thread pool.
 
 use awdit::formats::{read_history, read_sharded, read_sharded_at, SHARD_MIN_BYTES};
 use awdit::{
@@ -164,10 +164,9 @@ fn find_nth_line_start(bytes: &[u8], from: usize) -> Option<usize> {
 }
 
 /// The engine path end-to-end: a directory of large files checked at
-/// threads ∈ {1, 2, 8} — with overlap on and off — produces identical
-/// named outcomes.
+/// threads ∈ {1, 2, 8} produces identical named outcomes.
 #[test]
-fn engine_check_source_is_thread_and_overlap_invariant() {
+fn engine_check_source_is_thread_invariant() {
     let mut dir = std::env::temp_dir();
     dir.push(format!("awdit-shard-engine-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -179,8 +178,8 @@ fn engine_check_source_is_thread_and_overlap_invariant() {
     std::fs::write(dir.join("c.dbcop"), write_history(&h, Format::Dbcop)).unwrap();
     std::fs::write(dir.join("d.cobra"), write_history(&h, Format::Cobra)).unwrap();
 
-    let run = |threads: usize, overlap: bool| {
-        let mut engine = Engine::builder().threads(threads).overlap(overlap).build();
+    let run = |threads: usize| {
+        let mut engine = Engine::builder().threads(threads).build();
         let named = engine
             .check_source(&mut DirSource::new(&dir).unwrap())
             .unwrap();
@@ -190,16 +189,10 @@ fn engine_check_source_is_thread_and_overlap_invariant() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let reference = run(1, false);
+    let reference = run(1);
     assert!(reference.contains("a.awdit"), "all four files checked");
-    for threads in THREAD_COUNTS {
-        for overlap in [false, true] {
-            assert_eq!(
-                reference,
-                run(threads, overlap),
-                "diverged at {threads} threads, overlap={overlap}"
-            );
-        }
+    for threads in &THREAD_COUNTS[1..] {
+        assert_eq!(reference, run(*threads), "diverged at {threads} threads");
     }
     // And all of them agree with a direct in-memory check.
     let direct = fingerprint(&check(&h, IsolationLevel::Causal));

@@ -24,8 +24,9 @@ use std::collections::BTreeSet;
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::core::witness::ViolationKind;
-use awdit::stream::{OnlineChecker, StreamConfig};
-use awdit::{check, History, IsolationLevel};
+use awdit::formats::history_of_events;
+use awdit::stream::{Event, OnlineChecker, StreamConfig};
+use awdit::{check, Engine, History, IsolationLevel};
 use awdit_core::Op;
 
 /// Replays a finished history as an event stream in round-robin arrival
@@ -358,4 +359,142 @@ fn violations_are_emitted_eagerly() {
         "fractured read must be reported at the offending commit"
     );
     assert!(!c.finish().unwrap().is_consistent());
+}
+
+/// Applies `events` to a fresh checker and finishes it.
+fn run_events(events: &[Event], cfg: StreamConfig) -> awdit::StreamOutcome {
+    let mut c = OnlineChecker::with_config(cfg);
+    for e in events {
+        c.apply(e).unwrap();
+    }
+    c.finish().unwrap()
+}
+
+/// Commits with very wide read sets: four writers cover 96 keys, then
+/// three readers each read every key from a mix of writers (stale reads
+/// that CC must order). The exact online checker must give the batch
+/// engine's verdict on the history the stream describes, and report the
+/// batch witness among its own.
+#[test]
+fn wide_commit_stream_matches_batch_check() {
+    let keys = 96u64;
+    let mut events = Vec::new();
+    for w in 0..4u64 {
+        events.push(Event::Begin { session: w });
+        for k in 0..keys {
+            events.push(Event::Write {
+                session: w,
+                key: k,
+                value: w * keys + k + 1,
+            });
+        }
+        events.push(Event::Commit { session: w });
+    }
+    for r in 0..3u64 {
+        let reader = 10 + r;
+        events.push(Event::Begin { session: reader });
+        for k in 0..keys {
+            let w = (k + r) % 4;
+            events.push(Event::Read {
+                session: reader,
+                key: k,
+                value: w * keys + k + 1,
+            });
+        }
+        events.push(Event::Commit { session: reader });
+    }
+    let online = run_events(
+        &events,
+        StreamConfig {
+            level: IsolationLevel::Causal,
+            prune: false,
+            ..StreamConfig::default()
+        },
+    );
+    let history = history_of_events(&events).unwrap();
+    let batch = Engine::new().check_level(&history, IsolationLevel::Causal);
+    assert!(!batch.is_consistent());
+    assert_eq!(online.is_consistent(), batch.is_consistent());
+    // The batch engine extracts one cycle per strongly connected
+    // component; the online checker reports each edge that closes a
+    // cycle. Here every pair of the four writers closes one: C(4, 2) = 6.
+    let online_cycles: Vec<String> = online.violations().iter().map(|v| v.to_string()).collect();
+    assert_eq!(online.stats().violations, 6, "{online_cycles:#?}");
+    for v in batch.violations() {
+        assert!(
+            online_cycles.contains(&v.to_string()),
+            "batch witness {v} missing online: {online_cycles:#?}"
+        );
+    }
+}
+
+/// Watermark pruning retires transactions on an all-retirable stream
+/// (every session overwrites the same three keys round after round and
+/// reads the previous transaction's write, so the watermark chases the
+/// stream) and on a one-session stream (a long candidate list that is
+/// entirely local), and agrees with the exact checker's verdict on both.
+#[test]
+fn pruning_retires_and_keeps_the_verdict() {
+    let mut all_retirable = Vec::new();
+    let (sessions, keys) = (4u64, 3u64);
+    let mut latest = None;
+    for round in 0..200u64 {
+        for s in 0..sessions {
+            all_retirable.push(Event::Begin { session: s });
+            // Reading the previous transaction's write carries every
+            // session's clock forward, so the watermark advances.
+            if let Some(value) = latest {
+                all_retirable.push(Event::Read {
+                    session: s,
+                    key: 0,
+                    value,
+                });
+            }
+            latest = Some((round * sessions + s) * keys + 1);
+            for k in 0..keys {
+                all_retirable.push(Event::Write {
+                    session: s,
+                    key: k,
+                    value: (round * sessions + s) * keys + k + 1,
+                });
+            }
+            all_retirable.push(Event::Commit { session: s });
+        }
+    }
+    let mut one_session = Vec::new();
+    for i in 0..1200u64 {
+        one_session.push(Event::Begin { session: 0 });
+        one_session.push(Event::Write {
+            session: 0,
+            key: i % 5,
+            value: i + 1,
+        });
+        one_session.push(Event::Commit { session: 0 });
+    }
+    for (label, events, prune_interval) in [
+        ("all-retirable", &all_retirable, 256),
+        ("one-session", &one_session, 128),
+    ] {
+        let run = |prune: bool| {
+            run_events(
+                events,
+                StreamConfig {
+                    level: IsolationLevel::Causal,
+                    prune,
+                    prune_interval,
+                    ..StreamConfig::default()
+                },
+            )
+        };
+        let (pruned, exact) = (run(true), run(false));
+        assert!(
+            pruned.stats().retired_txns > 0,
+            "[{label}] pruning retired nothing"
+        );
+        assert_eq!(
+            (pruned.is_consistent(), pruned.stats().violations),
+            (exact.is_consistent(), exact.stats().violations),
+            "[{label}] pruning changed the verdict"
+        );
+    }
 }
