@@ -238,13 +238,16 @@ fn bench_ingest(c: &mut Criterion) {
         BenchmarkId::new("engine-source-stream-rc", ops),
         &native,
         |b, path| {
-            let mut engine = Engine::builder()
-                .level(IsolationLevel::ReadCommitted)
-                .build();
+            let mut engine = Engine::new();
             b.iter(|| {
                 let mut src = FilesSource::new([path.clone()]);
-                let named = engine.check_source(&mut src).expect("check");
-                named.len()
+                let mut checked = 0usize;
+                engine
+                    .check_source(&mut src, Some(IsolationLevel::ReadCommitted), |_, _, _| {
+                        checked += 1;
+                    })
+                    .expect("check");
+                checked
             })
         },
     );

@@ -18,7 +18,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use awdit_core::{Engine, History, IsolationLevel};
+use awdit_core::{Engine, EngineConfig, History, IsolationLevel};
 use awdit_obs::chrome::ChromeTraceRecorder;
 use awdit_obs::{NoopRecorder, Obs};
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
@@ -43,10 +43,11 @@ fn fleet(n: usize, txns: usize) -> Vec<History> {
 
 /// Checks the whole fleet through one engine carrying `obs`.
 fn check_fleet(histories: &[History], obs: Obs) -> usize {
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .obs(obs)
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::Causal,
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs);
     histories
         .iter()
         .filter(|h| engine.check(h).is_consistent())

@@ -33,8 +33,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use awdit_core::{
-    collect_source, CcStrategy, Engine, EngineConfig, History, HistoryBuilder, HistorySource,
-    HistoryStats, IsolationLevel, Outcome, SourcedHistory,
+    CcStrategy, Engine, EngineConfig, History, HistoryBuilder, HistorySource, HistoryStats,
+    IsolationLevel,
 };
 use awdit_formats::{
     detect_bytes, detect_path, history_stats_json, looks_binary, read_auto, read_history,
@@ -109,15 +109,16 @@ FORMATS: native (default), plume, dbcop, cobra, auto (check/stats only);
          binary columnar .awb form (magic-sniffed, mmap-loaded)
 BENCHMARKS: tpcc, ctwitter, rubis, uniform
 DB MODES: ser, causal, ra, rc
-THREADS: `check` worker threads (1 = sequential, 0 = auto: all
-         available cores, resolved once when the engine starts and
-         reported in stats//healthz); the verdict and witnesses are
-         identical for every value;
-         at 1 thread `check` runs on one thread and streams each file
-         straight into the engine's recycled ingest arenas, checking it
-         before reading the next (lowest peak memory);
-         above 1, text files also parse in parallel byte-range
-         shards, bit-identical to the sequential parse;
+THREADS: `check` worker threads within one history (1 = sequential,
+         0 = auto: all available cores, resolved once when the engine
+         starts and reported in stats//healthz); the verdict and
+         witnesses are identical for every value;
+         `check` streams each file straight into the engine's recycled
+         ingest arenas and checks it before reading the next, at every
+         thread count (peak memory is one history's); above 1 thread,
+         text files parse in parallel byte-range shards (bit-identical
+         to the sequential parse) and saturation runs sharded, while
+         files are still checked one after another;
          `watch` and serve's tenants check each stream on one thread
 CC STRATEGIES: binary-search (default), pointer-scan — interchangeable
          implementations of the batch Causal Consistency checker
@@ -327,17 +328,10 @@ fn parse_format_flag(flags: &Flags) -> Result<Option<Format>, String> {
 }
 
 /// Resolves one `check` positional — a file or a directory — into a
-/// history source (shared by the streaming and materializing paths).
-/// `threads > 1` turns on sharded text parsing inside the source.
-fn make_source(
-    path: &str,
-    format: Option<Format>,
-    threads: usize,
-) -> Result<Box<dyn HistorySource>, String> {
+/// history source.
+fn make_source(path: &str, format: Option<Format>) -> Result<Box<dyn HistorySource>, String> {
     if std::path::Path::new(path).is_dir() {
-        let mut src = DirSource::new(path)
-            .map_err(|e| e.to_string())?
-            .with_threads(threads);
+        let mut src = DirSource::new(path).map_err(|e| e.to_string())?;
         if let Some(f) = format {
             src = src.with_format(f);
         }
@@ -346,24 +340,12 @@ fn make_source(
         }
         Ok(Box::new(src))
     } else {
-        let mut src = FilesSource::new([path]).with_threads(threads);
+        let mut src = FilesSource::new([path]);
         if let Some(f) = format {
             src = src.with_format(f);
         }
         Ok(Box::new(src))
     }
-}
-
-/// Expands the `check` positionals — files and/or directories — into
-/// named histories, in argument order (directory contents sorted).
-fn gather_histories(flags: &Flags, threads: usize) -> Result<Vec<SourcedHistory>, String> {
-    let format = parse_format_flag(flags)?;
-    let mut sourced = Vec::new();
-    for p in &flags.positional {
-        let mut src = make_source(p, format, threads)?;
-        sourced.extend(collect_source(src.as_mut()).map_err(|e| e.to_string())?);
-    }
-    Ok(sourced)
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -376,7 +358,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if flags.positional.is_empty() {
         return Err("check: missing history file(s) or directory".to_string());
     }
-    let isolation = flags.get("isolation").unwrap_or("cc");
     let report_mode = flags.get("report").unwrap_or("text");
     if !matches!(report_mode, "text" | "json") {
         return Err(format!("bad --report value `{report_mode}` (text|json)"));
@@ -388,91 +369,39 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         cc_strategy: parse_cc_strategy(&flags)?,
         ..EngineConfig::default()
     };
+    // `None` checks all three levels over one shared index.
+    let level: Option<IsolationLevel> = match flags.get("isolation").unwrap_or("cc") {
+        "all" => None,
+        l => Some(l.parse().map_err(|e| format!("{e}"))?),
+    };
+    let format = parse_format_flag(&flags)?;
 
     let setup = ObsSetup::from_flags(&flags);
     let mut engine = Engine::with_config(cfg);
     engine.set_obs(setup.obs.clone());
     let mut reports: Vec<HistoryReport> = Vec::new();
-
-    if cfg.threads == 1 {
-        // Streaming fast path: every file's records go straight into the
-        // engine's recycled ingest arenas — no whole-file `String`, no
-        // per-history materialization outside the engine. The reported
-        // per-history time covers load + check.
-        let level: Option<IsolationLevel> = if isolation == "all" {
-            None
-        } else {
-            Some(isolation.parse().map_err(|e| format!("{e}"))?)
-        };
-        let format = parse_format_flag(&flags)?;
-        for p in &flags.positional {
-            let mut src = make_source(p, format, cfg.threads)?;
-            loop {
-                let phases_before = setup.phases();
-                let started = std::time::Instant::now();
-                let next = {
-                    let _s = setup.obs.span("ingest");
-                    src.next_into(&mut engine)
-                };
-                let name = match next {
-                    None => break,
-                    Some(Err(e)) => return Err(e.to_string()),
-                    Some(Ok(name)) => name,
-                };
-                let outcomes: Vec<Outcome> = match level {
-                    None => engine
-                        .finish_ingest_all_levels()
-                        .map_err(|e| format!("{name}: {e}"))?
-                        .to_vec(),
-                    Some(level) => vec![engine
-                        .finish_ingest_level(level)
-                        .map_err(|e| format!("{name}: {e}"))?],
-                };
+    // Each file streams into the engine's recycled ingest arenas and is
+    // checked before the next is read; the reported per-history time
+    // covers its load + check.
+    let mut phases_before = setup.phases();
+    let mut started = std::time::Instant::now();
+    for p in &flags.positional {
+        let mut src = make_source(p, format)?;
+        engine
+            .check_source(src.as_mut(), level, |name, history, outcomes| {
                 let ms = if stable {
                     0.0
                 } else {
                     started.elapsed().as_secs_f64() * 1e3
                 };
                 reports.push(
-                    HistoryReport::new(&name, engine.ingested(), &outcomes, ms)
+                    HistoryReport::new(&name, history, &outcomes, ms)
                         .with_timings(setup.timings_since(&phases_before)),
                 );
-            }
-        }
-    } else {
-        let sourced = gather_histories(&flags, cfg.threads)?;
-        if isolation == "all" {
-            // One shared index + Read Consistency pass across all three
-            // levels.
-            for s in &sourced {
-                let phases_before = setup.phases();
-                let started = std::time::Instant::now();
-                let outcomes = engine.check_all_levels(&s.history);
-                let ms = if stable {
-                    0.0
-                } else {
-                    started.elapsed().as_secs_f64() * 1e3
-                };
-                reports.push(
-                    HistoryReport::new(&s.name, &s.history, &outcomes, ms)
-                        .with_timings(setup.timings_since(&phases_before)),
-                );
-            }
-        } else {
-            // Batched through the engine's pool; per-history time is the
-            // amortized share of the batch wall-clock.
-            let level: IsolationLevel = isolation.parse().map_err(|e| format!("{e}"))?;
-            let started = std::time::Instant::now();
-            let outcomes = engine.check_many_level(sourced.iter().map(|s| &s.history), level);
-            let ms = if stable {
-                0.0
-            } else {
-                started.elapsed().as_secs_f64() * 1e3 / sourced.len().max(1) as f64
-            };
-            for (s, outcome) in sourced.iter().zip(outcomes) {
-                reports.push(HistoryReport::new(&s.name, &s.history, &[outcome], ms));
-            }
-        }
+                phases_before = setup.phases();
+                started = std::time::Instant::now();
+            })
+            .map_err(|e| e.to_string())?;
     }
 
     let stats = engine.stats();
@@ -561,11 +490,12 @@ fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
     }
     // Show the witness on the shrunk history (through the engine, like
     // every other check the CLI runs).
-    let outcome = Engine::builder()
-        .level(level)
-        .cc_strategy(parse_cc_strategy(&flags)?)
-        .build()
-        .check(&small);
+    let outcome = Engine::with_config(EngineConfig {
+        level,
+        cc_strategy: parse_cc_strategy(&flags)?,
+        ..EngineConfig::default()
+    })
+    .check(&small);
     for v in outcome.violations().iter().take(3) {
         eprintln!("witness: {v}");
     }

@@ -738,6 +738,41 @@ fn check_threads_flag_agrees() {
     let _ = std::fs::remove_file(file);
 }
 
+/// A directory holding one malformed file between two good ones fails
+/// the same way at every thread count: exit 2, and stderr byte for byte.
+#[test]
+fn malformed_file_in_a_directory_fails_identically_at_every_thread_count() {
+    let dir = tmp("malformed-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["a.awdit", "c.awdit"] {
+        awdit()
+            .args(["generate", "--benchmark", "uniform", "--db", "causal"])
+            .args(["--sessions", "3", "--txns", "60", "--seed", "5"])
+            .args(["-o", dir.join(name).to_str().unwrap()])
+            .output()
+            .unwrap();
+    }
+    std::fs::write(dir.join("b.awdit"), "definitely not a history\n").unwrap();
+    let run = |threads: &str| {
+        let out = awdit()
+            .args(["check", "--isolation", "all", "--threads", threads])
+            .arg(dir.to_str().unwrap())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "threads {threads}");
+        assert!(
+            out.stdout.is_empty(),
+            "threads {threads}: no report on error"
+        );
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let stderr = run("1");
+    assert!(stderr.contains("b.awdit"), "unexpected stderr: {stderr}");
+    assert_eq!(stderr, run("2"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn unrecognized_binary_input_exits_2_with_clean_error() {
     let junk = tmp("junk.awdit");

@@ -700,7 +700,10 @@ mod tests {
     fn provenance_labels_every_co_edge() {
         for (name, h) in [("fig1b", fig1b()), ("fig4c", fig4c())] {
             for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                let mut engine = crate::Engine::builder().cc_strategy(strategy).build();
+                let mut engine = crate::Engine::with_config(crate::EngineConfig {
+                    cc_strategy: strategy,
+                    ..crate::EngineConfig::default()
+                });
                 let out = engine.check_level(&h, crate::IsolationLevel::Causal);
                 let mut co = 0;
                 for v in out.violations() {

@@ -4,8 +4,9 @@
 //! The free functions here are **thin wrappers over a default
 //! [`Engine`]** (one fresh engine per call); embedders
 //! checking more than one history should hold an engine instead, which
-//! recycles its scratch arenas across checks and batches fleets through
-//! one thread pool ([`Engine::check_many`](crate::Engine::check_many)).
+//! recycles its scratch arenas across checks and streams whole sources
+//! of histories through them
+//! ([`Engine::check_source`](crate::Engine::check_source)).
 
 use crate::engine::Engine;
 use crate::history::History;

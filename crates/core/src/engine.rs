@@ -11,31 +11,33 @@
 //! * **One config.** [`EngineConfig`] unifies the batch and streaming
 //!   (`awdit_stream::StreamConfig`) knobs — isolation level,
 //!   [`CcStrategy`], worker threads, witness budget, commit-order
-//!   production, pruning — so batch checks, batched fleets, and online
+//!   production, pruning — so batch checks, sourced fleets, and online
 //!   monitors built from the same engine agree on their tuning.
 //! * **Recycled arenas.** The handle owns a [`HistoryIndex`] and a
 //!   [`CommitGraph`] arena; `engine.check(&history)` rebuilds them in
 //!   place ([`HistoryIndex::rebuild`], [`CommitGraph::reset`]), so a
 //!   second check of a same-shape history performs **zero arena growth**
 //!   — observable via [`EngineStats::arena_growths`].
-//! * **Batching.** [`Engine::check_many`] runs independent histories
-//!   through one fork–join pool (one history per worker at a time,
-//!   work-stealing across them, per-worker scratch arenas), returning
-//!   outcomes in input order, bit-identical to per-history
-//!   [`Engine::check`] at every thread count.
+//! * **Batching.** [`Engine::check_source`] is the one batch loop: it
+//!   streams each history of a [`HistorySource`] into the recycled ingest
+//!   arenas (`.awb` files bulk-load) and checks it before reading the
+//!   next, so peak memory is bounded by the largest single history. The
+//!   `threads` knob parallelizes *within* a history — sharded text
+//!   parsing and sharded saturation — never across histories; outcomes
+//!   are bit-identical at every thread count.
 //! * **Pluggable edges.** [`HistorySource`] abstracts where histories
 //!   come from (files, directories, NDJSON streams in `awdit-formats`;
 //!   simulator fleets in `awdit-simdb`); `awdit_stream::EngineExt::watch`
 //!   builds an online checker from the same engine config.
 //!
 //! ```
-//! use awdit_core::{Engine, HistoryBuilder, IsolationLevel};
+//! use awdit_core::{Engine, EngineConfig, HistoryBuilder, IsolationLevel};
 //!
 //! # fn main() -> Result<(), awdit_core::BuildError> {
-//! let mut engine = Engine::builder()
-//!     .level(IsolationLevel::Causal)
-//!     .threads(1)
-//!     .build();
+//! let mut engine = Engine::with_config(EngineConfig {
+//!     level: IsolationLevel::Causal,
+//!     ..EngineConfig::default()
+//! });
 //! let mut b = HistoryBuilder::new();
 //! let s = b.session();
 //! b.begin(s);
@@ -68,12 +70,12 @@ use crate::witness::{ReadConsistencyViolation, Violation, WitnessCycle};
 use awdit_obs::Obs;
 
 /// The unified tuning knobs shared by every engine entry point — batch
-/// checks, batched fleets ([`Engine::check_many`]), and online monitors
+/// checks, sourced fleets ([`Engine::check_source`]), and online monitors
 /// (`awdit_stream::EngineExt::watch`).
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct EngineConfig {
     /// The isolation level checked by [`Engine::check`] and
-    /// [`Engine::check_many`] (explicit-level entry points ignore it).
+    /// [`Engine::finish_ingest`] (explicit-level entry points ignore it).
     pub level: IsolationLevel,
     /// Which CC implementation variant to use (ignored for RC/RA).
     pub cc_strategy: CcStrategy,
@@ -83,12 +85,13 @@ pub struct EngineConfig {
     /// Maximum number of commit-order/causality cycles extracted per
     /// check (and, for online monitors, reported per stream).
     pub max_cycles: usize,
-    /// Worker threads (`1` = sequential, `0` = all cores). Shared by the
-    /// sharded saturators, the [`check_many`](Engine::check_many)
-    /// fork–join pool, and (via [`HistorySource::set_threads`]) sharded
-    /// source parsing; outcomes are bit-identical for every value. At `1`
-    /// the engine spawns no thread. Online monitors ignore it: the stream
-    /// checker is sequential.
+    /// Worker threads (`1` = sequential, `0` = all cores) for the work
+    /// inside one history: the sharded saturators and (via
+    /// [`HistorySource::set_threads`]) sharded text parsing. Histories of
+    /// a source are checked one after another at every value; outcomes
+    /// are bit-identical for every value. At `1` the engine spawns no
+    /// thread. Online monitors ignore it: the stream checker is
+    /// sequential.
     pub threads: usize,
     /// Online monitors only: whether watermark pruning runs (off = exact
     /// batch agreement, memory grows with the stream).
@@ -112,97 +115,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Builds an [`Engine`] fluently.
-///
-/// ```
-/// use awdit_core::{CcStrategy, EngineBuilder, IsolationLevel};
-///
-/// let engine = EngineBuilder::new()
-///     .level(IsolationLevel::ReadAtomic)
-///     .cc_strategy(CcStrategy::PointerScan)
-///     .threads(0) // all cores
-///     .build();
-/// assert_eq!(engine.config().level, IsolationLevel::ReadAtomic);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct EngineBuilder {
-    cfg: EngineConfig,
-    obs: Obs,
-}
-
-impl EngineBuilder {
-    /// A builder starting from the default [`EngineConfig`].
-    pub fn new() -> Self {
-        EngineBuilder::default()
-    }
-
-    /// A builder starting from an explicit config.
-    pub fn from_config(cfg: EngineConfig) -> Self {
-        EngineBuilder {
-            cfg,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Attaches an observability handle: phase spans, engine metrics, and
-    /// arena-growth events flow into it from every check this engine
-    /// runs. Defaults to [`Obs::disabled`] (a single branch per phase).
-    pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Sets the isolation level checked by the default entry points.
-    pub fn level(mut self, level: IsolationLevel) -> Self {
-        self.cfg.level = level;
-        self
-    }
-
-    /// Sets the CC lookup strategy (ignored for RC/RA).
-    pub fn cc_strategy(mut self, strategy: CcStrategy) -> Self {
-        self.cfg.cc_strategy = strategy;
-        self
-    }
-
-    /// Whether consistent checks also produce a witnessing commit order.
-    pub fn want_commit_order(mut self, want: bool) -> Self {
-        self.cfg.want_commit_order = want;
-        self
-    }
-
-    /// Caps the number of witness cycles extracted per check.
-    pub fn max_cycles(mut self, max: usize) -> Self {
-        self.cfg.max_cycles = max;
-        self
-    }
-
-    /// Sets the worker-thread count (`1` = sequential, `0` = all cores).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Online monitors only: toggles watermark pruning.
-    pub fn prune(mut self, prune: bool) -> Self {
-        self.cfg.prune = prune;
-        self
-    }
-
-    /// Online monitors only: processed transactions between pruning
-    /// sweeps.
-    pub fn prune_interval(mut self, interval: u64) -> Self {
-        self.cfg.prune_interval = interval;
-        self
-    }
-
-    /// Finishes into an [`Engine`].
-    pub fn build(self) -> Engine {
-        let mut engine = Engine::with_config(self.cfg);
-        engine.obs = self.obs;
-        engine
-    }
-}
-
 /// Counters describing how an [`Engine`] handle has been used — in
 /// particular whether its scratch arenas are actually being recycled.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -218,8 +130,9 @@ pub struct EngineStats {
     /// table, and the streaming-ingest builder/history arenas. The first
     /// check always grows from empty; a subsequent check of a same-shape
     /// history must not — the regression guard for the
-    /// allocation-recycling path. Checks run on
-    /// [`check_many`](Engine::check_many) worker arenas are not tracked.
+    /// allocation-recycling path. Every check runs on these arenas, so a
+    /// second [`check_source`](Engine::check_source) pass over a
+    /// same-shape source grows nothing at any thread count.
     pub arena_growths: u64,
     /// Current heap footprint of the handle's arenas (index + graph +
     /// clock table + ingest), in bytes (capacities, not lengths).
@@ -229,30 +142,6 @@ pub struct EngineStats {
     /// parallelism when the engine is built, so this is always concrete
     /// (≥ 1) — what `/healthz` and capacity dashboards report.
     pub threads: usize,
-}
-
-/// The per-check scratch arenas: a [`HistoryIndex`], a [`CommitGraph`],
-/// and the CC happens-before [`ClockTable`], all rebuilt in place check
-/// after check.
-#[derive(Debug)]
-struct Scratch {
-    index: HistoryIndex,
-    graph: CommitGraph,
-    clocks: ClockTable,
-}
-
-impl Scratch {
-    fn new() -> Self {
-        Scratch {
-            index: HistoryIndex::empty(),
-            graph: CommitGraph::new(0),
-            clocks: ClockTable::new(),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes() + self.graph.heap_bytes() + self.clocks.heap_bytes()
-    }
 }
 
 /// A reusable, configured checker handle. See the [module docs](self).
@@ -269,7 +158,12 @@ impl Scratch {
 #[derive(Debug)]
 pub struct Engine {
     cfg: EngineConfig,
-    scratch: Scratch,
+    /// The per-check scratch arenas, rebuilt in place check after check:
+    /// the history index, the commit graph, and the CC happens-before
+    /// clock table.
+    index: HistoryIndex,
+    graph: CommitGraph,
+    clocks: ClockTable,
     /// Streaming ingest sink, recycled across histories.
     ingest: HistoryBuilder,
     /// The history arena `ingest` finishes into, recycled likewise.
@@ -313,7 +207,9 @@ impl Engine {
         cfg.threads = parallel::effective_threads(cfg.threads);
         Engine {
             cfg,
-            scratch: Scratch::new(),
+            index: HistoryIndex::empty(),
+            graph: CommitGraph::new(0),
+            clocks: ClockTable::new(),
             ingest: HistoryBuilder::new(),
             ingested: History::default(),
             direct_loaded: false,
@@ -328,11 +224,6 @@ impl Engine {
     /// count wakes, steals and parks).
     pub fn pool(&self) -> &Arc<parallel::Pool> {
         &self.pool
-    }
-
-    /// Starts a fluent [`EngineBuilder`].
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
     }
 
     /// The engine's configuration.
@@ -355,10 +246,12 @@ impl Engine {
         &self.obs
     }
 
-    /// Attaches an observability handle after construction (see
-    /// [`EngineBuilder::obs`]). Metric counters record only activity from
-    /// this point on; attach before the first check if they should
-    /// reconcile with [`stats`](Self::stats) exactly.
+    /// Attaches an observability handle: phase spans, engine metrics, and
+    /// arena-growth events flow into it from every check this engine runs
+    /// (the default, [`Obs::disabled`], costs one branch per phase).
+    /// Metric counters record only activity from this point on; attach
+    /// before the first check if they should reconcile with
+    /// [`stats`](Self::stats) exactly.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -371,17 +264,24 @@ impl Engine {
 
     /// [`check`](Self::check) at an explicit isolation level.
     pub fn check_level(&mut self, history: &History, level: IsolationLevel) -> Outcome {
-        let obs = self.obs.clone();
-        let _ctx = awdit_obs::set_current(&obs);
-        let pool = Arc::clone(&self.pool);
-        let out = check_in_scratch(&pool, &self.cfg, &mut self.scratch, history, level);
-        self.account(1, 1);
+        let [out] = self.check_levels(history, [level]);
         out
     }
 
     /// Checks one history against all three levels, weakest first,
     /// building the index — and checking Read Consistency — once.
     pub fn check_all_levels(&mut self, history: &History) -> [Outcome; 3] {
+        self.check_levels(history, IsolationLevel::ALL)
+    }
+
+    /// One full check — Read Consistency, index rebuild, then per-level
+    /// saturation — on the handle's recycled arenas: the shared body of
+    /// every check entry point.
+    fn check_levels<const N: usize>(
+        &mut self,
+        history: &History,
+        levels: [IsolationLevel; N],
+    ) -> [Outcome; N] {
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
         let _check = obs.span("check");
@@ -389,156 +289,92 @@ impl Engine {
             let _s = obs.span("read_consistency");
             check_read_consistency(history)
         };
-        let Scratch {
-            index,
-            graph,
-            clocks,
-        } = &mut self.scratch;
         {
             let _s = obs.span("index_rebuild");
-            index.rebuild(history);
+            self.index.rebuild(history);
         }
-        let cfg = self.cfg;
-        let pool = Arc::clone(&self.pool);
-        let out = IsolationLevel::ALL.map(|level| {
-            check_prepared_into(&pool, &cfg, index, &read_consistency, level, graph, clocks)
+        let out = levels.map(|level| {
+            check_prepared_into(
+                &self.pool,
+                &self.cfg,
+                &self.index,
+                &read_consistency,
+                level,
+                &mut self.graph,
+                &mut self.clocks,
+            )
         });
-        self.account(1, 3);
+        self.account(1, N as u64);
         out
     }
 
-    /// Checks many independent histories against the configured level
-    /// through one fork–join pool.
+    /// Drains a [`HistorySource`], checking every history it yields in
+    /// source order and handing each one to `each` as
+    /// `(name, history, outcomes)` — the one batch drive loop.
     ///
-    /// Histories are handed out to workers dynamically (work-stealing),
-    /// one whole history per worker at a time; each worker owns its own
-    /// scratch arenas, recycled across every history it steals. Outcomes
-    /// come back **in input order** and are bit-identical to running
-    /// [`check_level`](Self::check_level) on each history separately — at
-    /// every thread count, including the sequential `threads <= 1` path
-    /// (which reuses the handle's own arenas).
-    pub fn check_many<'a, I>(&mut self, histories: I) -> Vec<Outcome>
-    where
-        I: IntoIterator<Item = &'a History>,
-    {
-        self.check_many_level(histories, self.cfg.level)
-    }
-
-    /// [`check_many`](Self::check_many) at an explicit isolation level.
-    pub fn check_many_level<'a, I>(&mut self, histories: I, level: IsolationLevel) -> Vec<Outcome>
-    where
-        I: IntoIterator<Item = &'a History>,
-    {
-        let items: Vec<&History> = histories.into_iter().collect();
-        let threads = parallel::effective_threads(self.cfg.threads);
-        if threads <= 1 || items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|h| self.check_level(h, level))
-                .collect();
-        }
-        // One fork–join per history: saturation inside a history runs
-        // sequentially (outcomes are thread-count-invariant, so this is
-        // bit-identical to the handle's own sequential loop), while the
-        // pool work-steals across histories.
-        let cfg = EngineConfig {
-            threads: 1,
-            ..self.cfg
-        };
-        // Install this engine's obs as the thread-current context: the
-        // pool captures it and re-installs it inside each worker, so the
-        // per-history spans below land on the right handle.
-        let obs = self.obs.clone();
-        let _ctx = awdit_obs::set_current(&obs);
-        let _batch = obs.span("check_many");
-        let pool = Arc::clone(&self.pool);
-        let outcomes = parallel::map_shards_with(
-            &pool,
-            threads,
-            "check_many",
-            &items,
-            Scratch::new,
-            |scratch, _, h| check_in_scratch(&pool, &cfg, scratch, h, level),
-        );
-        self.stats.histories += outcomes.len() as u64;
-        self.stats.checks += outcomes.len() as u64;
-        if let Some(metrics) = obs.metrics() {
-            metrics
-                .counter("awdit_engine_histories_total")
-                .add(outcomes.len() as u64);
-            metrics
-                .counter("awdit_engine_checks_total")
-                .add(outcomes.len() as u64);
-        }
-        outcomes
-    }
-
-    /// Drains a [`HistorySource`] and checks every history it yields,
-    /// pairing each outcome with the source-provided name, in source
-    /// order.
+    /// `level` picks what to check: `Some(level)` yields one outcome,
+    /// `None` all three levels (weakest first) over one shared index and
+    /// Read Consistency pass. Each history's events are pushed straight
+    /// into the engine's recycled ingest arenas via
+    /// [`HistorySource::next_into`] (`.awb` files bulk-load through
+    /// [`HistorySink::load_resolved`]) and checked before the next
+    /// history is read, so nothing is materialized outside the engine and
+    /// peak memory is bounded by the largest single history. The history
+    /// passed to `each` is the engine's ingest arena, valid for the call.
     ///
-    /// With `threads <= 1` this is the **streaming path**, on the calling
-    /// thread alone: each history's events are pushed straight into the
-    /// engine's recycled ingest arenas via [`HistorySource::next_into`]
-    /// and checked by [`finish_ingest`](Self::finish_ingest) before the
-    /// next history is read — no intermediate materialization, peak
-    /// memory bounded by the largest single history's columnar form.
-    /// With more threads, histories are collected first and run through
-    /// the [`check_many`](Self::check_many) pool (and the source is told
-    /// via [`HistorySource::set_threads`] so file sources parse sharded).
+    /// The source is told the engine's thread count via
+    /// [`HistorySource::set_threads`], so file sources parse text in
+    /// sharded form; saturation shards through the engine's pool. Either
+    /// way the threads work inside one history at a time, and outcomes are
+    /// bit-identical at every thread count.
     ///
     /// # Errors
     ///
     /// Fails fast on the first source error (unreadable file, parse
-    /// error, generator failure). On the streaming path, histories
-    /// yielded *before* the error have already been checked (and are
-    /// reflected in [`stats`](Self::stats)) but their outcomes are
-    /// discarded; the parallel path checks nothing.
-    pub fn check_source<S: HistorySource + ?Sized>(
+    /// error, generator failure). Histories yielded *before* the error
+    /// have already been checked and handed to `each`.
+    pub fn check_source<S, F>(
         &mut self,
         source: &mut S,
-    ) -> Result<Vec<(String, Outcome)>, SourceError> {
+        level: Option<IsolationLevel>,
+        mut each: F,
+    ) -> Result<(), SourceError>
+    where
+        S: HistorySource + ?Sized,
+        F: FnMut(String, &History, Vec<Outcome>),
+    {
         // Parsers and sharded sources report ingest metrics through the
         // thread-current handle.
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
-        let threads = parallel::effective_threads(self.cfg.threads);
-        source.set_threads(threads);
-        if threads > 1 {
-            // Sources with a parallel drain (the file sources) parse
-            // their inputs through the pool; everything else collects
-            // sequentially (each history still parsing sharded via the
-            // `set_threads` hint above).
-            let sourced = match source.collect_parallel(threads) {
-                Some(result) => result?,
-                None => collect_source(source)?,
-            };
-            let outcomes = self.check_many(sourced.iter().map(|s| &s.history));
-            return Ok(sourced.into_iter().map(|s| s.name).zip(outcomes).collect());
-        }
-        let mut out = Vec::new();
+        source.set_threads(self.cfg.threads);
         loop {
             let next = {
-                let _s = self.obs.span("ingest");
-                source.next_into(&mut self.ingest)
+                let _s = obs.span("ingest");
+                source.next_into(self)
             };
-            match next {
-                None => return Ok(out),
+            let name = match next {
+                None => return Ok(()),
+                Some(Ok(name)) => name,
                 Some(Err(e)) => {
                     // The sink may hold a partial history: discard it.
                     self.ingest.reset();
                     self.direct_loaded = false;
                     return Err(e);
                 }
-                Some(Ok(name)) => match self.finish_ingest() {
-                    Ok(outcome) => out.push((name, outcome)),
-                    Err(e) => {
-                        return Err(SourceError {
-                            origin: name,
-                            message: e.to_string(),
-                        })
-                    }
-                },
+            };
+            let outcomes = match level {
+                Some(level) => self.finish_ingest_level(level).map(|o| vec![o]),
+                None => self.finish_ingest_all_levels().map(Vec::from),
+            };
+            match outcomes {
+                Ok(outcomes) => each(name, &self.ingested, outcomes),
+                Err(e) => {
+                    return Err(SourceError {
+                        origin: name,
+                        message: e.to_string(),
+                    })
+                }
             }
         }
     }
@@ -621,23 +457,14 @@ impl Engine {
         &self.ingested
     }
 
-    /// Streams `history` into the engine's ingest arenas and checks it at
-    /// the configured level — [`check`](Self::check) without borrowing
-    /// the caller's history during the check, and the strongest recycling
-    /// form for callers that already hold a `History`.
-    pub fn check_replayed(&mut self, history: &History) -> Outcome {
-        // Discard any partially-pushed events a caller left in the sink,
-        // so the replay checks exactly `history`.
-        self.ingest.reset();
-        replay_history(history, &mut self.ingest);
-        self.finish_ingest()
-            .expect("replaying a finished history cannot fail")
-    }
-
     fn account(&mut self, histories: u64, checks: u64) {
         self.stats.histories += histories;
         self.stats.checks += checks;
-        let bytes = self.scratch.heap_bytes() + self.ingest.heap_bytes() + self.ingested_bytes;
+        let bytes = self.index.heap_bytes()
+            + self.graph.heap_bytes()
+            + self.clocks.heap_bytes()
+            + self.ingest.heap_bytes()
+            + self.ingested_bytes;
         let grew = bytes > self.stats.arena_bytes;
         if grew {
             self.stats.arena_growths += 1;
@@ -694,36 +521,6 @@ impl HistorySink for Engine {
     }
 }
 
-/// One full check — Read Consistency, index rebuild, per-level
-/// saturation — against an explicit scratch-arena set, with phase spans
-/// flowing to the **thread-current** obs handle: the shared body of
-/// [`Engine::check_level`] and the [`check_many`](Engine::check_many)
-/// workers.
-fn check_in_scratch(
-    pool: &parallel::Pool,
-    cfg: &EngineConfig,
-    scratch: &mut Scratch,
-    history: &History,
-    level: IsolationLevel,
-) -> Outcome {
-    let obs = awdit_obs::current();
-    let _check = obs.span("check");
-    let read_consistency = {
-        let _s = obs.span("read_consistency");
-        check_read_consistency(history)
-    };
-    let Scratch {
-        index,
-        graph,
-        clocks,
-    } = scratch;
-    {
-        let _s = obs.span("index_rebuild");
-        index.rebuild(history);
-    }
-    check_prepared_into(pool, cfg, index, &read_consistency, level, graph, clocks)
-}
-
 /// The per-level check over a pre-built index and pre-computed Read
 /// Consistency violations, saturating into the caller's graph arena —
 /// the single code path behind every engine entry point.
@@ -737,8 +534,6 @@ fn check_prepared_into(
     graph: &mut CommitGraph,
     clocks: &mut ClockTable,
 ) -> Outcome {
-    // Runs on engine threads *and* pool workers, so the handle comes from
-    // the thread-current context rather than a parameter.
     let obs = awdit_obs::current();
     let mut violations: Vec<Violation> = read_consistency
         .iter()
@@ -933,31 +728,11 @@ pub trait HistorySource {
         }
     }
 
-    /// Hints how many parser threads the source may use per history
-    /// (`Engine::check_source` passes its resolved thread count). Sources
-    /// that can parse sharded (the file sources in `awdit-formats`)
-    /// honor it; the default ignores it.
+    /// Hints how many parser threads the source may use within one
+    /// history ([`Engine::check_source`] passes its resolved thread
+    /// count). Sources that can parse sharded (the file sources in
+    /// `awdit-formats`) honor it; the default ignores it.
     fn set_threads(&mut self, _threads: usize) {}
-
-    /// Drains every remaining history at once, parsing inputs **in
-    /// parallel** where the source supports it. `None` (the default)
-    /// means the source has no parallel drain — callers fall back to the
-    /// sequential [`collect_source`].
-    ///
-    /// Implementations must match the sequential drain exactly: histories
-    /// in input order, bit-identical contents at every thread count, and
-    /// on failure the error the sequential drain would have hit *first*
-    /// (even if a later input also failed, or failed sooner in wall
-    /// time). The file sources in `awdit-formats` implement this by
-    /// splitting the thread budget between file-level work-stealing and
-    /// intra-file sharded parsing, so a fleet of a few huge files and a
-    /// pile of small ones both saturate the pool.
-    fn collect_parallel(
-        &mut self,
-        _threads: usize,
-    ) -> Option<Result<Vec<SourcedHistory>, SourceError>> {
-        None
-    }
 }
 
 /// Every iterator of `Result<SourcedHistory, SourceError>` is a source —
@@ -1008,27 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_every_knob() {
-        let e = Engine::builder()
-            .level(IsolationLevel::ReadCommitted)
-            .cc_strategy(CcStrategy::PointerScan)
-            .want_commit_order(true)
-            .max_cycles(3)
-            .threads(2)
-            .prune(false)
-            .prune_interval(17)
-            .build();
-        let cfg = e.config();
-        assert_eq!(cfg.level, IsolationLevel::ReadCommitted);
-        assert_eq!(cfg.cc_strategy, CcStrategy::PointerScan);
-        assert!(cfg.want_commit_order);
-        assert_eq!(cfg.max_cycles, 3);
-        assert_eq!(cfg.threads, 2);
-        assert!(!cfg.prune);
-        assert_eq!(cfg.prune_interval, 17);
-    }
-
-    #[test]
     fn repeated_checks_recycle_arenas() {
         let h = two_session_history(32);
         let mut e = Engine::new();
@@ -1057,20 +811,6 @@ mod tests {
             assert_eq!(a.violations(), b.violations());
             assert_eq!(a.stats(), b.stats());
         }
-    }
-
-    #[test]
-    fn check_many_preserves_input_order() {
-        let hs: Vec<History> = (1..5).map(two_session_history).collect();
-        let mut e = Engine::builder().threads(4).build();
-        let outs = e.check_many(hs.iter());
-        assert_eq!(outs.len(), hs.len());
-        for (h, o) in hs.iter().zip(&outs) {
-            assert_eq!(o.verdict(), Verdict::Consistent);
-            // Each input history has 2k committed txns: order is preserved.
-            assert_eq!(o.stats().committed_txns, h.num_txns());
-        }
-        assert_eq!(e.stats().histories, 4);
     }
 
     #[test]
@@ -1107,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn iterator_sources_and_collect() {
+    fn iterator_sources_check_in_source_order() {
         let hs: Vec<History> = (1..4).map(two_session_history).collect();
         let mut src = hs.iter().enumerate().map(|(i, h)| {
             Ok(SourcedHistory {
@@ -1116,10 +856,33 @@ mod tests {
             })
         });
         let mut e = Engine::new();
-        let named = e.check_source(&mut src).unwrap();
-        assert_eq!(named.len(), 3);
-        assert_eq!(named[0].0, "h0");
-        assert!(named.iter().all(|(_, o)| o.is_consistent()));
+        let mut seen = Vec::new();
+        e.check_source(&mut src, Some(IsolationLevel::Causal), |name, h, outs| {
+            assert_eq!(outs.len(), 1);
+            assert_eq!(outs[0].verdict(), Verdict::Consistent);
+            seen.push((name, h.num_txns()));
+        })
+        .unwrap();
+        let expected: Vec<(String, usize)> = hs
+            .iter()
+            .enumerate()
+            .map(|(i, h)| (format!("h{i}"), h.num_txns()))
+            .collect();
+        assert_eq!(seen, expected);
+        // `None` checks all three levels over one index.
+        let mut src = hs.iter().map(|h| {
+            Ok(SourcedHistory {
+                name: String::new(),
+                history: h.clone(),
+            })
+        });
+        e.check_source(&mut src, None, |_, _, outs| {
+            assert_eq!(outs.len(), 3);
+            assert!(outs.iter().all(Outcome::is_consistent));
+        })
+        .unwrap();
+        assert_eq!(e.stats().histories, 6);
+        assert_eq!(e.stats().checks, 3 + 9);
     }
 
     #[test]
@@ -1129,7 +892,9 @@ mod tests {
             message: "nope".to_string(),
         }));
         let mut e = Engine::new();
-        let err = e.check_source(&mut src).unwrap_err();
+        let err = e
+            .check_source(&mut src, None, |_, _, _| panic!("nothing to check"))
+            .unwrap_err();
         assert_eq!(err.origin, "bad.awdit");
         assert_eq!(e.stats().histories, 0);
     }

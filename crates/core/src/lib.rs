@@ -100,8 +100,7 @@ pub use cc::{
 pub use checker::{check, check_all_levels, CheckStats, Outcome, Verdict};
 pub use csr::{Csr, CsrBuilder, ReadCols};
 pub use engine::{
-    collect_source, Engine, EngineBuilder, EngineConfig, EngineStats, HistorySource, SourceError,
-    SourcedHistory,
+    collect_source, Engine, EngineConfig, EngineStats, HistorySource, SourceError, SourcedHistory,
 };
 pub use graph::{base_commit_graph, CommitGraph, Cycle, Edge, EdgeKind};
 pub use history::{

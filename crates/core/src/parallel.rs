@@ -73,9 +73,9 @@ pub fn effective_threads(requested: usize) -> usize {
 /// dispatching caller; the worker itself survives and goes back to
 /// parking, so one poisoned job can't wedge the pool.
 ///
-/// Dispatches may nest (a `fleet_parse` participant forking intra-file
-/// shard parses): the inner caller always participates itself, so
-/// progress never depends on a free worker existing.
+/// Dispatches may nest (a participant may fork a dispatch of its own):
+/// the inner caller always participates itself, so progress never
+/// depends on a free worker existing.
 #[derive(Debug)]
 pub struct Pool {
     /// `None` when the width is 1 — the pool is a pure pass-through and
@@ -513,45 +513,15 @@ where
     R: Send,
     F: Fn(usize, &S) -> R + Sync,
 {
-    map_shards_with(pool, threads, stage, shards, || (), |(), i, s| f(i, s))
-}
-
-/// [`map_shards`] with **participant-local state**: each participant
-/// builds one `T` via `init` and reuses it across every shard it claims,
-/// so per-shard scratch (kernels, edge buffers, whole checker arenas in
-/// [`Engine::check_many`](crate::Engine::check_many)) is allocated once
-/// per participant instead of once per shard. Results are still returned
-/// in shard order; the sequential path uses a single `T` for all shards,
-/// matching what one participant would do.
-pub fn map_shards_with<S, T, R, Init, F>(
-    pool: &Pool,
-    threads: usize,
-    stage: &'static str,
-    shards: &[S],
-    init: Init,
-    f: F,
-) -> Vec<R>
-where
-    S: Sync,
-    R: Send,
-    Init: Fn() -> T + Sync,
-    F: Fn(&mut T, usize, &S) -> R + Sync,
-{
     let workers = threads.min(pool.width()).min(shards.len());
     if workers <= 1 {
-        let mut state = init();
-        return shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| f(&mut state, i, s))
-            .collect();
+        return shards.iter().enumerate().map(|(i, s)| f(i, s)).collect();
     }
     debug_assert!(shards.len() <= u32::MAX as usize, "shard count fits u32");
     // The dispatch is instrumented through the *dispatcher's* obs
     // context: workers re-install it before running (nested instrumented
-    // code — whole checks under `Engine::check_many` — then finds it via
-    // `awdit_obs::current()`). Per-shard busy timing only runs when the
-    // handle is enabled.
+    // code then finds it via `awdit_obs::current()`). Per-shard busy
+    // timing only runs when the handle is enabled.
     let obs = awdit_obs::current();
     let timed = obs.enabled();
     let pool_start = timed.then(std::time::Instant::now);
@@ -570,12 +540,11 @@ where
     let busy_ns = AtomicU64::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(shards.len()));
     pool.scope(workers, |p| {
-        let mut state = init();
         let mut local: Vec<(usize, R)> = Vec::new();
         let mut busy = 0u64;
         while let Some(i) = claim_shard(&slots, p, &stolen) {
             let t = timed.then(std::time::Instant::now);
-            local.push((i, f(&mut state, i, &shards[i])));
+            local.push((i, f(i, &shards[i])));
             if let Some(t) = t {
                 busy += t.elapsed().as_nanos() as u64;
             }

@@ -291,7 +291,10 @@ mod tests {
         assert!(reader_a < reader_b && pos(reader_b) < pos(reader_a));
 
         for (strategy, key) in [(CcStrategy::BinarySearch, y), (CcStrategy::PointerScan, x)] {
-            let mut engine = crate::Engine::builder().cc_strategy(strategy).build();
+            let mut engine = crate::Engine::with_config(crate::EngineConfig {
+                cc_strategy: strategy,
+                ..crate::EngineConfig::default()
+            });
             let out = engine.check_level(&h, IsolationLevel::Causal);
             let labels: Vec<EdgeKind> = out
                 .violations()

@@ -1,11 +1,13 @@
 //! [`HistorySource`] implementations over the file formats: explicit file
 //! lists, whole directories, and streaming NDJSON event logs.
 //!
-//! These are the "input edge" of the engine API
-//! ([`Engine::check_source`](awdit_core::Engine::check_source)): the CLI's
-//! multi-file `awdit check` mode is a [`FilesSource`]/[`DirSource`], and a
-//! recorded `awdit watch` event log checks batch-style through the same
-//! entry point (each NDJSON file replays into one [`History`]).
+//! These are the "input edge" of the engine's one batch loop
+//! ([`Engine::check_source`](awdit_core::Engine::check_source)): every
+//! `awdit check` argument becomes a [`FilesSource`] or [`DirSource`] whose
+//! files stream, one at a time, into the engine's recycled ingest arenas
+//! (`.awb` files bulk-load, text files parse in shards above one thread),
+//! and a recorded `awdit watch` event log checks batch-style through the
+//! same entry point (each NDJSON file replays into one [`History`]).
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -68,13 +70,14 @@ pub fn history_of_events(events: &[Event]) -> Result<History, String> {
 /// unless a [`Format`] is pinned: binary `.awb` files bulk-load (mmap
 /// where available), NDJSON event logs replay, and text histories either
 /// stream line by line (`threads <= 1`, no full-file buffer anywhere) or
-/// parse in parallel shards through the recycled `buf`.
+/// parse in parallel shards through a whole-file buffer that is freed
+/// before this returns, so it is never resident while the history is
+/// checked.
 fn read_path_into(
     pool: &Pool,
     path: &Path,
     format: Option<Format>,
     threads: usize,
-    buf: &mut Vec<u8>,
     sink: &mut (impl HistorySink + ?Sized),
 ) -> Result<(), String> {
     use std::io::{Read, Seek, SeekFrom};
@@ -117,10 +120,10 @@ fn read_path_into(
             std::fs::metadata(path).map_or(0, |m| m.len())
         }
         Detected::History(f) if threads > 1 => {
-            buf.clear();
-            file.read_to_end(buf)
+            let mut buf = Vec::new();
+            file.read_to_end(&mut buf)
                 .map_err(|e| format!("cannot read: {e}"))?;
-            read_sharded_pool(pool, buf, f, threads, sink).map_err(|e| e.to_string())?;
+            read_sharded_pool(pool, &buf, f, threads, sink).map_err(|e| e.to_string())?;
             buf.len() as u64
         }
         Detected::History(f) => {
@@ -139,8 +142,7 @@ fn read_path_into(
 /// list order. Each file's kind — text format, binary `.awb`, NDJSON
 /// event log — is auto-detected via [`detect`](crate::detect) unless
 /// pinned with [`with_format`](Self::with_format). With
-/// [`with_threads`](Self::with_threads) (or
-/// [`HistorySource::set_threads`], as
+/// [`HistorySource::set_threads`] (as
 /// [`Engine::check_source`](awdit_core::Engine::check_source) calls it)
 /// above one, text files parse in parallel shards — bit-identical to the
 /// streaming parse.
@@ -150,14 +152,11 @@ pub struct FilesSource {
     format: Option<Format>,
     pos: usize,
     threads: usize,
-    /// Whole-file buffer for sharded parsing, recycled across files
-    /// (empty and unused while `threads <= 1`).
-    buf: Vec<u8>,
-    /// Lazily-created worker pool shared by the cross-file drain and
-    /// every intra-file shard parse, so a fleet of files costs one set of
-    /// parked threads instead of per-file spawns. Recreated only when the
-    /// thread budget changes width; `None` until the first parallel use
-    /// (a width-1 budget never creates one with workers).
+    /// Lazily-created worker pool shared by every file's shard parse, so
+    /// a fleet of files costs one set of parked threads instead of
+    /// per-file spawns. Recreated only when the thread budget changes
+    /// width; `None` until the first load (a width-1 budget never creates
+    /// one with workers).
     pool: Option<Arc<Pool>>,
 }
 
@@ -173,21 +172,18 @@ impl FilesSource {
             format: None,
             pos: 0,
             threads: 1,
-            buf: Vec::new(),
             pool: None,
         }
     }
 
-    /// The source's worker pool at width `threads`, created on first use
-    /// and kept warm across files (recreated only when the width
+    /// The source's worker pool at width `self.threads`, created on first
+    /// use and kept warm across files (recreated only when the width
     /// changes).
-    fn pool_for(&mut self, threads: usize) -> Arc<Pool> {
+    fn pool(&mut self) -> Arc<Pool> {
         match &self.pool {
-            Some(pool) if pool.width() == awdit_core::parallel::effective_threads(threads) => {
-                Arc::clone(pool)
-            }
+            Some(pool) if pool.width() == self.threads => Arc::clone(pool),
             _ => {
-                let pool = Arc::new(Pool::new(threads));
+                let pool = Arc::new(Pool::new(self.threads));
                 self.pool = Some(Arc::clone(&pool));
                 pool
             }
@@ -197,13 +193,6 @@ impl FilesSource {
     /// Pins every file to one explicit format instead of auto-detecting.
     pub fn with_format(mut self, format: Format) -> Self {
         self.format = Some(format);
-        self
-    }
-
-    /// Parses text files in up to `threads` parallel shards (`1` =
-    /// stream sequentially, `0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = awdit_core::parallel::effective_threads(threads);
         self
     }
 
@@ -219,13 +208,13 @@ impl FilesSource {
         sink: &mut (impl HistorySink + ?Sized),
     ) -> Result<String, SourceError> {
         let origin = path.display().to_string();
-        let pool = self.pool_for(self.threads);
-        read_path_into(&pool, path, self.format, self.threads, &mut self.buf, sink).map_err(
-            |message| SourceError {
+        let pool = self.pool();
+        read_path_into(&pool, path, self.format, self.threads, sink).map_err(|message| {
+            SourceError {
                 origin: origin.clone(),
                 message,
-            },
-        )?;
+            }
+        })?;
         Ok(origin)
     }
 
@@ -262,63 +251,6 @@ impl HistorySource for FilesSource {
 
     fn set_threads(&mut self, threads: usize) {
         self.threads = awdit_core::parallel::effective_threads(threads);
-    }
-
-    /// The cross-file parallel drain: the thread budget is split into
-    /// `W = min(threads, files)` file workers that steal whole files from
-    /// a shared cursor, each parsing its file in `threads / W` shards —
-    /// so a pile of small files parallelizes across files, a fleet of a
-    /// few huge ones still shards within each file, and the two compose
-    /// for everything in between. Histories come back in path order and
-    /// are bit-identical to the sequential drain; on failure the
-    /// first-failing file *in path order* wins, matching
-    /// [`collect_source`](awdit_core::collect_source)'s fail-fast
-    /// semantics.
-    fn collect_parallel(
-        &mut self,
-        threads: usize,
-    ) -> Option<Result<Vec<SourcedHistory>, SourceError>> {
-        let threads = awdit_core::parallel::effective_threads(threads);
-        let paths = &self.paths[self.pos.min(self.paths.len())..];
-        if threads <= 1 || paths.len() <= 1 {
-            // The sequential drain already shards within each file via
-            // `self.threads` — nothing to gain here.
-            return None;
-        }
-        let workers = threads.min(paths.len());
-        let shard_threads = (threads / workers).max(1);
-        let format = self.format;
-        let pool = self.pool_for(threads);
-        let paths = &self.paths[self.pos.min(self.paths.len())..];
-        let results = awdit_core::parallel::map_shards_with(
-            &pool,
-            workers,
-            "fleet_parse",
-            paths,
-            Vec::new,
-            |buf: &mut Vec<u8>, _, path| {
-                let origin = path.display().to_string();
-                let mut b = HistoryBuilder::new();
-                read_path_into(&pool, path, format, shard_threads, buf, &mut b).map_err(
-                    |message| SourceError {
-                        origin: origin.clone(),
-                        message,
-                    },
-                )?;
-                let history = b.finish().map_err(|e| SourceError {
-                    origin: origin.clone(),
-                    message: e.to_string(),
-                })?;
-                Ok(SourcedHistory {
-                    name: origin,
-                    history,
-                })
-            },
-        );
-        self.pos = self.paths.len();
-        // Results are in path order, so the first `Err` here is the one
-        // the sequential drain would have stopped at.
-        Some(results.into_iter().collect())
     }
 }
 
@@ -365,13 +297,6 @@ impl DirSource {
         self
     }
 
-    /// Parses text files in up to `threads` parallel shards (see
-    /// [`FilesSource::with_threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
     /// Number of files found.
     pub fn len(&self) -> usize {
         self.inner.remaining()
@@ -397,13 +322,6 @@ impl HistorySource for DirSource {
 
     fn set_threads(&mut self, threads: usize) {
         self.inner.set_threads(threads);
-    }
-
-    fn collect_parallel(
-        &mut self,
-        threads: usize,
-    ) -> Option<Result<Vec<SourcedHistory>, SourceError>> {
-        self.inner.collect_parallel(threads)
     }
 }
 
@@ -522,58 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_matches_sequential_drain() {
-        let dir = tmpdir("par");
-        let h = committed_sample();
-        for i in 0..7 {
-            std::fs::write(
-                dir.join(format!("h{i}.awdit")),
-                crate::write_history(&h, Format::Native),
-            )
-            .unwrap();
-        }
-        let expected = collect_source(&mut DirSource::new(&dir).unwrap()).unwrap();
-        for threads in [2, 3, 8, 32] {
-            let got = DirSource::new(&dir)
-                .unwrap()
-                .collect_parallel(threads)
-                .expect("multi-file source has a parallel drain")
-                .unwrap();
-            assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g.name, e.name);
-                assert_eq!(g.history, e.history);
-            }
-        }
-        // One file or one thread: no parallel drain (callers fall back).
-        let mut one = FilesSource::new([dir.join("h0.awdit")]);
-        assert!(one.collect_parallel(8).is_none());
-        let mut seq = DirSource::new(&dir).unwrap();
-        assert!(seq.collect_parallel(1).is_none());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn parallel_collect_fails_on_first_bad_file_in_path_order() {
-        let dir = tmpdir("par-err");
-        let h = committed_sample();
-        std::fs::write(
-            dir.join("a.awdit"),
-            crate::write_history(&h, Format::Native),
-        )
-        .unwrap();
-        std::fs::write(dir.join("b.awdit"), "first bad file\n").unwrap();
-        std::fs::write(dir.join("c.awdit"), "second bad file\n").unwrap();
-        let err = DirSource::new(&dir)
-            .unwrap()
-            .collect_parallel(4)
-            .unwrap()
-            .unwrap_err();
-        assert!(err.origin.ends_with("b.awdit"), "{err}");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn engine_checks_a_directory_source() {
         let dir = tmpdir("engine");
         let h = sample();
@@ -586,9 +452,15 @@ mod tests {
         }
         let mut engine = Engine::new();
         let mut src = DirSource::new(&dir).unwrap();
-        let named = engine.check_source(&mut src).unwrap();
-        assert_eq!(named.len(), 3);
-        assert!(named.iter().all(|(_, o)| o.is_consistent()));
+        let mut names = Vec::new();
+        engine
+            .check_source(&mut src, Some(IsolationLevel::Causal), |name, _, outs| {
+                assert!(outs[0].is_consistent(), "{name}");
+                names.push(name);
+            })
+            .unwrap();
+        assert_eq!(names.len(), 3);
+        assert!(names[0].ends_with("h0.awdit"));
         let _ = std::fs::remove_dir_all(dir);
     }
 }

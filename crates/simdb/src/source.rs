@@ -9,7 +9,7 @@
 //! it with [`collect_source`](awdit_core::collect_source)).
 //!
 //! ```
-//! use awdit_core::Engine;
+//! use awdit_core::{Engine, IsolationLevel};
 //! use awdit_simdb::{DbIsolation, OpSpec, SimConfig, SimSource, TxnSpec};
 //! use rand::rngs::SmallRng;
 //!
@@ -22,9 +22,14 @@
 //!     }
 //! });
 //! let mut engine = Engine::new();
-//! let named = engine.check_source(&mut source).unwrap();
-//! assert_eq!(named.len(), 4);
-//! assert!(named.iter().all(|(_, o)| o.is_consistent()));
+//! let mut names = Vec::new();
+//! engine
+//!     .check_source(&mut source, Some(IsolationLevel::Causal), |name, _, outcomes| {
+//!         assert!(outcomes[0].is_consistent());
+//!         names.push(name);
+//!     })
+//!     .unwrap();
+//! assert_eq!(names.len(), 4);
 //! ```
 
 use std::ops::Range;

@@ -1543,16 +1543,17 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awdit_core::Engine;
+    use awdit_core::{Engine, EngineConfig};
 
     #[test]
     fn stream_config_projects_engine_config() {
-        let engine = Engine::builder()
-            .level(IsolationLevel::ReadAtomic)
-            .max_cycles(7)
-            .prune(false)
-            .prune_interval(99)
-            .build();
+        let engine = Engine::with_config(EngineConfig {
+            level: IsolationLevel::ReadAtomic,
+            max_cycles: 7,
+            prune: false,
+            prune_interval: 99,
+            ..EngineConfig::default()
+        });
         let cfg = StreamConfig::from(engine.config());
         assert_eq!(cfg.level, IsolationLevel::ReadAtomic);
         assert_eq!(cfg.max_cycle_reports, 7);
@@ -1562,7 +1563,7 @@ mod tests {
 
     #[test]
     fn engine_watch_checks_online() {
-        let engine = Engine::builder().level(IsolationLevel::Causal).build();
+        let engine = Engine::new();
         let mut c = engine.watch();
         c.begin(0).unwrap();
         c.write(0, 1, 10).unwrap();

@@ -5,7 +5,8 @@
 //!
 //! This is the embedding recipe for CI sweeps and CLOTHO-style test
 //! generation: `HistorySource` in (files here, but any source works),
-//! `check_many` through one pool with recycled arenas, `Report` out.
+//! `check_source` streaming each history into recycled arenas, `Report`
+//! out.
 //!
 //! Run with: `cargo run --example batch_service`
 
@@ -16,6 +17,7 @@ use awdit::{
     collect_source, write_awb, write_history, AnomalyRates, DbIsolation, Engine, Format,
     HistoryReport, IsolationLevel, Report, SimConfig, SimSource,
 };
+use std::time::Instant;
 
 fn main() {
     // 1. A producer fills a directory with histories. Here: an RA-tier
@@ -46,38 +48,31 @@ fn main() {
     println!("produced {} histories in {}", fleet.len(), dir.display());
 
     // 2. The checking service: one engine, one directory source, one
-    //    batched pass. The engine recycles its index/graph arenas across
-    //    histories; `threads(0)` would spread the fleet over all cores.
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .threads(1)
-        .build();
+    //    streaming pass. Each file loads straight into the engine's
+    //    recycled arenas and is checked before the next is read; a
+    //    `threads` knob above 1 would shard each history's parse and
+    //    saturation.
+    let mut engine = Engine::new();
     let mut source = DirSource::new(&dir).expect("read fleet directory");
-    let started = std::time::Instant::now();
-    let named = engine.check_source(&mut source).expect("fleet checks");
-    let ms = started.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+    let mut last = started;
 
-    // 3. The report: one HistoryReport per input, serialized to the
-    //    versioned JSON schema any pipeline can consume.
-    let per_history = ms / named.len() as f64;
-    let reports: Vec<HistoryReport> = named
-        .iter()
-        .map(|(name, outcome)| {
-            // `name` is the file path `<dir>/<producer name>.awdit`: match
-            // the stem exactly (substring matching would pair e.g. `s10`
-            // with `s1` once fleets grow past ten histories).
-            let stem = std::path::Path::new(name)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .expect("fleet file name");
-            let history = &fleet
-                .iter()
-                .find(|s| s.name == stem)
-                .expect("named after source")
-                .history;
-            HistoryReport::new(name, history, std::slice::from_ref(outcome), per_history)
-        })
-        .collect();
+    // 3. The report: one HistoryReport per input, built from the history
+    //    the engine just ingested, serialized to the versioned JSON
+    //    schema any pipeline can consume.
+    let mut reports: Vec<HistoryReport> = Vec::new();
+    engine
+        .check_source(
+            &mut source,
+            Some(IsolationLevel::Causal),
+            |name, history, outcomes| {
+                let ms = last.elapsed().as_secs_f64() * 1e3;
+                reports.push(HistoryReport::new(&name, history, &outcomes, ms));
+                last = Instant::now();
+            },
+        )
+        .expect("fleet checks");
+    let ms = started.elapsed().as_secs_f64() * 1e3;
     let report = Report::new(reports);
 
     let failed = report
@@ -87,9 +82,9 @@ fn main() {
         .count();
     println!(
         "checked {} histories in {:.2} ms through one engine: {} consistent, {} violating",
-        named.len(),
+        report.histories.len(),
         ms,
-        named.len() - failed,
+        report.histories.len() - failed,
         failed
     );
     println!(

@@ -1,13 +1,14 @@
 //! Profile a batched check with the observability layer: attach an
 //! [`Obs`] handle carrying a Chrome `trace_event` recorder to an
-//! [`Engine`], run a simulated fleet through `check_many`, then write
-//! the trace and a Prometheus metrics snapshot to disk and print the
-//! phase-level profile.
+//! [`Engine`], stream a simulated fleet through `check_source`, then
+//! write the trace and a Prometheus metrics snapshot to disk and print
+//! the phase-level profile.
 //!
 //! Open the trace in `chrome://tracing` or <https://ui.perfetto.dev> to
-//! see the per-worker span forest: `check` wrapping `read_consistency`,
-//! `index_rebuild`, `saturate_cc` (with its `cc_*` sub-passes), and
-//! `cycle_extraction`, spread across the pool's `pool_worker` threads.
+//! see the span forest: `ingest`, then `check` wrapping
+//! `read_consistency`, `index_rebuild`, `saturate_cc` (with its `cc_*`
+//! sub-passes), and `cycle_extraction`, with sharded stages spread
+//! across the pool's `pool_worker` threads.
 //!
 //! Run with: `cargo run --release --example trace_check`
 
@@ -16,41 +17,46 @@ use std::sync::Arc;
 use awdit::obs::chrome::ChromeTraceRecorder;
 use awdit::obs::Obs;
 use awdit::workloads::Uniform;
-use awdit::{collect_history, DbIsolation, Engine, History, IsolationLevel, SimConfig};
+use awdit::{DbIsolation, Engine, EngineConfig, IsolationLevel, SimConfig, SimSource};
 
 fn main() {
-    // 1. A fleet of Causal-tier store runs, one history per seed.
-    let fleet: Vec<History> = (0..16u64)
-        .map(|seed| {
-            let config = SimConfig::new(DbIsolation::Causal, 8, seed).with_max_lag(8);
-            let mut w = Uniform::default();
-            collect_history(config, &mut w, 300).expect("history builds")
-        })
-        .collect();
-    let total_txns: usize = fleet.iter().map(|h| h.num_txns()).sum();
-    println!("fleet: {} histories, {} txns", fleet.len(), total_txns);
+    // 1. A fleet of Causal-tier store runs, one history per seed,
+    //    generated as the engine asks for it.
+    let base = SimConfig::new(DbIsolation::Causal, 8, 0).with_max_lag(8);
+    let mut fleet = SimSource::new(base, 300, 0..16, |_seed| Uniform::default());
 
     // 2. One engine, fully instrumented: trace recorder + metrics +
     //    phase table. The pool workers inherit the handle, so the trace
-    //    shows real parallelism.
+    //    shows the sharded stages' parallelism.
     let recorder = Arc::new(ChromeTraceRecorder::new());
     let obs = Obs::builder().recorder_arc(recorder.clone()).build();
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .threads(0) // all cores
-        .obs(obs.clone())
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        threads: 0, // all cores
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs.clone());
 
     let started = std::time::Instant::now();
-    let outcomes = engine.check_many(&fleet);
+    let (mut histories, mut consistent, mut txns) = (0, 0, 0);
+    engine
+        .check_source(
+            &mut fleet,
+            Some(IsolationLevel::Causal),
+            |_, history, outcomes| {
+                histories += 1;
+                txns += history.num_txns();
+                consistent += usize::from(outcomes[0].is_consistent());
+            },
+        )
+        .expect("fleet generates");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let consistent = outcomes.iter().filter(|o| o.is_consistent()).count();
     println!(
-        "checked {} histories in {:.2} ms: {} consistent, {} violating",
-        outcomes.len(),
+        "checked {} histories ({} txns) in {:.2} ms: {} consistent, {} violating",
+        histories,
+        txns,
         wall_ms,
         consistent,
-        outcomes.len() - consistent
+        histories - consistent
     );
 
     // 3. Ship the artifacts.

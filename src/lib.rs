@@ -70,9 +70,9 @@ pub use awdit_workloads as workloads;
 
 pub use awdit_core::{
     check, check_all_levels, collect_source, replay_history, validate_commit_order, BuildError,
-    Engine, EngineBuilder, EngineConfig, EngineStats, History, HistoryBuilder, HistorySink,
-    HistorySource, HistoryStats, IsolationLevel, Outcome, SourceError, SourcedHistory, Verdict,
-    Violation, ViolationKind,
+    Engine, EngineConfig, EngineStats, History, HistoryBuilder, HistorySink, HistorySource,
+    HistoryStats, IsolationLevel, Outcome, SourceError, SourcedHistory, Verdict, Violation,
+    ViolationKind,
 };
 pub use awdit_formats::{
     parse_auto, parse_awb, parse_history, read_auto, read_awb_path_into, read_history,

@@ -14,9 +14,22 @@ use awdit::formats::{
 };
 use awdit::{
     check, parse_history, replay_history, write_history, DirSource, Engine, FilesSource, Format,
-    History, HistoryBuilder, IsolationLevel, Outcome,
+    History, HistoryBuilder, HistorySource, IsolationLevel, Outcome, SourceError,
 };
 use proptest::prelude::*;
+
+/// Checks every history of `source` at Causal through `engine`, pairing
+/// each outcome with its source name.
+fn check_named<S: HistorySource + ?Sized>(
+    engine: &mut Engine,
+    source: &mut S,
+) -> Result<Vec<(String, Outcome)>, SourceError> {
+    let mut named = Vec::new();
+    engine.check_source(source, Some(IsolationLevel::Causal), |name, _, mut outs| {
+        named.push((name, outs.remove(0)));
+    })?;
+    Ok(named)
+}
 
 /// Deterministic committed-only history every text format can represent:
 /// non-empty transactions, reads observe really-written values.
@@ -179,9 +192,7 @@ fn engine_checks_awb_files_identically_to_text() {
     std::fs::write(dir.join("h.awb"), write_awb(&h)).unwrap();
 
     let mut engine = Engine::new();
-    let named = engine
-        .check_source(&mut DirSource::new(&dir).unwrap())
-        .unwrap();
+    let named = check_named(&mut engine, &mut DirSource::new(&dir).unwrap()).unwrap();
     assert_eq!(named.len(), 2);
     let reference = fingerprint(&check(&h, IsolationLevel::Causal));
     for (name, out) in &named {
@@ -199,7 +210,7 @@ fn content_sniff_beats_a_misleading_extension() {
     std::fs::write(&path, write_awb(&h)).unwrap();
     let mut source = FilesSource::new([&path]);
     let mut engine = Engine::new();
-    let named = engine.check_source(&mut source).unwrap();
+    let named = check_named(&mut engine, &mut source).unwrap();
     assert_eq!(named.len(), 1);
     assert_eq!(
         fingerprint(&named[0].1),
@@ -219,9 +230,7 @@ fn unknown_binary_data_is_rejected_cleanly() {
     std::fs::write(&path, &junk).unwrap();
 
     let mut engine = Engine::new();
-    let err = engine
-        .check_source(&mut FilesSource::new([&path]))
-        .unwrap_err();
+    let err = check_named(&mut engine, &mut FilesSource::new([&path])).unwrap_err();
     assert!(
         err.to_string().contains("unrecognized binary data"),
         "unexpected error: {err}"

@@ -1,8 +1,9 @@
 //! Differential suite for the engine API's batch path:
-//! [`Engine::check_many`] must return outcomes **in input order** that
+//! [`Engine::check_source`] must report outcomes **in source order** that
 //! are identical — verdict, violation list, witness cycles, commit
 //! order, stats — to checking each history on a fresh [`Engine`] with
-//! the same config, across all three isolation levels × threads {1, 2, 8}; plus
+//! the same config, across all three isolation levels (one at a time and
+//! all together) × threads {1, 2, 8}; plus
 //! the allocation-reuse regression guard (a second same-shape check
 //! through one engine performs no arena growth, observed via
 //! [`EngineStats::arena_growths`]).
@@ -10,8 +11,8 @@
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::core::cc::CcStrategy;
 use awdit::{
-    check, collect_history, DbIsolation, Engine, EngineConfig, History, IsolationLevel, Outcome,
-    SimConfig,
+    check, collect_history, replay_history, DbIsolation, Engine, EngineConfig, History,
+    HistoryBuilder, IsolationLevel, Outcome, SimConfig, SourceError, SourcedHistory,
 };
 use awdit_workloads::Uniform;
 
@@ -57,64 +58,100 @@ fn mixed_batch() -> Vec<History> {
     batch
 }
 
+/// The batch as an in-memory [`HistorySource`], named by position.
+fn source(batch: &[History]) -> impl Iterator<Item = Result<SourcedHistory, SourceError>> + '_ {
+    batch.iter().enumerate().map(|(i, h)| {
+        Ok(SourcedHistory {
+            name: format!("h{i}"),
+            history: h.clone(),
+        })
+    })
+}
+
+/// Every outcome fingerprint `check_source` reports for `batch`, one
+/// inner list per history, after checking that histories arrive in
+/// source order and are ingested exactly.
+fn check_batch(
+    engine: &mut Engine,
+    batch: &[History],
+    level: Option<IsolationLevel>,
+) -> Vec<Vec<String>> {
+    let mut got = Vec::new();
+    engine
+        .check_source(&mut source(batch), level, |name, h, outs| {
+            let i = got.len();
+            assert_eq!(name, format!("h{i}"), "source order");
+            assert_eq!(h, &canonical(&batch[i]), "history {i} ingested exactly");
+            got.push(outs.iter().map(fingerprint).collect());
+        })
+        .expect("in-memory sources cannot fail");
+    got
+}
+
+/// The history the engine's ingest arena holds after replaying `h`.
+fn canonical(h: &History) -> History {
+    let mut b = HistoryBuilder::new();
+    replay_history(h, &mut b);
+    b.finish().unwrap()
+}
+
 #[test]
-fn check_many_is_identical_to_per_history_checks() {
+fn check_source_is_identical_to_per_history_checks() {
     let batch = mixed_batch();
-    for level in IsolationLevel::ALL {
-        for threads in THREAD_COUNTS {
-            let cfg = EngineConfig {
-                level,
-                want_commit_order: true,
-                threads,
-                ..EngineConfig::default()
-            };
-            let reference: Vec<String> = batch
+    for threads in THREAD_COUNTS {
+        let cfg = EngineConfig {
+            want_commit_order: true,
+            threads,
+            ..EngineConfig::default()
+        };
+        let mut per_level = Vec::new();
+        for level in IsolationLevel::ALL {
+            let reference: Vec<Vec<String>> = batch
                 .iter()
-                .map(|h| fingerprint(&Engine::with_config(cfg).check_level(h, level)))
+                .map(|h| {
+                    vec![fingerprint(
+                        &Engine::with_config(cfg).check_level(&canonical(h), level),
+                    )]
+                })
                 .collect();
-            let mut engine = Engine::with_config(cfg);
-            let got: Vec<String> = engine
-                .check_many(batch.iter())
-                .iter()
-                .map(fingerprint)
-                .collect();
+            let got = check_batch(&mut Engine::with_config(cfg), &batch, Some(level));
             assert_eq!(
                 reference, got,
-                "check_many diverged from per-history checks \
+                "check_source diverged from per-history checks \
                  (level {level}, threads {threads})"
+            );
+            per_level.push(got);
+        }
+        // All three levels over one shared index agree with the
+        // per-level passes.
+        let all = check_batch(&mut Engine::with_config(cfg), &batch, None);
+        for (i, outs) in all.iter().enumerate() {
+            let expected: Vec<String> = per_level.iter().map(|l| l[i][0].clone()).collect();
+            assert_eq!(
+                outs, &expected,
+                "history {i}, all levels, threads {threads}"
             );
         }
     }
 }
 
 #[test]
-fn check_many_agrees_across_cc_strategies_and_threads() {
+fn check_source_agrees_across_cc_strategies_and_threads() {
     let batch = mixed_batch();
-    let reference: Vec<String> = {
-        let mut engine = Engine::builder()
-            .level(IsolationLevel::Causal)
-            .want_commit_order(true)
-            .threads(1)
-            .build();
-        engine
-            .check_many(batch.iter())
-            .iter()
-            .map(fingerprint)
-            .collect()
+    let cfg = EngineConfig {
+        want_commit_order: true,
+        ..EngineConfig::default()
     };
+    let causal = Some(IsolationLevel::Causal);
+    let reference = check_batch(&mut Engine::with_config(cfg), &batch, causal);
     for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
         for threads in THREAD_COUNTS {
-            let mut engine = Engine::builder()
-                .level(IsolationLevel::Causal)
-                .cc_strategy(strategy)
-                .want_commit_order(true)
-                .threads(threads)
-                .build();
-            let got: Vec<String> = engine
-                .check_many(batch.iter())
-                .iter()
-                .map(fingerprint)
-                .collect();
+            let mut engine = Engine::with_config(EngineConfig {
+                cc_strategy: strategy,
+                threads,
+                ..cfg
+            });
+            let got = check_batch(&mut engine, &batch, causal);
             // Verdicts (and for the default strategy, full outcomes) are
             // invariant; witness *edges* may differ across strategies, so
             // compare verdict prefixes for the non-default one.
@@ -123,8 +160,8 @@ fn check_many_agrees_across_cc_strategies_and_threads() {
             } else {
                 for (r, g) in reference.iter().zip(&got) {
                     assert_eq!(
-                        r.split('|').next(),
-                        g.split('|').next(),
+                        r[0].split('|').next(),
+                        g[0].split('|').next(),
                         "verdict diverged (strategy {strategy:?}, threads {threads})"
                     );
                 }
@@ -134,27 +171,26 @@ fn check_many_agrees_across_cc_strategies_and_threads() {
 }
 
 #[test]
-fn check_many_preserves_input_order_on_distinct_shapes() {
+fn check_source_preserves_source_order_on_distinct_shapes() {
     // Histories of visibly different sizes: outcome i must describe
-    // history i even when the pool reorders execution.
+    // history i.
     let mut batch = Vec::new();
     for n in [5usize, 17, 2, 29, 11, 23, 3, 13] {
         let config = SimConfig::new(DbIsolation::Causal, 3, n as u64);
         let mut w = Uniform::default();
         batch.push(collect_history(config, &mut w, n).expect("history builds"));
     }
-    let mut engine = Engine::builder().threads(8).build();
-    let outcomes = engine.check_many(batch.iter());
+    let mut engine = Engine::with_config(EngineConfig {
+        threads: 8,
+        ..EngineConfig::default()
+    });
+    let outcomes = check_batch(&mut engine, &batch, Some(IsolationLevel::Causal));
     assert_eq!(outcomes.len(), batch.len());
     for (i, (h, o)) in batch.iter().zip(&outcomes).enumerate() {
-        let expected = check(h, IsolationLevel::Causal);
-        assert_eq!(
-            o.stats().committed_txns,
-            expected.stats().committed_txns,
-            "outcome {i} does not describe history {i}"
-        );
-        assert_eq!(fingerprint(o), fingerprint(&expected), "history {i}");
+        let expected = check(&canonical(h), IsolationLevel::Causal);
+        assert_eq!(o, &vec![fingerprint(&expected)], "history {i}");
     }
+    assert_eq!(engine.stats().histories, batch.len() as u64);
 }
 
 /// The allocation-reuse regression guard: the first check grows the
@@ -167,7 +203,7 @@ fn second_same_shape_check_performs_no_arena_growth() {
     let mut w = Uniform::default();
     let h = collect_history(config, &mut w, 1500).expect("history builds");
 
-    let mut engine = Engine::builder().level(IsolationLevel::Causal).build();
+    let mut engine = Engine::new();
     engine.check(&h);
     let first = engine.stats();
     assert_eq!(first.arena_growths, 1, "first check grows from empty");
@@ -210,17 +246,18 @@ fn cc_clock_table_is_a_recycled_engine_arena() {
 
     // Reference footprint: the same engine shape with the clock table
     // still empty (read-committed checks never touch it).
-    let mut rc = Engine::builder()
-        .level(IsolationLevel::ReadCommitted)
-        .build();
+    let mut rc = Engine::with_config(EngineConfig {
+        level: IsolationLevel::ReadCommitted,
+        ..EngineConfig::default()
+    });
     rc.check(&h);
     let rc_bytes = rc.stats().arena_bytes;
 
     for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-        let mut engine = Engine::builder()
-            .level(IsolationLevel::Causal)
-            .cc_strategy(strategy)
-            .build();
+        let mut engine = Engine::with_config(EngineConfig {
+            cc_strategy: strategy,
+            ..EngineConfig::default()
+        });
         engine.check(&h);
         let first = engine.stats();
         assert_eq!(first.arena_growths, 1, "{strategy}: first check grows");
@@ -262,10 +299,11 @@ fn alternating_shapes_do_not_leak_state() {
         let mut w = Uniform::default();
         histories.push(collect_history(config, &mut w, txns).expect("history builds"));
     }
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::ReadAtomic)
-        .want_commit_order(true)
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::ReadAtomic,
+        want_commit_order: true,
+        ..EngineConfig::default()
+    });
     let mut growths_after_first_round = 0;
     for round in 0..3 {
         for (i, h) in histories.iter().enumerate() {

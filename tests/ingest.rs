@@ -14,12 +14,13 @@ use std::io::BufReader;
 use awdit::core::HistorySink;
 use awdit::formats::{
     events_into_sink, history_of_events, parse_events, read_auto, read_events, write_events,
-    write_events_to, write_history_to, Detected,
+    write_events_to, write_history_to, Detected, SHARD_MIN_BYTES,
 };
 use awdit::stream::events_of_history;
 use awdit::{
-    check, collect_source, parse_history, replay_history, write_history, DirSource, Engine, Format,
-    History, HistoryBuilder, IsolationLevel, Outcome, SimConfig, SimSource,
+    check, collect_source, parse_history, replay_history, write_awb, write_history, DirSource,
+    Engine, EngineConfig, Format, History, HistoryBuilder, IsolationLevel, Outcome, SimConfig,
+    SimSource,
 };
 use awdit_simdb::DbIsolation;
 use proptest::prelude::*;
@@ -288,10 +289,13 @@ fn streaming_writers_match_string_writers() {
     }
 }
 
-/// The `check_source` streaming fast path: a mixed-format directory
-/// checks to the same verdicts as materialized per-history checks, and a
-/// second identical pass performs **zero** arena growth — there is no
-/// per-history materialization left to allocate.
+/// The `check_source` loop: a mixed-format directory — text files large
+/// enough to parse in shards above one thread, an NDJSON log, and the
+/// `.awb` twin that bulk-loads — checks to the same verdicts as
+/// materialized per-history checks, every file is ingested identically
+/// at 1 and 2 threads, and a second identical pass performs **zero**
+/// arena growth: there is no per-history materialization left to
+/// allocate.
 #[test]
 fn check_source_streams_with_zero_rework() {
     let mut dir = std::env::temp_dir();
@@ -301,38 +305,69 @@ fn check_source_streams_with_zero_rework() {
 
     let config = SimConfig::new(DbIsolation::Causal, 4, 7).with_max_lag(4);
     let mut w = awdit_workloads::Uniform::default();
-    let h = awdit::collect_history(config, &mut w, 250).unwrap();
-    std::fs::write(dir.join("a.awdit"), write_history(&h, Format::Native)).unwrap();
+    let h = awdit::collect_history(config, &mut w, 2500).unwrap();
+    let native = write_history(&h, Format::Native);
+    assert!(
+        native.len() > 2 * SHARD_MIN_BYTES,
+        "text must shard at 2 threads"
+    );
+    std::fs::write(dir.join("a.awdit"), native).unwrap();
     std::fs::write(dir.join("b.dbcop"), write_history(&h, Format::Dbcop)).unwrap();
     std::fs::write(dir.join("c.cobra"), write_history(&h, Format::Cobra)).unwrap();
     std::fs::write(dir.join("d.ndjson"), write_events(&events_of_history(&h))).unwrap();
+    std::fs::write(dir.join("e.awb"), write_awb(&h)).unwrap();
 
-    let mut engine = Engine::new(); // threads = 1: streaming fast path
-    let named = engine
-        .check_source(&mut DirSource::new(&dir).unwrap())
-        .unwrap();
-    assert_eq!(named.len(), 4);
     let canon = canonical(&h);
-    for (name, out) in &named {
+    let expected = fingerprint(&check(&canon, IsolationLevel::Causal));
+    let mut ingested_at_one: Vec<(String, History)> = Vec::new();
+    for threads in [1, 2] {
+        let mut engine = Engine::with_config(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        });
+        let mut ingested = Vec::new();
+        engine
+            .check_source(
+                &mut DirSource::new(&dir).unwrap(),
+                Some(IsolationLevel::Causal),
+                |name, history, outs| {
+                    assert_eq!(
+                        fingerprint(&outs[0]),
+                        expected,
+                        "{name} at {threads} threads"
+                    );
+                    ingested.push((name, history.clone()));
+                },
+            )
+            .unwrap();
+        assert_eq!(ingested.len(), 5);
+        if threads == 1 {
+            ingested_at_one = ingested;
+        } else {
+            assert_eq!(
+                ingested, ingested_at_one,
+                "ingest diverged at {threads} threads"
+            );
+        }
+        let growths = engine.stats().arena_growths;
+
+        // Second identical pass: every arena (index, graph, clocks,
+        // ingest builder, ingested history) must recycle.
+        let mut checked = 0;
+        engine
+            .check_source(
+                &mut DirSource::new(&dir).unwrap(),
+                Some(IsolationLevel::Causal),
+                |_, _, _| checked += 1,
+            )
+            .unwrap();
+        assert_eq!(checked, 5);
         assert_eq!(
-            fingerprint(out),
-            fingerprint(&check(&canon, IsolationLevel::Causal)),
-            "{name}"
+            engine.stats().arena_growths,
+            growths,
+            "same-shape check_source pass must not grow any arena at {threads} threads"
         );
     }
-    let growths = engine.stats().arena_growths;
-
-    // Second identical pass: every arena (index, graph, clocks, ingest
-    // builder, ingested history) must recycle.
-    let named2 = engine
-        .check_source(&mut DirSource::new(&dir).unwrap())
-        .unwrap();
-    assert_eq!(named2.len(), 4);
-    assert_eq!(
-        engine.stats().arena_growths,
-        growths,
-        "same-shape check_source pass must not grow any arena"
-    );
 
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -355,18 +390,24 @@ fn sim_source_streaming_matches_materialized() {
     let mats = collect_source(&mut SimSource::new(base, 60, 3..7, make)).unwrap();
 
     let mut engine = Engine::new();
-    let named = engine
-        .check_source(&mut SimSource::new(base, 60, 3..7, make))
+    let mut checked = 0;
+    engine
+        .check_source(
+            &mut SimSource::new(base, 60, 3..7, make),
+            Some(IsolationLevel::Causal),
+            |name, _, outs| {
+                let s = &mats[checked];
+                assert_eq!(name, s.name);
+                assert_eq!(
+                    fingerprint(&outs[0]),
+                    fingerprint(&check(&s.history, IsolationLevel::Causal)),
+                    "{name}"
+                );
+                checked += 1;
+            },
+        )
         .unwrap();
-    assert_eq!(named.len(), mats.len());
-    for ((name, out), s) in named.iter().zip(&mats) {
-        assert_eq!(name, &s.name);
-        assert_eq!(
-            fingerprint(out),
-            fingerprint(&check(&s.history, IsolationLevel::Causal)),
-            "{name}"
-        );
-    }
+    assert_eq!(checked, mats.len());
 }
 
 /// `events_into_sink` feeds any sink — including the engine directly.
@@ -384,23 +425,6 @@ fn events_into_engine_sink() {
     let out = engine.finish_ingest().unwrap();
     assert_eq!(engine.ingested(), &h);
     assert!(out.is_consistent());
-}
-
-/// `check_replayed` (history → engine sink → recycled check) agrees with
-/// a direct check of the same history.
-#[test]
-fn check_replayed_matches_direct_check() {
-    let config = SimConfig::new(DbIsolation::ReadCommitted, 3, 5);
-    let mut w = awdit_workloads::Uniform::default();
-    let h = awdit::collect_history(config, &mut w, 120).unwrap();
-    let canon = canonical(&h);
-    let mut engine = Engine::new();
-    let replayed = engine.check_replayed(&h);
-    assert_eq!(engine.ingested(), &canon);
-    assert_eq!(
-        fingerprint(&replayed),
-        fingerprint(&check(&canon, IsolationLevel::Causal))
-    );
 }
 
 /// Sessions created directly on the engine sink behave like the builder.

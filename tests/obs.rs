@@ -23,7 +23,7 @@ use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams
 use awdit::obs::chrome::{json_lint, validate_trace, ChromeTraceRecorder};
 use awdit::obs::Obs;
 use awdit::stream::{events_of_history, StreamConfig};
-use awdit::{Engine, History, IsolationLevel};
+use awdit::{Engine, EngineConfig, History, IsolationLevel};
 use std::sync::Arc;
 
 fn gen_histories() -> Vec<(String, History)> {
@@ -47,7 +47,11 @@ fn gen_histories() -> Vec<(String, History)> {
 
 /// Everything observable about an outcome, as one comparable string.
 fn fingerprint(h: &History, level: IsolationLevel, threads: usize, obs: Option<&Obs>) -> String {
-    let mut engine = Engine::builder().level(level).threads(threads).build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level,
+        threads,
+        ..EngineConfig::default()
+    });
     if let Some(obs) = obs {
         engine.set_obs(obs.clone());
     }
@@ -84,11 +88,12 @@ fn instrumentation_never_changes_outcomes() {
 fn traces_are_well_formed() {
     let recorder = Arc::new(ChromeTraceRecorder::new());
     let obs = Obs::builder().recorder_arc(recorder.clone()).build();
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .threads(8)
-        .obs(obs)
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::Causal,
+        threads: 8,
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs);
     for (_, h) in gen_histories() {
         engine.check(&h);
         let all = engine.check_all_levels(&h);
@@ -155,10 +160,11 @@ awdit_batch_us_count 3
 #[test]
 fn engine_metrics_reconcile_with_engine_stats() {
     let obs = Obs::new();
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .obs(obs.clone())
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::Causal,
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs.clone());
     let histories = gen_histories();
     let mut outcomes: Vec<_> = histories.iter().map(|(_, h)| engine.check(h)).collect();
     outcomes.extend(engine.check_all_levels(&histories[0].1));
@@ -213,11 +219,12 @@ fn engine_metrics_reconcile_with_engine_stats() {
 #[test]
 fn pool_stage_series_partition_the_aggregates() {
     let obs = Obs::new();
-    let mut engine = Engine::builder()
-        .level(IsolationLevel::Causal)
-        .threads(8)
-        .obs(obs.clone())
-        .build();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::Causal,
+        threads: 8,
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs.clone());
     // Big enough to clear the sequential cutoff so the sharded stages
     // actually fork; staleness 0 keeps the
     // history repeatable-read-clean, so the RA level reaches saturation

@@ -13,7 +13,7 @@ use awdit::core::witness::ViolationKind;
 use awdit::formats::write_events;
 use awdit::obs::metrics::parse_prometheus;
 use awdit::obs::Obs;
-use awdit::serve::{ServeConfig, Server};
+use awdit::serve::{HttpLimits, ServeConfig, Server};
 use awdit::stream::{events_of_history, Event, StreamConfig};
 use awdit::{check, History, IsolationLevel};
 
@@ -263,6 +263,57 @@ fn staging_overflow_returns_429() {
     let (status, finish) = request(ts.addr, "POST", "/v1/sessions/stuck/finish", "");
     assert_eq!(status, 200, "{finish}");
     assert!(finish.contains("\"consistent\":false"), "{finish}");
+    ts.stop();
+}
+
+/// `--max-body` bounds a chunked events body even when it is one
+/// newline-free line: the body budget trips (413) before the line could
+/// reach the per-line cap, and the tenant keeps accepting valid bodies.
+#[test]
+fn oversized_newline_free_chunked_body_returns_413() {
+    const MAX_BODY: u64 = 16 * 1024;
+    let ts = TestServer::start(ServeConfig {
+        limits: HttpLimits {
+            max_body_bytes: MAX_BODY,
+            ..HttpLimits::default()
+        },
+        ..exact_causal_config()
+    });
+    // Four 10 KiB chunks of one line: 40 KiB, past the body budget but
+    // under the 64 KiB line cap.
+    let piece = "x".repeat(10 * 1024);
+    let mut raw = String::from(
+        "POST /v1/sessions/big/events HTTP/1.1\r\nHost: t\r\n\
+         Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+    );
+    for _ in 0..4 {
+        raw.push_str(&format!("{:x}\r\n{piece}\r\n", piece.len()));
+    }
+    raw.push_str("0\r\n\r\n");
+    assert!(raw.len() as u64 > MAX_BODY);
+    // The server answers as soon as the budget trips and closes without
+    // reading the rest, so read whatever arrives before any reset.
+    let mut sock = TcpStream::connect(ts.addr).expect("connect");
+    let _ = sock.write_all(raw.as_bytes());
+    let _ = sock.shutdown(std::net::Shutdown::Write);
+    let mut resp = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = sock.read(&mut buf) {
+        resp.extend_from_slice(&buf[..n]);
+    }
+    let resp = String::from_utf8_lossy(&resp).to_string();
+    assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
+    assert!(resp.contains("request body too large"), "{resp}");
+
+    // The same tenant then accepts a valid body and finishes cleanly.
+    let body = "{\"type\":\"begin\",\"session\":1}\n\
+                {\"type\":\"write\",\"session\":1,\"key\":1,\"value\":1}\n\
+                {\"type\":\"commit\",\"session\":1}\n";
+    let (status, resp) = request(ts.addr, "POST", "/v1/sessions/big/events", body);
+    assert_eq!(status, 200, "{resp}");
+    let (status, finish) = request(ts.addr, "POST", "/v1/sessions/big/finish", "");
+    assert_eq!(status, 200, "{finish}");
+    assert!(finish.contains("\"consistent\":true"), "{finish}");
     ts.stop();
 }
 

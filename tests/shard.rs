@@ -6,8 +6,8 @@
 
 use awdit::formats::{read_history, read_sharded, read_sharded_at, SHARD_MIN_BYTES};
 use awdit::{
-    check, collect_source, replay_history, write_history, DirSource, Engine, FilesSource, Format,
-    History, HistoryBuilder, IsolationLevel, Outcome,
+    check, collect_source, replay_history, write_history, DirSource, Engine, EngineConfig,
+    FilesSource, Format, History, HistoryBuilder, HistorySource, IsolationLevel, Outcome,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -179,15 +179,19 @@ fn engine_check_source_is_thread_invariant() {
     std::fs::write(dir.join("d.cobra"), write_history(&h, Format::Cobra)).unwrap();
 
     let run = |threads: usize| {
-        let mut engine = Engine::builder().threads(threads).build();
-        let named = engine
-            .check_source(&mut DirSource::new(&dir).unwrap())
+        let mut engine = Engine::with_config(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        });
+        let mut lines = Vec::new();
+        engine
+            .check_source(
+                &mut DirSource::new(&dir).unwrap(),
+                Some(IsolationLevel::Causal),
+                |name, _, outs| lines.push(format!("{name}: {}", fingerprint(&outs[0]))),
+            )
             .unwrap();
-        named
-            .into_iter()
-            .map(|(name, out)| format!("{name}: {}", fingerprint(&out)))
-            .collect::<Vec<_>>()
-            .join("\n")
+        lines.join("\n")
     };
     let reference = run(1);
     assert!(reference.contains("a.awdit"), "all four files checked");
@@ -203,7 +207,7 @@ fn engine_check_source_is_thread_invariant() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `FilesSource::with_threads` shards its parses without changing the
+/// `FilesSource::set_threads` shards its parses without changing the
 /// loaded history (the sharded source-level path, no engine involved).
 #[test]
 fn files_source_sharded_load_is_identical() {
@@ -217,7 +221,8 @@ fn files_source_sharded_load_is_identical() {
     std::fs::write(&path, write_history(&h, Format::Native)).unwrap();
 
     for threads in THREAD_COUNTS {
-        let mut source = FilesSource::new([&path]).with_threads(threads);
+        let mut source = FilesSource::new([&path]);
+        source.set_threads(threads);
         let loaded = collect_source(&mut source).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].history, h, "diverged at {threads} threads");
