@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use awdit_bench::make_history;
-use awdit_core::{check, CcStrategy, Engine, EngineConfig, IsolationLevel};
+use awdit_core::{check, IsolationLevel};
 use awdit_simdb::DbIsolation;
 use awdit_workloads::Benchmark;
 
@@ -22,29 +22,6 @@ fn bench_levels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cc_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cc-strategy");
-    group.sample_size(10);
-    let h = make_history(DbIsolation::Causal, Benchmark::Rubis, 50, 4096, 2);
-    for (name, strategy) in [
-        ("pointer-scan", CcStrategy::PointerScan),
-        ("binary-search", CcStrategy::BinarySearch),
-    ] {
-        let cfg = EngineConfig {
-            cc_strategy: strategy,
-            ..EngineConfig::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                Engine::with_config(cfg)
-                    .check_level(&h, IsolationLevel::Causal)
-                    .is_consistent()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_workloads(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload-rc");
     group.sample_size(10);
@@ -57,5 +34,5 @@ fn bench_workloads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_levels, bench_cc_strategies, bench_workloads);
+criterion_group!(benches, bench_levels, bench_workloads);
 criterion_main!(benches);

@@ -12,9 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use awdit_bench::make_history;
 use awdit_core::parallel::{map_shards, Pool};
-use awdit_core::{
-    check, saturate_cc_into, CcStrategy, ClockTable, CommitGraph, HistoryIndex, IsolationLevel,
-};
+use awdit_core::{check, saturate_cc_into, ClockTable, CommitGraph, HistoryIndex, IsolationLevel};
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
 use awdit_workloads::{Benchmark, Uniform};
 
@@ -97,15 +95,7 @@ fn bench_cc_thread_scaling(c: &mut Criterion) {
             let mut g = CommitGraph::new(0);
             let mut clocks = ClockTable::new();
             b.iter(|| {
-                saturate_cc_into(
-                    &pool,
-                    index,
-                    CcStrategy::BinarySearch,
-                    threads,
-                    &mut g,
-                    &mut clocks,
-                )
-                .expect("acyclic base");
+                saturate_cc_into(&pool, index, threads, &mut g, &mut clocks).expect("acyclic base");
                 g.num_emitted_edges()
             })
         });

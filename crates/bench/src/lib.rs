@@ -11,7 +11,6 @@
 //! | `fig9` | Fig. 9 — scalability vs txns / sessions / txn size |
 //! | `table1` | Table 1 — anomalies detected per history |
 //! | `lower_bound` | Sec. 4 — adversarial triangle instances |
-//! | `ablation` | extra — CC strategy & minimality ablations |
 //!
 //! Run e.g. `cargo run --release -p awdit-bench --bin fig7`. Every binary
 //! accepts `--full` for paper-scale parameters (slower) and prints the

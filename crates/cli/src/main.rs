@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! ```text
-//! awdit check [--isolation rc|ra|cc|all] [--threads N] [--cc-strategy S]
+//! awdit check [--isolation rc|ra|cc|all] [--threads N]
 //!             [--format auto|native|plume|dbcop|cobra] [--report text|json]
 //!             [--trace FILE] [--metrics FILE|-]
 //!             [--output FILE] FILE... | DIR
@@ -33,8 +33,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use awdit_core::{
-    CcStrategy, Engine, EngineConfig, History, HistoryBuilder, HistorySource, HistoryStats,
-    IsolationLevel,
+    Engine, EngineConfig, History, HistoryBuilder, HistorySource, HistoryStats, IsolationLevel,
 };
 use awdit_formats::{
     detect_bytes, detect_path, history_stats_json, looks_binary, read_auto, read_history,
@@ -86,7 +85,7 @@ fn print_usage() {
 
 USAGE:
     awdit check [--isolation rc|ra|cc|all] [--threads N] [--format FMT]
-                [--witnesses N] [--cc-strategy STRAT] [--report text|json]
+                [--witnesses N] [--report text|json]
                 [--stable-report] [--trace FILE] [--metrics FILE|-]
                 [--output FILE] FILE... | DIR
     awdit watch [--isolation rc|ra|cc] [--interval N] [--witnesses N]
@@ -97,8 +96,7 @@ USAGE:
                 [--isolation rc|ra|cc] [--no-prune] [--interval N]
                 [--staging-budget N] [--warm-pool N] [--max-body BYTES]
                 [--timeout SECS] [--trace FILE] [--metrics FILE|-]
-    awdit shrink [--isolation rc|ra|cc] [--format FMT] [--cc-strategy STRAT]
-                 [-o OUT] FILE
+    awdit shrink [--isolation rc|ra|cc] [--format FMT] [-o OUT] FILE
     awdit stats [--report text|json] FILE
     awdit convert [--format FMT] [--to FMT] IN [OUT]
     awdit generate --benchmark NAME --db MODE --sessions K --txns N
@@ -120,10 +118,6 @@ THREADS: `check` worker threads within one history (1 = sequential,
          to the sequential parse) and saturation runs sharded, while
          files are still checked one after another;
          `watch` and serve's tenants check each stream on one thread
-CC STRATEGIES: binary-search (default), pointer-scan — interchangeable
-         implementations of the batch Causal Consistency checker
-         (Algorithm 3) for `check` and `shrink`; the streaming checker
-         runs a single incremental CC kernel
 CHECK: accepts several FILEs and/or a DIR (every file inside, sorted);
          --report json emits the versioned machine-readable report
          (schema v2: per-phase timings + engine stats when traced),
@@ -227,14 +221,6 @@ fn parse_threads(flags: &Flags) -> Result<usize, String> {
         .map(|w| w.parse().map_err(|_| "bad --threads value".to_string()))
         .transpose()
         .map(|t| t.unwrap_or(1))
-}
-
-fn parse_cc_strategy(flags: &Flags) -> Result<CcStrategy, String> {
-    flags
-        .get("cc-strategy")
-        .map(|s| s.parse())
-        .transpose()
-        .map(|s| s.unwrap_or_default())
 }
 
 fn parse_witnesses(flags: &Flags, default: usize) -> Result<usize, String> {
@@ -352,7 +338,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::parse(
         "check",
         args,
-        "isolation threads format witnesses cc-strategy report trace metrics output out",
+        "isolation threads format witnesses report trace metrics output out",
         "stable-report",
     )?;
     if flags.positional.is_empty() {
@@ -366,7 +352,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let cfg = EngineConfig {
         max_cycles: parse_witnesses(&flags, 16)?,
         threads: parse_threads(&flags)?,
-        cc_strategy: parse_cc_strategy(&flags)?,
         ..EngineConfig::default()
     };
     // `None` checks all three levels over one shared index.
@@ -450,7 +435,7 @@ fn emit_report(report: &Report, mode: &str, output: Option<&str>) -> Result<(), 
 }
 
 fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse("shrink", args, "isolation format cc-strategy out", "")?;
+    let flags = Flags::parse("shrink", args, "isolation format out", "")?;
     let path = flags
         .positional
         .first()
@@ -492,7 +477,6 @@ fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
     // every other check the CLI runs).
     let outcome = Engine::with_config(EngineConfig {
         level,
-        cc_strategy: parse_cc_strategy(&flags)?,
         ..EngineConfig::default()
     })
     .check(&small);

@@ -16,67 +16,35 @@
 //! itself in its own session), which is exact because happens-before
 //! restricted to a session is prefix-closed.
 //!
-//! Two interchangeable strategies locate the latest visible writer in each
-//! session's `Writes_s'[x]` array:
-//!
-//! * [`CcStrategy::PointerScan`] — Algorithm 3 as written: monotone
-//!   pointers per `(session, key)`, re-scanned once per outer session, with
-//!   the full clock table materialized up front. `O(n·k)` time,
-//!   `O(m·k)` clock memory.
-//! * [`CcStrategy::BinarySearch`] — what the released AWDIT tool does
-//!   (Section 5): clocks are computed on the fly in one topological pass
-//!   and freed once their last reader is processed; writer lookups binary
-//!   search the write lists. `O(n·(k + log n))` time, live-clock memory
-//!   only.
+//! The saturation is the released AWDIT tool's variant (Section 5): clocks
+//! are computed on the fly in one topological pass of `so ∪ wr` and freed
+//! once their last reader is processed, so only live clocks take memory.
+//! Each session's latest visible writer is found by searching its
+//! `Writes_s'[x]` list ([`HistoryIndex::writers_before`]). The index numbers
+//! committed transactions session-major, so a session's writers are
+//! ascending dense ids whose offset from the session's first id *is* their
+//! committed position: the search compares ids directly, exactly, and
+//! interpolates on long lists. `O(n·(k + log n))` time in the worst case.
 
-use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle, EdgeKind};
-use crate::incremental::{infer_cc_edges, EdgeSink, FnvMap};
+use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle};
+use crate::incremental::infer_cc_edges;
 use crate::index::{HistoryIndex, NONE};
 use crate::parallel;
-use crate::types::SessionId;
 use crate::vector_clock::VectorClock;
 
-/// Strategy for the CC checker's visible-writer lookups. See the module
-/// docs for the trade-offs.
+/// The CC saturation kernel. It has a single variant and stays only as
+/// [`saturate_cc`]'s second parameter, which the benchmark harness under
+/// `perfbench/` still passes; both go at the next change to the benchmark.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum CcStrategy {
-    /// Algorithm 3 verbatim: precomputed clock table + monotone pointer
-    /// scans.
-    PointerScan,
-    /// The released tool's variant: on-the-fly clocks + binary search.
+    /// On-the-fly clocks and a dense-id search for visible writers.
     #[default]
     BinarySearch,
 }
 
-impl std::fmt::Display for CcStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CcStrategy::PointerScan => "pointer-scan",
-            CcStrategy::BinarySearch => "binary-search",
-        })
-    }
-}
-
-impl std::str::FromStr for CcStrategy {
-    type Err = String;
-
-    /// Parses the CLI spelling of a strategy: `pointer-scan` (or `ps`) and
-    /// `binary-search` (or `bs`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "pointer-scan" | "pointerscan" | "pointer" | "ps" => Ok(CcStrategy::PointerScan),
-            "binary-search" | "binarysearch" | "binary" | "bs" => Ok(CcStrategy::BinarySearch),
-            _ => Err(format!(
-                "unknown CC strategy `{s}` (expected pointer-scan or binary-search)"
-            )),
-        }
-    }
-}
-
 /// Flat, recyclable storage for the CC happens-before clocks: one
 /// `k`-entry row per slot in a single buffer, plus the per-session
-/// frontier clocks and the per-writer scratch counters both strategy
-/// implementations stamp during a pass.
+/// frontier clocks and the per-writer scratch counters a pass stamps.
 ///
 /// Replacing the former `Vec<VectorClock>` table (one heap allocation per
 /// transaction) with flat rows does two things: a saturation pass touches
@@ -87,11 +55,17 @@ impl std::str::FromStr for CcStrategy {
 /// [`EngineStats::arena_growths`](crate::EngineStats) accounting covers
 /// it).
 ///
-/// [`CcStrategy::PointerScan`] materializes all `m` rows;
-/// [`CcStrategy::BinarySearch`] allocates rows through the internal free
-/// list as clocks become live and releases them after their last reader,
-/// so its live-clock memory bound carries over — the arena's high-water
-/// mark is the peak live-clock count, not `m`.
+/// The sequential pass allocates rows through the internal free list as
+/// clocks become live and releases them after their last reader, so the
+/// arena's high-water mark is the peak live-clock count, not `m`. The
+/// sharded pass and provenance materialize all `m` rows with
+/// [`compute_hb_into`].
+///
+/// Entry `s` of a row counts session `s`'s committed transactions the
+/// row's transaction has seen. Because dense ids are session-major, that
+/// count added to the session's first dense id is the id of its first
+/// unseen transaction, so the CC kernel compares an entry with writer ids
+/// directly ([`HistoryIndex::writers_before`]).
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
     k: usize,
@@ -250,18 +224,10 @@ pub fn compute_hb_into(index: &HistoryIndex, topo: &[u32], table: &mut ClockTabl
 /// If `so ∪ wr` itself is cyclic, happens-before is not well defined; the
 /// offending cycles (one per strongly connected component) are returned
 /// instead.
-pub fn saturate_cc(index: &HistoryIndex, strategy: CcStrategy) -> Result<CommitGraph, Vec<Cycle>> {
+pub fn saturate_cc(index: &HistoryIndex, _: CcStrategy) -> Result<CommitGraph, Vec<Cycle>> {
     let mut g = CommitGraph::new(0);
     let mut clocks = ClockTable::new();
-    saturate_cc_into(
-        &parallel::Pool::new(1),
-        index,
-        strategy,
-        1,
-        &mut g,
-        &mut clocks,
-    )
-    .map(|()| g)
+    saturate_cc_into(&parallel::Pool::new(1), index, 1, &mut g, &mut clocks).map(|()| g)
 }
 
 /// [`saturate_cc`] into a caller-owned graph and [`ClockTable`], on up to
@@ -270,13 +236,11 @@ pub fn saturate_cc(index: &HistoryIndex, strategy: CcStrategy) -> Result<CommitG
 /// so a same-shape check grows neither (only [`CommitGraph::freeze`]'s
 /// scatter scratch is transient).
 ///
-/// The clock table is one sequential [`compute_hb_into`] pass; the
-/// inference over it is read-only per transaction, so it shards —
-/// contiguous chunks of the topological order for
-/// [`CcStrategy::BinarySearch`], contiguous session groups for
-/// [`CcStrategy::PointerScan`] — each into one of the graph's pair
-/// buffers, adopted in chunk order, reproducing the sequential emission
-/// bit-for-bit at every thread count.
+/// Above one thread the clock table is one sequential [`compute_hb_into`]
+/// pass; the inference over it is read-only per transaction, so it shards
+/// into contiguous chunks of the topological order, each into one of the
+/// graph's pair buffers, adopted in chunk order, reproducing the
+/// sequential emission bit-for-bit at every thread count.
 ///
 /// # Errors
 ///
@@ -285,7 +249,6 @@ pub fn saturate_cc(index: &HistoryIndex, strategy: CcStrategy) -> Result<CommitG
 pub fn saturate_cc_into(
     pool: &parallel::Pool,
     index: &HistoryIndex,
-    strategy: CcStrategy,
     threads: usize,
     g: &mut CommitGraph,
     clocks: &mut ClockTable,
@@ -306,15 +269,9 @@ pub fn saturate_cc_into(
     drop(topo_span);
     let threads = parallel::effective_threads(threads);
     if threads <= 1 || index.num_committed() < parallel::SEQUENTIAL_CUTOFF {
-        match strategy {
-            CcStrategy::PointerScan => pointer_scan(index, g, &topo, clocks),
-            CcStrategy::BinarySearch => binary_search(index, g, &topo, clocks),
-        }
-        return Ok(());
-    }
-    match strategy {
-        CcStrategy::PointerScan => pointer_scan_par(pool, index, g, &topo, threads, clocks),
-        CcStrategy::BinarySearch => binary_search_par(pool, index, g, &topo, threads, clocks),
+        binary_search(index, g, &topo, clocks);
+    } else {
+        binary_search_par(pool, index, g, &topo, threads, clocks);
     }
     Ok(())
 }
@@ -342,81 +299,10 @@ pub fn compute_hb(index: &HistoryIndex, topo: &[u32]) -> Vec<VectorClock> {
     clocks
 }
 
-/// Algorithm 3's per-session loop with monotone `lastWrite` pointers:
-/// processes all of session `s`'s committed transactions, emitting into
-/// `g`. The pointer table is private to the session (the monotonicity that
-/// makes the scans amortize holds only while `t3` advances within one
-/// session), so distinct sessions can run on distinct workers.
-fn pointer_scan_session<G: EdgeSink>(index: &HistoryIndex, clocks: &ClockTable, s: u32, g: &mut G) {
-    // Pointers into Writes_s'[x], keyed by (s', key).
-    let mut ptr: FnvMap<(u32, crate::types::Key), usize> = FnvMap::default();
-    for &t3 in index.session_committed(SessionId(s)) {
-        let clock = clocks.row(t3);
-        for &(x, t1) in index.read_pairs(t3) {
-            let row1 = clocks.row(t1);
-            // Only sessions that write x can contribute a last writer.
-            for (s_prime, writes) in index.key_writes(x) {
-                // Strict happens-before: own session excludes t3 itself
-                // (its inclusive entry is pos+1).
-                let bound = if s_prime == s {
-                    clock[s_prime as usize].saturating_sub(1)
-                } else {
-                    clock[s_prime as usize]
-                };
-                let p = ptr.entry((s_prime, x)).or_insert(0);
-                while *p < writes.len() && index.committed_pos(writes[*p]) < bound {
-                    *p += 1;
-                }
-                // Drop t2 when it already happens before t1.
-                if *p > 0 {
-                    let t2 = writes[*p - 1];
-                    if t2 != t1 && index.committed_pos(t2) >= row1[s_prime as usize] {
-                        g.add_edge(t2, t1, EdgeKind::Inferred(x));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Algorithm 3's main loop with monotone `lastWrite` pointers.
-fn pointer_scan(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks: &mut ClockTable) {
-    compute_hb_into(index, topo, clocks);
-    for s in 0..index.num_sessions() as u32 {
-        pointer_scan_session(index, &*clocks, s, g);
-    }
-}
-
-/// Sharded [`pointer_scan`]: contiguous session groups (weighted by their
-/// transaction counts) across workers, merged in group order.
-fn pointer_scan_par(
-    pool: &parallel::Pool,
-    index: &HistoryIndex,
-    g: &mut CommitGraph,
-    topo: &[u32],
-    threads: usize,
-    clocks: &mut ClockTable,
-) {
-    compute_hb_into(index, topo, clocks);
-    let clocks = &*clocks;
-    let groups = parallel::session_groups(index, threads * 2);
-    g.fill_shards(
-        pool,
-        threads,
-        "cc_pointer_scan",
-        &groups,
-        |sessions, sink| {
-            for s in sessions.clone() {
-                pointer_scan_session(index, clocks, s as u32, sink);
-            }
-        },
-    );
-}
-
-/// Sharded `BinarySearch` strategy: the clock table is materialized by
+/// Sharded [`binary_search`]: the clock table is materialized by
 /// [`compute_hb_into`], then contiguous chunks of the topological order
 /// run [`infer_cc_edges`] on workers, merged in chunk order (identical
-/// emission to the sequential on-the-fly variant, which also processes
+/// emission to the sequential on-the-fly pass, which also processes
 /// transactions in topological order).
 fn binary_search_par(
     pool: &parallel::Pool,
@@ -436,9 +322,9 @@ fn binary_search_par(
     });
 }
 
-/// The released tool's variant: clocks on the fly along the topological
-/// order, released back to the table's free list after their last reader
-/// (live-clock memory only); binary search for visible writers.
+/// Clocks on the fly along the topological order, released back to the
+/// table's free list after their last reader (live-clock memory only);
+/// [`infer_cc_edges`] for each transaction as its clock is computed.
 fn binary_search(index: &HistoryIndex, g: &mut CommitGraph, topo: &[u32], clocks: &mut ClockTable) {
     let m = index.num_committed();
     clocks.begin(index.num_sessions(), m);
@@ -500,25 +386,40 @@ pub fn causality_cycles(index: &HistoryIndex) -> Vec<Cycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::EdgeKind;
     use crate::history::{History, HistoryBuilder};
+    use crate::isolation::IsolationLevel;
+    use crate::linearize::{
+        commit_order_from_graph, some_commit_order_validates, validate_commit_order,
+    };
     use crate::ra::{check_repeatable_reads, saturate_ra};
 
-    fn cc_consistent(h: &History, strategy: CcStrategy) -> bool {
+    /// The saturation's CC verdict, checked against the axioms directly: a
+    /// consistent verdict's linearization must validate, and an
+    /// inconsistent one must leave no permutation of the committed
+    /// transactions that validates.
+    fn cc_consistent(h: &History) -> bool {
         let index = HistoryIndex::new(h);
-        match saturate_cc(&index, strategy) {
-            Ok(mut g) => {
+        let order = saturate_cc(&index, CcStrategy::default())
+            .ok()
+            .and_then(|mut g| {
                 g.freeze();
-                g.is_acyclic()
+                commit_order_from_graph(&index, &g)
+            });
+        match order {
+            Some(order) => {
+                validate_commit_order(h, IsolationLevel::Causal, &order)
+                    .expect("the saturation's linearization must witness CC");
+                true
             }
-            Err(_) => false,
+            None => {
+                assert!(
+                    !some_commit_order_validates(h, IsolationLevel::Causal),
+                    "inconsistent verdict, but a commit order witnesses CC"
+                );
+                false
+            }
         }
-    }
-
-    fn both_strategies_agree(h: &History) -> bool {
-        let a = cc_consistent(h, CcStrategy::PointerScan);
-        let b = cc_consistent(h, CcStrategy::BinarySearch);
-        assert_eq!(a, b, "strategies disagree");
-        a
     }
 
     /// Figure 1b: the motivating CC-inconsistent history.
@@ -563,7 +464,7 @@ mod tests {
 
     #[test]
     fn fig1b_cc_inconsistent() {
-        assert!(!both_strategies_agree(&fig1b()), "Fig. 1b must violate CC");
+        assert!(!cc_consistent(&fig1b()), "Fig. 1b must violate CC");
     }
 
     /// Figure 4c violates CC: t4 observes t2 (via y written by t3 which
@@ -594,7 +495,7 @@ mod tests {
     #[test]
     fn fig4c_cc_inconsistent() {
         let h = fig4c();
-        assert!(!both_strategies_agree(&h));
+        assert!(!cc_consistent(&h));
         // ... while satisfying RA (Example 2.7).
         let index = HistoryIndex::new(&h);
         assert!(check_repeatable_reads(&index).is_empty());
@@ -632,7 +533,7 @@ mod tests {
         b.read(s3, x, 3); // t5
         b.commit(s3);
         let h = b.finish().unwrap();
-        assert!(both_strategies_agree(&h));
+        assert!(cc_consistent(&h));
     }
 
     /// One candidate edge is hb-implied: `t2 →so t2' →wr t1` already orders
@@ -681,17 +582,13 @@ mod tests {
         let pairs: Vec<(u32, u32)> = emitted.iter().map(|&(f, t, _)| (f, t)).collect();
         assert_eq!(pairs, [(t2, t1), (t5, t1)]);
 
-        for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            let mut g = saturate_cc(&index, strategy).unwrap();
-            g.freeze();
-            assert_eq!(g.num_inferred_edges(), 1, "{strategy}");
-            assert!(
-                g.successors(t5)
-                    .contains(&(t1 | crate::graph::INFERRED_BIT)),
-                "{strategy}"
-            );
-            assert!(g.is_acyclic(), "{strategy}");
-        }
+        let mut g = saturate_cc(&index, CcStrategy::default()).unwrap();
+        g.freeze();
+        assert_eq!(g.num_inferred_edges(), 1);
+        assert!(g
+            .successors(t5)
+            .contains(&(t1 | crate::graph::INFERRED_BIT)));
+        assert!(g.is_acyclic());
     }
 
     /// Provenance re-derives a label for every inferred edge of a witness
@@ -699,26 +596,20 @@ mod tests {
     #[test]
     fn provenance_labels_every_co_edge() {
         for (name, h) in [("fig1b", fig1b()), ("fig4c", fig4c())] {
-            for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                let mut engine = crate::Engine::with_config(crate::EngineConfig {
-                    cc_strategy: strategy,
-                    ..crate::EngineConfig::default()
-                });
-                let out = engine.check_level(&h, crate::IsolationLevel::Causal);
-                let mut co = 0;
-                for v in out.violations() {
-                    let crate::Violation::CommitOrderCycle { cycle, .. } = v else {
-                        panic!("{name} {strategy}: unexpected violation {v:?}");
-                    };
-                    for e in &cycle.edges {
-                        if let EdgeKind::Inferred(k) = e.kind {
-                            assert_eq!(h.key_name(k), 0, "{name} {strategy}: co on x");
-                            co += 1;
-                        }
+            let out = crate::check(&h, IsolationLevel::Causal);
+            let mut co = 0;
+            for v in out.violations() {
+                let crate::Violation::CommitOrderCycle { cycle, .. } = v else {
+                    panic!("{name}: unexpected violation {v:?}");
+                };
+                for e in &cycle.edges {
+                    if let EdgeKind::Inferred(k) = e.kind {
+                        assert_eq!(h.key_name(k), 0, "{name}: co on x");
+                        co += 1;
                     }
                 }
-                assert!(co > 0, "{name} {strategy}: a witness with a co edge");
             }
+            assert!(co > 0, "{name}: a witness with a co edge");
         }
     }
 
@@ -740,8 +631,7 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let cycles = causality_cycles(&index);
         assert_eq!(cycles.len(), 1);
-        assert!(saturate_cc(&index, CcStrategy::PointerScan).is_err());
-        assert!(saturate_cc(&index, CcStrategy::BinarySearch).is_err());
+        assert!(saturate_cc(&index, CcStrategy::default()).is_err());
     }
 
     #[test]
@@ -771,8 +661,8 @@ mod tests {
         assert!(clocks[t_reader as usize].le(&clocks[t_next as usize]));
     }
 
-    /// The clock table is an arena: a second same-shape saturation (with
-    /// either strategy) reuses every buffer, growing nothing.
+    /// The clock table is an arena: a second same-shape saturation reuses
+    /// every buffer, growing nothing.
     #[test]
     fn clock_table_recycles_across_saturations() {
         let mut b = HistoryBuilder::new();
@@ -789,38 +679,35 @@ mod tests {
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
         let pool = parallel::Pool::new(1);
-        for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            let mut table = ClockTable::new();
-            let mut g = CommitGraph::new(0);
-            saturate_cc_into(&pool, &index, strategy, 1, &mut g, &mut table).unwrap();
+        let mut table = ClockTable::new();
+        let mut g = CommitGraph::new(0);
+        saturate_cc_into(&pool, &index, 1, &mut g, &mut table).unwrap();
+        g.freeze();
+        let edges = g.num_edges();
+        let graph_bytes = g.heap_bytes();
+        let bytes = table.heap_bytes();
+        assert!(bytes > 0, "table must hold clock storage");
+        for _ in 0..3 {
+            g.reset(0);
+            saturate_cc_into(&pool, &index, 1, &mut g, &mut table).unwrap();
             g.freeze();
-            let edges = g.num_edges();
-            let graph_bytes = g.heap_bytes();
-            let bytes = table.heap_bytes();
-            assert!(bytes > 0, "{strategy}: table must hold clock storage");
-            for _ in 0..3 {
-                g.reset(0);
-                saturate_cc_into(&pool, &index, strategy, 1, &mut g, &mut table).unwrap();
-                g.freeze();
-                assert_eq!(g.num_edges(), edges, "{strategy}");
-                assert_eq!(
-                    g.heap_bytes(),
-                    graph_bytes,
-                    "{strategy}: same-shape saturation must not grow the graph arena"
-                );
-                assert_eq!(
-                    table.heap_bytes(),
-                    bytes,
-                    "{strategy}: same-shape saturation must not grow the clock arena"
-                );
-            }
+            assert_eq!(g.num_edges(), edges);
+            assert_eq!(
+                g.heap_bytes(),
+                graph_bytes,
+                "same-shape saturation must not grow the graph arena"
+            );
+            assert_eq!(
+                table.heap_bytes(),
+                bytes,
+                "same-shape saturation must not grow the clock arena"
+            );
         }
     }
 
-    /// The binary-search strategy's live-clock bound carries over to the
-    /// arena: a long chain of single-reader transactions keeps the row
-    /// high-water mark small instead of materializing one row per
-    /// transaction.
+    /// The live-clock bound carries over to the arena: a long chain of
+    /// single-reader transactions keeps the row high-water mark small
+    /// instead of materializing one row per transaction.
     #[test]
     fn binary_search_arena_stays_live_bounded() {
         let mut b = HistoryBuilder::new();
@@ -842,20 +729,14 @@ mod tests {
         let k = index.num_sessions();
         let pool = parallel::Pool::new(1);
 
-        let mut bs = ClockTable::new();
+        let mut table = ClockTable::new();
         let mut g = CommitGraph::new(0);
-        saturate_cc_into(&pool, &index, CcStrategy::BinarySearch, 1, &mut g, &mut bs).unwrap();
-        let mut ps = ClockTable::new();
-        let mut g2 = CommitGraph::new(0);
-        saturate_cc_into(&pool, &index, CcStrategy::PointerScan, 1, &mut g2, &mut ps).unwrap();
-
-        // Pointer-scan materializes all m rows; binary-search far fewer.
-        assert_eq!(ps.rows.len(), m * k);
+        saturate_cc_into(&pool, &index, 1, &mut g, &mut table).unwrap();
         assert!(
-            bs.rows.len() * 4 < ps.rows.len(),
+            table.rows.len() * 4 < m * k,
             "live-bounded rows ({}) should be a fraction of the full table ({})",
-            bs.rows.len(),
-            ps.rows.len()
+            table.rows.len(),
+            m * k
         );
     }
 
@@ -887,7 +768,7 @@ mod tests {
         b.read(s4, x, 1); // stale read of x: CC infers t_new -co-> t_old
         b.commit(s4);
         let h = b.finish().unwrap();
-        assert!(!both_strategies_agree(&h));
+        assert!(!cc_consistent(&h));
         // RA can't see the two-hop chain: it accepts this history.
         let index = HistoryIndex::new(&h);
         assert!(check_repeatable_reads(&index).is_empty());
@@ -918,7 +799,7 @@ mod tests {
         b.read(s3, x, 1); // reads t_old: co = t_new < t_old < ... witnesses
         b.commit(s3);
         let h = b.finish().unwrap();
-        assert!(both_strategies_agree(&h));
+        assert!(cc_consistent(&h));
     }
 
     /// One-hop visibility is fine under CC when the read is the latest
@@ -939,12 +820,12 @@ mod tests {
         b.read(s1, 0, 2);
         b.commit(s1);
         let h = b.finish().unwrap();
-        assert!(both_strategies_agree(&h));
+        assert!(cc_consistent(&h));
     }
 
     #[test]
     fn empty_history_is_cc_consistent() {
         let h = HistoryBuilder::new().finish().unwrap();
-        assert!(both_strategies_agree(&h));
+        assert!(cc_consistent(&h));
     }
 }

@@ -9,10 +9,10 @@
 //! [`Engine`] is the amortized form:
 //!
 //! * **One config.** [`EngineConfig`] unifies the batch and streaming
-//!   (`awdit_stream::StreamConfig`) knobs — isolation level,
-//!   [`CcStrategy`], worker threads, witness budget, commit-order
-//!   production, pruning — so batch checks, sourced fleets, and online
-//!   monitors built from the same engine agree on their tuning.
+//!   (`awdit_stream::StreamConfig`) knobs — isolation level, worker
+//!   threads, witness budget, commit-order production, pruning — so
+//!   batch checks, sourced fleets, and online monitors built from the
+//!   same engine agree on their tuning.
 //! * **Recycled arenas.** The handle owns a [`HistoryIndex`] and a
 //!   [`CommitGraph`] arena; `engine.check(&history)` rebuilds them in
 //!   place ([`HistoryIndex::rebuild`], [`CommitGraph::reset`]), so a
@@ -54,7 +54,7 @@
 
 use std::sync::Arc;
 
-use crate::cc::{saturate_cc_into, CcStrategy, ClockTable};
+use crate::cc::{saturate_cc_into, ClockTable};
 use crate::checker::{CheckStats, Outcome};
 use crate::graph::CommitGraph;
 use crate::history::{replay_history, BuildError, History, HistoryBuilder, HistorySink};
@@ -77,8 +77,6 @@ pub struct EngineConfig {
     /// The isolation level checked by [`Engine::check`] and
     /// [`Engine::finish_ingest`] (explicit-level entry points ignore it).
     pub level: IsolationLevel,
-    /// Which CC implementation variant to use (ignored for RC/RA).
-    pub cc_strategy: CcStrategy,
     /// Produce a witnessing commit order on consistent histories
     /// (an extra `O(n)` topological sort).
     pub want_commit_order: bool,
@@ -87,7 +85,7 @@ pub struct EngineConfig {
     pub max_cycles: usize,
     /// Worker threads (`1` = sequential, `0` = all cores) for the work
     /// inside one history: the sharded saturators and (via
-    /// [`HistorySource::set_threads`]) sharded text parsing. Histories of
+    /// [`HistorySource::set_pool`]) sharded text parsing. Histories of
     /// a source are checked one after another at every value; outcomes
     /// are bit-identical for every value. At `1` the engine spawns no
     /// thread. Online monitors ignore it: the stream checker is
@@ -105,7 +103,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             level: IsolationLevel::Causal,
-            cc_strategy: CcStrategy::default(),
             want_commit_order: false,
             max_cycles: 16,
             threads: 1,
@@ -322,10 +319,10 @@ impl Engine {
     /// peak memory is bounded by the largest single history. The history
     /// passed to `each` is the engine's ingest arena, valid for the call.
     ///
-    /// The source is told the engine's thread count via
-    /// [`HistorySource::set_threads`], so file sources parse text in
-    /// sharded form; saturation shards through the engine's pool. Either
-    /// way the threads work inside one history at a time, and outcomes are
+    /// The source is handed the engine's worker pool via
+    /// [`HistorySource::set_pool`], so file sources parse text in sharded
+    /// form on the same workers saturation shards through. Either way the
+    /// threads work inside one history at a time, and outcomes are
     /// bit-identical at every thread count.
     ///
     /// # Errors
@@ -347,7 +344,7 @@ impl Engine {
         // thread-current handle.
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
-        source.set_threads(self.cfg.threads);
+        source.set_pool(Arc::clone(&self.pool));
         loop {
             let next = {
                 let _s = obs.span("ingest");
@@ -596,7 +593,7 @@ fn check_prepared_into(
         IsolationLevel::Causal => {
             let sat = {
                 let _s = obs.span("saturate_cc");
-                saturate_cc_into(pool, index, cfg.cc_strategy, cfg.threads, graph, clocks)
+                saturate_cc_into(pool, index, cfg.threads, graph, clocks)
             };
             match sat {
                 Ok(()) => finish_graph(
@@ -661,7 +658,7 @@ fn finish_graph(
         }
     } else {
         let _s = obs.span("witness_provenance");
-        let witnesses = crate::provenance::witness_cycles(&cycles, index, level, cfg.cc_strategy);
+        let witnesses = crate::provenance::witness_cycles(&cycles, index, level);
         violations.extend(
             witnesses
                 .into_iter()
@@ -728,11 +725,11 @@ pub trait HistorySource {
         }
     }
 
-    /// Hints how many parser threads the source may use within one
-    /// history ([`Engine::check_source`] passes its resolved thread
-    /// count). Sources that can parse sharded (the file sources in
-    /// `awdit-formats`) honor it; the default ignores it.
-    fn set_threads(&mut self, _threads: usize) {}
+    /// Hands the source a worker pool for parsing within one history
+    /// ([`Engine::check_source`] passes the engine's own). Sources that
+    /// can parse sharded (the file sources in `awdit-formats`) shard to
+    /// the pool's width; the default ignores it.
+    fn set_pool(&mut self, _pool: Arc<parallel::Pool>) {}
 }
 
 /// Every iterator of `Result<SourcedHistory, SourceError>` is a source —

@@ -66,6 +66,11 @@ pub trait CommitView {
     /// flat CSR form ([`HistoryIndex`]) or per-session vectors
     /// (`awdit-stream`'s slab index).
     fn for_each_key_writes(&self, key: Key, f: &mut dyn FnMut(u32, &[DenseId]));
+    /// The number of leading entries of `writes` — session `session`'s
+    /// writers of a key as [`for_each_key_writes`](Self::for_each_key_writes)
+    /// visits them — whose committed position is below `bound`: the CC
+    /// kernel's visible-writer search.
+    fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize;
 }
 
 impl CommitView for HistoryIndex {
@@ -100,6 +105,9 @@ impl CommitView for HistoryIndex {
         for (s, writes) in HistoryIndex::key_writes(self, key) {
             f(s, writes);
         }
+    }
+    fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize {
+        HistoryIndex::writers_before(self, session, writes, bound)
     }
 }
 
@@ -485,8 +493,8 @@ fn clock_entry(row: &[u32], s: u32) -> u32 {
 }
 
 /// The Causal Consistency inference body (Algorithm 3's main loop, shared
-/// by the batch `BinarySearch` strategy, witness provenance and the
-/// streaming checker): given `t3`'s inclusive happens-before clock — as a raw
+/// by the batch saturator, witness provenance and the streaming checker):
+/// given `t3`'s inclusive happens-before clock — as a raw
 /// per-session entries slice, so both [`VectorClock`]s (via
 /// [`entries`](VectorClock::entries)) and the flat
 /// [`ClockTable`](crate::cc::ClockTable) rows plug in without conversion —
@@ -525,7 +533,7 @@ pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
                 return;
             }
             // Latest writer with committed position < bound.
-            let cnt = writes.partition_point(|&w| view.committed_pos(w) < bound);
+            let cnt = view.writers_before(s_prime, writes, bound);
             if cnt > 0 {
                 let t2 = writes[cnt - 1];
                 if t2 != t1 && view.committed_pos(t2) >= hb1 {

@@ -416,6 +416,31 @@ impl HistoryIndex {
         })
     }
 
+    /// The number of leading entries of `writes` — session `session`'s
+    /// committed writers of a key in session order, as
+    /// [`key_writes`](Self::key_writes) yields them — whose committed
+    /// position is below `bound`. Equal to
+    /// `writes.partition_point(|&w| self.committed_pos(w) < bound)`.
+    ///
+    /// Dense ids are session-major, so the session's committed
+    /// transactions are the consecutive ids `base..base + len` and
+    /// `committed_pos(w) = w − base`. Hence `committed_pos(w) < bound ⇔
+    /// w < base + bound`: the search compares ids and loads no position.
+    /// Lists longer than `INTERPOLATE_MIN_LEN` start from the entry whose
+    /// share of the list is `bound`'s share of the session, and gallop
+    /// from it.
+    #[inline]
+    pub fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize {
+        let ids = self.session_committed.row_range(session as usize);
+        let target = ids.start as u32 + bound;
+        let n = writes.len();
+        if n <= INTERPOLATE_MIN_LEN {
+            return writes.partition_point(|&w| w < target);
+        }
+        let guess = (bound as u64 * n as u64 / ids.len() as u64) as usize;
+        gallop_below(writes, target, guess.min(n - 1))
+    }
+
     /// Iterates over every `(session, key)` pair with at least one committed
     /// write, along with its writer list.
     pub fn session_write_lists(&self) -> impl Iterator<Item = (u32, Key, &[DenseId])> {
@@ -424,6 +449,40 @@ impl HistoryIndex {
                 .map(move |(s, ws)| (s, Key(k as u32), ws))
         })
     }
+}
+
+/// Write lists longer than this are searched by [`gallop_below`] from an
+/// interpolated guess; shorter ones are binary searched directly, which
+/// measured faster on the short per-`(session, key)` lists of small
+/// histories.
+const INTERPOLATE_MIN_LEN: usize = 64;
+
+/// The number of entries of the ascending `ids` below `target`, galloping
+/// outward from index `guess` until the answer is bracketed and binary
+/// searching the bracket. From a good guess (evenly spread ids, as a
+/// session's writers of a key are) the bracket is a few entries wide, so
+/// the search touches one or two cache lines instead of `log₂ len`.
+fn gallop_below(ids: &[u32], target: u32, guess: usize) -> usize {
+    let n = ids.len();
+    let mut step = 1;
+    let (mut lo, mut hi) = (guess, guess);
+    if ids[guess] < target {
+        // The answer is in lo..=hi once hi == n or ids[hi] >= target.
+        (lo, hi) = (guess + 1, guess + 1);
+        while hi < n && ids[hi] < target {
+            lo = hi + 1;
+            hi = (hi + step).min(n);
+            step *= 2;
+        }
+    } else {
+        // The answer is in lo..=hi once lo == 0 or ids[lo - 1] < target.
+        while lo > 0 && ids[lo - 1] >= target {
+            hi = lo - 1;
+            lo = hi.saturating_sub(step);
+            step *= 2;
+        }
+    }
+    lo + ids[lo..hi].partition_point(|&w| w < target)
 }
 
 #[cfg(test)]
@@ -543,5 +602,81 @@ mod tests {
         assert_eq!(groups[2].1.len(), 2);
         let all: usize = idx.session_write_lists().map(|(_, _, ws)| ws.len()).sum();
         assert_eq!(all, 4);
+    }
+
+    /// `writers_before` must count exactly what a search over committed
+    /// positions counts, for every bound from 0 to one past the session's
+    /// end, on write lists of every shape: one entry, every entry at the
+    /// start or the end of the session, TPC-C-like bursts, skewed spacing
+    /// (so interpolation guesses far off and the gallop runs to either
+    /// end), and uniform lists on both sides of `INTERPOLATE_MIN_LEN` and of
+    /// 1,000 entries and more. Aborted transactions are interleaved, and
+    /// every session but the first starts at a nonzero dense id.
+    #[test]
+    fn writers_before_matches_a_search_over_positions() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut coin = |p: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % 100 < p
+        };
+        let n = 2_500usize;
+        let shapes: Vec<Vec<bool>> = vec![
+            (0..n).map(|i| i == n / 2).collect(),
+            (0..n).map(|i| i < 40).collect(),
+            (0..n).map(|i| i >= n - 200).collect(),
+            (0..n).map(|i| i % 500 < 20).collect(),
+            (0..n).map(|i| i < 600 || i % 97 == 0).collect(),
+            (0..n).map(|i| i == 0 || i >= n - 200).collect(),
+            (0..n).map(|i| i < 200 || i == n - 1).collect(),
+            (0..n).map(|i| i % 37 == 0 && i / 37 < 64).collect(),
+            (0..n).map(|i| i % 37 == 0 && i / 37 < 65).collect(),
+            (0..n).map(|i| i % 37 == 0 && i / 37 < 66).collect(),
+            (0..n).map(|_| coin(50)).collect(),
+            (0..n).map(|_| coin(90)).collect(),
+            (0..n).map(|_| coin(3)).collect(),
+        ];
+        let mut b = HistoryBuilder::new();
+        let mut value = 0;
+        for shape in &shapes {
+            let s = b.session();
+            for &writes_x in shape {
+                value += 1;
+                if coin(10) {
+                    b.begin(s);
+                    b.write(s, 0, value);
+                    b.abort(s);
+                    value += 1;
+                }
+                b.begin(s);
+                b.write(s, if writes_x { 0 } else { 1 }, value);
+                b.commit(s);
+            }
+        }
+        let h = b.finish().unwrap();
+        let idx = HistoryIndex::new(&h);
+        let x = (0..h.num_keys() as u32)
+            .map(Key)
+            .find(|&k| h.key_name(k) == 0)
+            .unwrap();
+        let lists: Vec<(u32, &[DenseId])> = idx.key_writes(x).collect();
+        assert_eq!(lists.len(), shapes.len());
+        let lens: Vec<usize> = lists.iter().map(|(_, ws)| ws.len()).collect();
+        assert!(lens.contains(&1));
+        assert!(lens.contains(&INTERPOLATE_MIN_LEN) && lens.contains(&(INTERPOLATE_MIN_LEN + 1)));
+        assert!(lens.iter().filter(|&&l| l >= 1_000).count() >= 2);
+        assert_eq!(idx.writers_before(0, &[], 0), 0);
+        for (s, writes) in lists {
+            let len = idx.session_committed(SessionId(s)).len() as u32;
+            for bound in 0..=len + 1 {
+                assert_eq!(
+                    idx.writers_before(s, writes, bound),
+                    writes.partition_point(|&w| idx.committed_pos(w) < bound),
+                    "session {s} ({} writers), bound {bound}",
+                    writes.len()
+                );
+            }
+        }
     }
 }

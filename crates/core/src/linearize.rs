@@ -260,6 +260,28 @@ fn validate_visibility(
     Ok(())
 }
 
+/// Whether some permutation of `history`'s committed transactions is a
+/// commit order witnessing `level`: the brute-force oracle for small
+/// histories' verdicts.
+#[cfg(test)]
+pub(crate) fn some_commit_order_validates(history: &History, level: IsolationLevel) -> bool {
+    fn search(h: &History, level: IsolationLevel, ids: &mut [TxnId], k: usize) -> bool {
+        if k == ids.len() {
+            return validate_commit_order(h, level, ids).is_ok();
+        }
+        for i in k..ids.len() {
+            ids.swap(k, i);
+            if search(h, level, ids, k + 1) {
+                return true;
+            }
+            ids.swap(k, i);
+        }
+        false
+    }
+    let mut ids = HistoryIndex::new(history).txn_ids().to_vec();
+    search(history, level, &mut ids, 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,7 +427,7 @@ mod tests {
         b.commit(s3);
         let h = b.finish().unwrap();
         let index = HistoryIndex::new(&h);
-        let mut g = saturate_cc(&index, CcStrategy::BinarySearch).expect("no causality cycle");
+        let mut g = saturate_cc(&index, CcStrategy::default()).expect("no causality cycle");
         g.freeze();
         let order = commit_order_from_graph(&index, &g).expect("consistent");
         validate_commit_order(&h, IsolationLevel::Causal, &order)

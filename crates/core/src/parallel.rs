@@ -717,9 +717,9 @@ pub fn split_weighted(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Contiguous session groups for per-session sharding (RA, pointer-scan
-/// CC), weighted by each session's committed-transaction count so skewed
-/// session lengths still balance.
+/// Contiguous session groups for per-session sharding (RA), weighted by
+/// each session's committed-transaction count so skewed session lengths
+/// still balance.
 pub fn session_groups(index: &HistoryIndex, parts: usize) -> Vec<Range<usize>> {
     let weights: Vec<usize> = (0..index.num_sessions())
         .map(|s| index.session_committed(SessionId(s as u32)).len())

@@ -17,13 +17,12 @@
 //!   from. The CC kernel gets the full clock table's rows, so it drops
 //!   the same hb-implied edges the saturator dropped. The readers are
 //!   visited in the saturator's sequential order, so the label is the
-//!   pair's first emission there: dense-id order (session-major) for RC,
-//!   RA and pointer-scan CC, the topological order of `so ∪ wr` for
-//!   binary-search CC.
+//!   pair's first emission there: dense-id order (session-major) for RC
+//!   and RA, the topological order of `so ∪ wr` for CC.
 
 use std::collections::HashMap;
 
-use crate::cc::{compute_hb_into, CcStrategy, ClockTable};
+use crate::cc::{compute_hb_into, ClockTable};
 use crate::graph::{base_commit_graph, Cycle, EdgeKind};
 use crate::incremental::{infer_cc_edges, EdgeSink, RaKernel, RcKernel};
 use crate::index::HistoryIndex;
@@ -32,13 +31,11 @@ use crate::types::SessionId;
 use crate::witness::{WitnessCycle, WitnessEdge};
 
 /// Labels every edge of `cycles` — dense-id cycles of `level`'s saturated
-/// commit graph over `index`, saturated with `strategy` when `level` is
-/// causal — and translates them into witnesses.
+/// commit graph over `index` — and translates them into witnesses.
 pub(crate) fn witness_cycles(
     cycles: &[Cycle],
     index: &HistoryIndex,
     level: IsolationLevel,
-    strategy: CcStrategy,
 ) -> Vec<WitnessCycle> {
     let mut labels: HashMap<(u32, u32), Option<EdgeKind>> = cycles
         .iter()
@@ -47,7 +44,7 @@ pub(crate) fn witness_cycles(
         .map(|e| ((e.from, e.to), None))
         .collect();
     if !labels.is_empty() {
-        label_inferred(index, level, strategy, &mut labels);
+        label_inferred(index, level, &mut labels);
     }
     cycles
         .iter()
@@ -114,7 +111,6 @@ fn record(
 fn label_inferred(
     index: &HistoryIndex,
     level: IsolationLevel,
-    strategy: CcStrategy,
     labels: &mut HashMap<(u32, u32), Option<EdgeKind>>,
 ) {
     let m = index.num_committed();
@@ -130,14 +126,13 @@ fn label_inferred(
                 .any(|r| is_target[r.writer as usize])
         })
         .collect();
-    // Readers in dense-id (session-major) order.
-    let readers = (0..m as u32).filter(|&t| is_reader[t as usize]);
     let mut pending = labels.len();
     let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
     match level {
         IsolationLevel::ReadCommitted => {
             let mut kernel = RcKernel::new();
-            for t3 in readers {
+            // Readers in dense-id (session-major) order.
+            for t3 in (0..m as u32).filter(|&t| is_reader[t as usize]) {
                 kernel.process(index, t3, &mut emitted);
                 if record(&mut emitted, labels, &mut pending) {
                     return;
@@ -166,22 +161,14 @@ fn label_inferred(
             }
         }
         IsolationLevel::Causal => {
-            // The binary-search pass releases clock rows after their last
-            // reader, so the rows are recomputed for either strategy.
+            // The saturation releases clock rows after their last reader,
+            // so the rows are recomputed.
             let topo = base_commit_graph(index)
                 .topological_order()
                 .expect("a saturated CC graph has an acyclic base");
             let mut table = ClockTable::new();
             compute_hb_into(index, &topo, &mut table);
-            let order: Vec<u32> = match strategy {
-                CcStrategy::PointerScan => readers.collect(),
-                CcStrategy::BinarySearch => topo
-                    .iter()
-                    .copied()
-                    .filter(|&t| is_reader[t as usize])
-                    .collect(),
-            };
-            for t3 in order {
+            for &t3 in topo.iter().filter(|&&t| is_reader[t as usize]) {
                 infer_cc_edges(index, t3, table.row(t3), &|w| table.row(w), &mut emitted);
                 if record(&mut emitted, labels, &mut pending) {
                     return;
@@ -231,12 +218,7 @@ mod tests {
                 edges: vec![edge(t2, t3, false)],
             },
         ];
-        let ws = witness_cycles(
-            &cycles,
-            &index,
-            IsolationLevel::ReadAtomic,
-            CcStrategy::default(),
-        );
+        let ws = witness_cycles(&cycles, &index, IsolationLevel::ReadAtomic);
         let kinds: Vec<EdgeKind> = ws.iter().flat_map(|w| &w.edges).map(|e| e.kind).collect();
         let name = |k: Key| h.key_name(k);
         match kinds[..] {
@@ -250,11 +232,11 @@ mod tests {
 
     /// Two CC readers infer the same pair `t2 → t1`, on different keys,
     /// and the topological order visits them in the reverse of dense-id
-    /// order. The label is the first emission in the order the check's
-    /// strategy saturates in: topological for binary search (`y`, from
-    /// `b`), session-major for pointer scan (`x`, from `a`).
+    /// order. The label is the first emission in the order the saturation
+    /// runs in: topological (`y`, from `b`), not session-major (`x`, from
+    /// `a`).
     #[test]
-    fn cc_label_follows_the_strategys_emission_order() {
+    fn cc_label_follows_the_topological_emission_order() {
         let mut b = HistoryBuilder::new();
         let s0 = b.session();
         let s1 = b.session();
@@ -290,27 +272,19 @@ mod tests {
         let pos = |t| topo.iter().position(|&v| v == t).unwrap();
         assert!(reader_a < reader_b && pos(reader_b) < pos(reader_a));
 
-        for (strategy, key) in [(CcStrategy::BinarySearch, y), (CcStrategy::PointerScan, x)] {
-            let mut engine = crate::Engine::with_config(crate::EngineConfig {
-                cc_strategy: strategy,
-                ..crate::EngineConfig::default()
-            });
-            let out = engine.check_level(&h, IsolationLevel::Causal);
-            let labels: Vec<EdgeKind> = out
-                .violations()
-                .iter()
-                .flat_map(|v| match v {
-                    crate::Violation::CommitOrderCycle { cycle, .. } => cycle.edges.clone(),
-                    other => panic!("unexpected violation {other:?}"),
-                })
-                .map(|e| e.kind)
-                .collect();
-            match labels[..] {
-                [EdgeKind::SessionOrder, EdgeKind::Inferred(k)] => {
-                    assert_eq!(h.key_name(k), key, "{strategy}");
-                }
-                _ => panic!("{strategy}: unexpected labels {labels:?}"),
-            }
+        let out = crate::check(&h, IsolationLevel::Causal);
+        let labels: Vec<EdgeKind> = out
+            .violations()
+            .iter()
+            .flat_map(|v| match v {
+                crate::Violation::CommitOrderCycle { cycle, .. } => cycle.edges.clone(),
+                other => panic!("unexpected violation {other:?}"),
+            })
+            .map(|e| e.kind)
+            .collect();
+        match labels[..] {
+            [EdgeKind::SessionOrder, EdgeKind::Inferred(k)] => assert_eq!(h.key_name(k), y),
+            _ => panic!("unexpected labels {labels:?}"),
         }
     }
 }

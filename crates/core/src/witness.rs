@@ -195,8 +195,7 @@ impl WitnessCycle {
     /// graph over `index` into transaction ids, re-deriving each edge's
     /// full provenance: session order or write–read for base edges, and
     /// for inferred edges the key of the pair's first emission by the
-    /// level's kernel, in the sequential order of the default
-    /// [`CcStrategy`](crate::CcStrategy) for a causal graph (see the
+    /// level's kernel, in the saturation's sequential order (see the
     /// `provenance` module source for the derivation). A cycle of
     /// `so ∪ wr` alone labels under any level.
     ///
@@ -205,14 +204,9 @@ impl WitnessCycle {
     /// Panics if an edge marked inferred is not one that `level`'s
     /// saturation infers for this history.
     pub fn from_cycle(cycle: &Cycle, index: &HistoryIndex, level: IsolationLevel) -> Self {
-        crate::provenance::witness_cycles(
-            std::slice::from_ref(cycle),
-            index,
-            level,
-            crate::cc::CcStrategy::default(),
-        )
-        .pop()
-        .expect("one witness per cycle")
+        crate::provenance::witness_cycles(std::slice::from_ref(cycle), index, level)
+            .pop()
+            .expect("one witness per cycle")
     }
 
     /// Number of inferred (non-`so ∪ wr`) edges.

@@ -138,10 +138,8 @@ fn every_inferred_edge_is_required() {
         if check_repeatable_reads(&index).is_empty() {
             graphs.push((IsolationLevel::ReadAtomic, saturate_ra(&index)));
         }
-        for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            if let Ok(g) = saturate_cc(&index, strategy) {
-                graphs.push((IsolationLevel::Causal, g));
-            }
+        if let Ok(g) = saturate_cc(&index, CcStrategy::default()) {
+            graphs.push((IsolationLevel::Causal, g));
         }
         for (level, mut g) in graphs {
             g.freeze();
@@ -185,7 +183,7 @@ fn inferred_edge_counts_are_bounded() {
             let ra = saturate_ra(&index);
             assert!(count_inferred(ra) <= 2 * total_pairs);
         }
-        if let Ok(cc) = saturate_cc(&index, CcStrategy::BinarySearch) {
+        if let Ok(cc) = saturate_cc(&index, CcStrategy::default()) {
             assert!(count_inferred(cc) <= total_pairs * index.num_sessions());
         }
     }

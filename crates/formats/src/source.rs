@@ -69,15 +69,14 @@ pub fn history_of_events(events: &[Event]) -> Result<History, String> {
 /// [`detect`](crate::detect) (content sniff first, extension fallback)
 /// unless a [`Format`] is pinned: binary `.awb` files bulk-load (mmap
 /// where available), NDJSON event logs replay, and text histories either
-/// stream line by line (`threads <= 1`, no full-file buffer anywhere) or
-/// parse in parallel shards through a whole-file buffer that is freed
-/// before this returns, so it is never resident while the history is
-/// checked.
+/// stream line by line (no pool, or a width-1 one: no full-file buffer
+/// anywhere) or parse in parallel shards on `pool` through a whole-file
+/// buffer that is freed before this returns, so it is never resident
+/// while the history is checked.
 fn read_path_into(
-    pool: &Pool,
+    pool: Option<&Pool>,
     path: &Path,
     format: Option<Format>,
-    threads: usize,
     sink: &mut (impl HistorySink + ?Sized),
 ) -> Result<(), String> {
     use std::io::{Read, Seek, SeekFrom};
@@ -108,25 +107,25 @@ fn read_path_into(
             }
         }
     };
-    let bytes = match detected {
-        Detected::Binary => {
+    let bytes = match (detected, pool.filter(|p| p.width() > 1)) {
+        (Detected::Binary, _) => {
             drop(file);
             read_awb_path_into(path, sink).map_err(|e| e.to_string())?;
             std::fs::metadata(path).map_or(0, |m| m.len())
         }
-        Detected::Events => {
+        (Detected::Events, _) => {
             let mut lines = LineReader::new(BufReader::new(file));
             read_events_lines(&mut lines, sink).map_err(|e| e.to_string())?;
             std::fs::metadata(path).map_or(0, |m| m.len())
         }
-        Detected::History(f) if threads > 1 => {
+        (Detected::History(f), Some(pool)) => {
             let mut buf = Vec::new();
             file.read_to_end(&mut buf)
                 .map_err(|e| format!("cannot read: {e}"))?;
-            read_sharded_pool(pool, &buf, f, threads, sink).map_err(|e| e.to_string())?;
+            read_sharded_pool(pool, &buf, f, pool.width(), sink).map_err(|e| e.to_string())?;
             buf.len() as u64
         }
-        Detected::History(f) => {
+        (Detected::History(f), None) => {
             let mut lines = LineReader::new(BufReader::new(file));
             read_history_lines(&mut lines, f, sink).map_err(|e| e.to_string())?;
             std::fs::metadata(path).map_or(0, |m| m.len())
@@ -141,23 +140,19 @@ fn read_path_into(
 /// A [`HistorySource`] over an explicit list of history files, yielded in
 /// list order. Each file's kind — text format, binary `.awb`, NDJSON
 /// event log — is auto-detected via [`detect`](crate::detect) unless
-/// pinned with [`with_format`](Self::with_format). With
-/// [`HistorySource::set_threads`] (as
-/// [`Engine::check_source`](awdit_core::Engine::check_source) calls it)
-/// above one, text files parse in parallel shards — bit-identical to the
-/// streaming parse.
+/// pinned with [`with_format`](Self::with_format). Once
+/// [`HistorySource::set_pool`] hands it a pool wider than one (as
+/// [`Engine::check_source`](awdit_core::Engine::check_source) hands it
+/// the engine's), text files parse in parallel shards on that pool —
+/// bit-identical to the streaming parse.
 #[derive(Clone, Debug)]
 pub struct FilesSource {
     paths: Vec<PathBuf>,
     format: Option<Format>,
     pos: usize,
-    threads: usize,
-    /// Lazily-created worker pool shared by every file's shard parse, so
-    /// a fleet of files costs one set of parked threads instead of
-    /// per-file spawns. Recreated only when the thread budget changes
-    /// width; `None` until the first load (a width-1 budget never creates
-    /// one with workers).
-    pool: Option<Arc<Pool>>,
+    /// The workers a text file's shard parse runs on: the engine's pool,
+    /// so one check parks one set of threads. `None` parses sequentially.
+    shard_pool: Option<Arc<Pool>>,
 }
 
 impl FilesSource {
@@ -171,22 +166,7 @@ impl FilesSource {
             paths: paths.into_iter().map(Into::into).collect(),
             format: None,
             pos: 0,
-            threads: 1,
-            pool: None,
-        }
-    }
-
-    /// The source's worker pool at width `self.threads`, created on first
-    /// use and kept warm across files (recreated only when the width
-    /// changes).
-    fn pool(&mut self) -> Arc<Pool> {
-        match &self.pool {
-            Some(pool) if pool.width() == self.threads => Arc::clone(pool),
-            _ => {
-                let pool = Arc::new(Pool::new(self.threads));
-                self.pool = Some(Arc::clone(&pool));
-                pool
-            }
+            shard_pool: None,
         }
     }
 
@@ -208,8 +188,7 @@ impl FilesSource {
         sink: &mut (impl HistorySink + ?Sized),
     ) -> Result<String, SourceError> {
         let origin = path.display().to_string();
-        let pool = self.pool();
-        read_path_into(&pool, path, self.format, self.threads, sink).map_err(|message| {
+        read_path_into(self.shard_pool.as_deref(), path, self.format, sink).map_err(|message| {
             SourceError {
                 origin: origin.clone(),
                 message,
@@ -249,8 +228,8 @@ impl HistorySource for FilesSource {
         Some(self.load_into(&path, sink))
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = awdit_core::parallel::effective_threads(threads);
+    fn set_pool(&mut self, pool: Arc<Pool>) {
+        self.shard_pool = Some(pool);
     }
 }
 
@@ -320,8 +299,8 @@ impl HistorySource for DirSource {
         self.inner.next_into(sink)
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
+    fn set_pool(&mut self, pool: Arc<Pool>) {
+        self.inner.set_pool(pool);
     }
 }
 

@@ -207,10 +207,8 @@ impl From<&awdit_core::EngineConfig> for StreamConfig {
     /// [`Engine`](awdit_core::Engine) agree on their tuning
     /// (`max_cycles` maps to [`max_cycle_reports`](StreamConfig::max_cycle_reports)).
     ///
-    /// The engine's `cc_strategy` and `threads` are **not** projected:
-    /// the streaming checker runs a single incremental CC kernel on the
-    /// calling thread, so online verdicts are strategy-independent by
-    /// construction.
+    /// The engine's `threads` is **not** projected: the streaming checker
+    /// runs its incremental kernels on the calling thread.
     fn from(cfg: &awdit_core::EngineConfig) -> Self {
         StreamConfig {
             level: cfg.level,

@@ -219,4 +219,8 @@ impl CommitView for StreamIndex {
             }
         }
     }
+    fn writers_before(&self, _: u32, writes: &[DenseId], bound: u32) -> usize {
+        // Slab slots are reused, so ids carry no order: search positions.
+        writes.partition_point(|&w| self.meta(w).committed_pos < bound)
+    }
 }

@@ -1,16 +1,18 @@
 //! Large-scale differential testing: every checker in the workspace —
-//! AWDIT's three algorithms (both CC strategies), the Plume-, DBCop-, and
-//! SAT-style baselines, the exhaustive-saturation oracle, and (on tiny
-//! histories) the brute-force permutation oracle — must agree on every
-//! history.
+//! AWDIT's three algorithms, the Plume-, DBCop-, and SAT-style baselines,
+//! the exhaustive-saturation oracle, and (on tiny histories) the
+//! brute-force permutation oracle — must agree on every history, and every
+//! CC commit order AWDIT produces must validate against the axioms.
 
 use awdit::baselines::{
     check_bruteforce, check_dbcop_cc, check_naive, check_plume, check_sat, random_noisy_history,
     random_plausible_history, GenParams,
 };
-use awdit::core::CcStrategy;
 use awdit::workloads::Uniform;
-use awdit::{check, collect_history, DbIsolation, Engine, EngineConfig, IsolationLevel, SimConfig};
+use awdit::{
+    check, collect_history, validate_commit_order, DbIsolation, Engine, EngineConfig,
+    IsolationLevel, SimConfig,
+};
 
 fn all_checkers_agree(h: &awdit::History, ctx: &str) {
     for level in IsolationLevel::ALL {
@@ -31,17 +33,15 @@ fn all_checkers_agree(h: &awdit::History, ctx: &str) {
                 check_dbcop_cc(h),
                 "{ctx}: awdit vs dbcop (CC)"
             );
-            for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                let out = Engine::with_config(EngineConfig {
-                    cc_strategy: strategy,
-                    ..EngineConfig::default()
-                })
-                .check_level(h, level);
-                assert_eq!(
-                    awdit_verdict,
-                    out.is_consistent(),
-                    "{ctx}: CC strategy {strategy:?}"
-                );
+            let out = Engine::with_config(EngineConfig {
+                want_commit_order: true,
+                ..EngineConfig::default()
+            })
+            .check_level(h, level);
+            assert_eq!(awdit_verdict, out.is_consistent(), "{ctx}: engine (CC)");
+            if let Some(order) = out.commit_order() {
+                validate_commit_order(h, level, order)
+                    .unwrap_or_else(|e| panic!("{ctx}: CC commit order: {e}"));
             }
         }
     }

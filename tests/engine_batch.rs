@@ -8,11 +8,11 @@
 //! through one engine performs no arena growth, observed via
 //! [`EngineStats::arena_growths`]).
 
-use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
-use awdit::core::cc::CcStrategy;
+use awdit::baselines::{check_naive, random_noisy_history, random_plausible_history, GenParams};
 use awdit::{
-    check, collect_history, replay_history, DbIsolation, Engine, EngineConfig, History,
-    HistoryBuilder, IsolationLevel, Outcome, SimConfig, SourceError, SourcedHistory,
+    check, collect_history, replay_history, validate_commit_order, DbIsolation, Engine,
+    EngineConfig, History, HistoryBuilder, IsolationLevel, Outcome, SimConfig, SourceError,
+    SourcedHistory,
 };
 use awdit_workloads::Uniform;
 
@@ -135,37 +135,34 @@ fn check_source_is_identical_to_per_history_checks() {
     }
 }
 
+/// Causal checks through `check_source` are identical at every thread
+/// count, and agree with the independent oracles: each verdict with
+/// `check_naive`, each commit order with the axiom validator.
 #[test]
-fn check_source_agrees_across_cc_strategies_and_threads() {
+fn check_source_cc_agrees_across_threads_and_with_oracles() {
     let batch = mixed_batch();
     let cfg = EngineConfig {
         want_commit_order: true,
         ..EngineConfig::default()
     };
-    let causal = Some(IsolationLevel::Causal);
-    let reference = check_batch(&mut Engine::with_config(cfg), &batch, causal);
-    for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-        for threads in THREAD_COUNTS {
-            let mut engine = Engine::with_config(EngineConfig {
-                cc_strategy: strategy,
-                threads,
-                ..cfg
-            });
-            let got = check_batch(&mut engine, &batch, causal);
-            // Verdicts (and for the default strategy, full outcomes) are
-            // invariant; witness *edges* may differ across strategies, so
-            // compare verdict prefixes for the non-default one.
-            if strategy == CcStrategy::default() {
-                assert_eq!(reference, got, "threads {threads}");
-            } else {
-                for (r, g) in reference.iter().zip(&got) {
-                    assert_eq!(
-                        r[0].split('|').next(),
-                        g[0].split('|').next(),
-                        "verdict diverged (strategy {strategy:?}, threads {threads})"
-                    );
-                }
-            }
+    let causal = IsolationLevel::Causal;
+    let reference = check_batch(&mut Engine::with_config(cfg), &batch, Some(causal));
+    for threads in THREAD_COUNTS {
+        let mut engine = Engine::with_config(EngineConfig { threads, ..cfg });
+        let got = check_batch(&mut engine, &batch, Some(causal));
+        assert_eq!(reference, got, "threads {threads}");
+    }
+    for (i, h) in batch.iter().map(canonical).enumerate() {
+        let out = Engine::with_config(cfg).check_level(&h, causal);
+        assert_eq!(reference[i], [fingerprint(&out)], "history {i}");
+        assert_eq!(
+            out.is_consistent(),
+            check_naive(&h, causal),
+            "history {i}: naive"
+        );
+        if let Some(order) = out.commit_order() {
+            validate_commit_order(&h, causal, order)
+                .unwrap_or_else(|e| panic!("history {i}: commit order: {e}"));
         }
     }
 }
@@ -234,10 +231,8 @@ fn second_same_shape_check_performs_no_arena_growth() {
 }
 
 /// The CC happens-before clock table is one of the engine's recycled
-/// arenas (the PR-3 follow-up: index and graph recycled, clocks were
-/// still per-check): its bytes show up in the accounting, the first
-/// causal check grows it, and repeats recycle it — under both lookup
-/// strategies.
+/// arenas: its bytes show up in the accounting, the first causal check
+/// grows it, and repeats recycle it.
 #[test]
 fn cc_clock_table_is_a_recycled_engine_arena() {
     let config = SimConfig::new(DbIsolation::Causal, 16, 77).with_max_lag(8);
@@ -253,34 +248,27 @@ fn cc_clock_table_is_a_recycled_engine_arena() {
     rc.check(&h);
     let rc_bytes = rc.stats().arena_bytes;
 
-    for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-        let mut engine = Engine::with_config(EngineConfig {
-            cc_strategy: strategy,
-            ..EngineConfig::default()
-        });
+    let mut engine = Engine::new();
+    engine.check(&h);
+    let first = engine.stats();
+    assert_eq!(first.arena_growths, 1, "first check grows");
+    for _ in 0..3 {
         engine.check(&h);
-        let first = engine.stats();
-        assert_eq!(first.arena_growths, 1, "{strategy}: first check grows");
-        for _ in 0..3 {
-            engine.check(&h);
-        }
-        let after = engine.stats();
-        assert_eq!(
-            after.arena_growths, 1,
-            "{strategy}: same-shape causal checks must recycle the clock table"
-        );
-        assert_eq!(after.arena_bytes, first.arena_bytes, "{strategy}");
-        if strategy == CcStrategy::PointerScan {
-            // Pointer-scan materializes the full m×k table — its bytes
-            // must be visible in the arena accounting.
-            assert!(
-                first.arena_bytes > rc_bytes,
-                "clock table bytes missing from accounting: CC {} <= RC {}",
-                first.arena_bytes,
-                rc_bytes
-            );
-        }
     }
+    let after = engine.stats();
+    assert_eq!(
+        after.arena_growths, 1,
+        "same-shape causal checks must recycle the clock table"
+    );
+    assert_eq!(after.arena_bytes, first.arena_bytes);
+    // The clock table's live rows and per-transaction counters must be
+    // visible in the arena accounting.
+    assert!(
+        first.arena_bytes > rc_bytes,
+        "clock table bytes missing from accounting: CC {} <= RC {}",
+        first.arena_bytes,
+        rc_bytes
+    );
 }
 
 /// Checking through a fresh-per-call wrapper and through a reused engine

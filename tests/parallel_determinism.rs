@@ -10,7 +10,6 @@
 //! cutoff and genuinely exercise the multi-threaded path.
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
-use awdit::core::cc::CcStrategy;
 use awdit::core::graph::target;
 use awdit::core::parallel::{Pool, SEQUENTIAL_CUTOFF};
 use awdit::core::{saturate_cc_into, ClockTable, CommitGraph, EdgeKind, HistoryIndex};
@@ -34,26 +33,22 @@ fn fingerprint(h: &History, level: IsolationLevel, cfg: EngineConfig) -> String 
 
 fn assert_thread_invariant(h: &History, label: &str) {
     for level in IsolationLevel::ALL {
-        for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-            let base = EngineConfig {
-                cc_strategy: strategy,
-                want_commit_order: true,
-                threads: 1,
-                ..EngineConfig::default()
+        let base = EngineConfig {
+            want_commit_order: true,
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let reference = fingerprint(h, level, base);
+        for threads in &THREAD_COUNTS[1..] {
+            let cfg = EngineConfig {
+                threads: *threads,
+                ..base
             };
-            let reference = fingerprint(h, level, base);
-            for threads in &THREAD_COUNTS[1..] {
-                let cfg = EngineConfig {
-                    threads: *threads,
-                    ..base
-                };
-                let got = fingerprint(h, level, cfg);
-                assert_eq!(
-                    reference, got,
-                    "outcome diverged [{label}] level {level} strategy {strategy:?} \
-                     threads {threads}"
-                );
-            }
+            let got = fingerprint(h, level, cfg);
+            assert_eq!(
+                reference, got,
+                "outcome diverged [{label}] level {level} threads {threads}"
+            );
         }
     }
 }
@@ -110,12 +105,11 @@ fn wide_history_cc_graph_is_edge_identical() {
     let h = wide_uniform_history(64, 1600, 42);
     let index = HistoryIndex::new(&h);
     assert!(index.num_committed() > SEQUENTIAL_CUTOFF);
-    let saturate = |strategy: CcStrategy, threads: usize| {
+    let saturate = |threads: usize| {
         let mut g = CommitGraph::new(0);
         saturate_cc_into(
             &Pool::new(threads),
             &index,
-            strategy,
             threads,
             &mut g,
             &mut ClockTable::new(),
@@ -124,23 +118,21 @@ fn wide_history_cc_graph_is_edge_identical() {
         g.freeze();
         g
     };
-    for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-        let sequential = saturate(strategy, 1);
-        for threads in [2usize, 8] {
-            let parallel = saturate(strategy, threads);
-            assert_eq!(sequential.num_emitted_edges(), parallel.num_emitted_edges());
-            assert_eq!(sequential.num_edges(), parallel.num_edges());
+    let sequential = saturate(1);
+    for threads in [2usize, 8] {
+        let parallel = saturate(threads);
+        assert_eq!(sequential.num_emitted_edges(), parallel.num_emitted_edges());
+        assert_eq!(sequential.num_edges(), parallel.num_edges());
+        assert_eq!(
+            sequential.num_inferred_edges(),
+            parallel.num_inferred_edges()
+        );
+        for v in 0..index.num_committed() as u32 {
             assert_eq!(
-                sequential.num_inferred_edges(),
-                parallel.num_inferred_edges()
+                sequential.successors(v),
+                parallel.successors(v),
+                "successor list of {v} diverged ({threads} threads)"
             );
-            for v in 0..index.num_committed() as u32 {
-                assert_eq!(
-                    sequential.successors(v),
-                    parallel.successors(v),
-                    "successor list of {v} diverged ({strategy:?}, {threads} threads)"
-                );
-            }
         }
     }
     assert_thread_invariant(&h, "wide-uniform");

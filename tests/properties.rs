@@ -4,12 +4,12 @@
 
 use std::collections::HashSet;
 
-use awdit::baselines::check_naive;
+use awdit::baselines::{check_dbcop_cc, check_naive};
 use awdit::core::graph::{is_inferred, target};
 use awdit::core::parallel::SEQUENTIAL_CUTOFF;
 use awdit::core::{
-    base_commit_graph, compute_hb_into, infer_cc_edges, saturate_cc_into, CcStrategy, ClockTable,
-    CommitGraph, EdgeKind, HistoryIndex, Pool,
+    base_commit_graph, compute_hb_into, infer_cc_edges, saturate_cc_into, ClockTable, CommitGraph,
+    EdgeKind, HistoryIndex, Pool,
 };
 use awdit::reductions::{general_reduction, UndirectedGraph};
 use awdit::workloads::Uniform;
@@ -109,24 +109,19 @@ proptest! {
         prop_assert!(!ra || rc);
     }
 
-    /// Both CC strategies agree, and consistent checks yield commit orders
-    /// that validate against the axioms.
+    /// CC verdicts agree with the DBCop-style oracle, and consistent
+    /// checks yield commit orders that validate against the axioms.
     #[test]
-    fn cc_strategies_agree_and_orders_validate(program in history_program()) {
+    fn cc_verdicts_match_dbcop_and_orders_validate(program in history_program()) {
         let h = build(&program);
-        let [a, b] = [CcStrategy::PointerScan, CcStrategy::BinarySearch].map(|cc_strategy| {
-            Engine::with_config(EngineConfig {
-                cc_strategy,
-                want_commit_order: true,
-                ..EngineConfig::default()
-            })
-            .check_level(&h, IsolationLevel::Causal)
-        });
-        prop_assert_eq!(a.is_consistent(), b.is_consistent());
-        for out in [a, b] {
-            if let Some(order) = out.commit_order() {
-                prop_assert!(validate_commit_order(&h, IsolationLevel::Causal, order).is_ok());
-            }
+        let out = Engine::with_config(EngineConfig {
+            want_commit_order: true,
+            ..EngineConfig::default()
+        })
+        .check_level(&h, IsolationLevel::Causal);
+        prop_assert_eq!(out.is_consistent(), check_dbcop_cc(&h));
+        if let Some(order) = out.commit_order() {
+            prop_assert!(validate_commit_order(&h, IsolationLevel::Causal, order).is_ok());
         }
     }
 
@@ -201,8 +196,8 @@ proptest! {
     /// CC saturation drops only edges that happens-before already implies:
     /// against the unfiltered kernel (no writer rows), the kept inferred
     /// edges are a subset, every dropped `t2 → t1` has a `so ∪ wr` path,
-    /// and the SCC partition is unchanged — for both strategies, on the
-    /// sequential and the sharded path.
+    /// and the SCC partition is unchanged — on the sequential and the
+    /// sharded path.
     #[test]
     fn hb_filter_preserves_the_closure(seed in 0u64..1_000_000) {
         for db in [DbIsolation::Causal, DbIsolation::ReadCommitted, DbIsolation::ReadAtomic] {
@@ -242,26 +237,24 @@ proptest! {
                 reach[v as usize] = r;
             }
 
-            for strategy in [CcStrategy::PointerScan, CcStrategy::BinarySearch] {
-                for threads in [1, 2] {
-                    let mut g = CommitGraph::new(0);
-                    let mut clocks = ClockTable::new();
-                    let pool = Pool::new(threads);
-                    saturate_cc_into(&pool, &index, strategy, threads, &mut g, &mut clocks)
-                        .expect("acyclic base");
-                    g.freeze();
-                    let kept = inferred_edges(&g);
-                    let at = format!("{db:?} seed {seed} {strategy} t{threads}");
-                    prop_assert!(kept.is_subset(&all), "{}: an edge the kernel never emits", at);
-                    prop_assert!(kept.len() < all.len(), "{}: nothing was filtered", at);
-                    for &(t2, t1) in all.difference(&kept) {
-                        prop_assert!(
-                            reach[t2 as usize][t1 as usize],
-                            "{}: dropped t{} -> t{} without a so ∪ wr path", at, t2, t1
-                        );
-                    }
-                    prop_assert_eq!(&g.sccs(), &sccs, "{}", at);
+            for threads in [1, 2] {
+                let mut g = CommitGraph::new(0);
+                let mut clocks = ClockTable::new();
+                let pool = Pool::new(threads);
+                saturate_cc_into(&pool, &index, threads, &mut g, &mut clocks)
+                    .expect("acyclic base");
+                g.freeze();
+                let kept = inferred_edges(&g);
+                let at = format!("{db:?} seed {seed} t{threads}");
+                prop_assert!(kept.is_subset(&all), "{}: an edge the kernel never emits", at);
+                prop_assert!(kept.len() < all.len(), "{}: nothing was filtered", at);
+                for &(t2, t1) in all.difference(&kept) {
+                    prop_assert!(
+                        reach[t2 as usize][t1 as usize],
+                        "{}: dropped t{} -> t{} without a so ∪ wr path", at, t2, t1
+                    );
                 }
+                prop_assert_eq!(&g.sccs(), &sccs, "{}", at);
             }
         }
     }

@@ -4,6 +4,9 @@
 //! and `Engine::check_source` must produce the same outcomes on its
 //! sequential streaming path and through the thread pool.
 
+use std::sync::Arc;
+
+use awdit::core::parallel::{Pool, SEQUENTIAL_CUTOFF};
 use awdit::formats::{read_history, read_sharded, read_sharded_at, SHARD_MIN_BYTES};
 use awdit::{
     check, collect_source, replay_history, write_history, DirSource, Engine, EngineConfig,
@@ -207,7 +210,7 @@ fn engine_check_source_is_thread_invariant() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `FilesSource::set_threads` shards its parses without changing the
+/// `FilesSource::set_pool` shards its parses without changing the
 /// loaded history (the sharded source-level path, no engine involved).
 #[test]
 fn files_source_sharded_load_is_identical() {
@@ -222,12 +225,63 @@ fn files_source_sharded_load_is_identical() {
 
     for threads in THREAD_COUNTS {
         let mut source = FilesSource::new([&path]);
-        source.set_threads(threads);
+        source.set_pool(Arc::new(Pool::new(threads)));
         let loaded = collect_source(&mut source).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].history, h, "diverged at {threads} threads");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `Engine::check_source` hands file sources the engine's own pool: a
+/// text file big enough to shard, with too few transactions for any
+/// saturator to shard, spawns its parse workers on `engine.pool()`. A
+/// source-private pool would leave the engine's idle.
+#[test]
+fn sharded_parse_runs_on_the_engine_pool() {
+    let mut b = HistoryBuilder::new();
+    let sids = [b.session(), b.session()];
+    let mut value = 0;
+    for i in 0..96 {
+        let sid = sids[i % 2];
+        b.begin(sid);
+        for key in 0..400 {
+            value += 1;
+            b.write(sid, key, value);
+        }
+        b.commit(sid);
+    }
+    let h = canonical(&b.finish().unwrap());
+    let text = write_history(&h, Format::Native);
+    assert!(text.len() >= 2 * SHARD_MIN_BYTES);
+    assert!(h.num_txns() < SEQUENTIAL_CUTOFF);
+    let mut path = std::env::temp_dir();
+    path.push(format!("awdit-shard-pool-{}.awdit", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+
+    let mut engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        ..EngineConfig::default()
+    });
+    assert_eq!(engine.pool().spawned_threads(), 0);
+    let mut checked = 0;
+    engine
+        .check_source(
+            &mut FilesSource::new([&path]),
+            Some(IsolationLevel::Causal),
+            |_, got, outs| {
+                assert_eq!(got, &h);
+                assert!(outs[0].is_consistent());
+                checked += 1;
+            },
+        )
+        .unwrap();
+    assert_eq!(checked, 1);
+    assert!(
+        engine.pool().spawned_threads() > 0,
+        "the shard parse must run on the engine's pool"
+    );
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// A parse error in a sharded file surfaces the same message sequential
