@@ -19,8 +19,8 @@
 //! * a final monolithic cycle check.
 
 use awdit_core::{
-    base_commit_graph, check_read_consistency, compute_hb, CommitGraph, EdgeKind, History,
-    HistoryIndex, IsolationLevel, SessionId, VectorClock,
+    base_commit_graph, check_read_consistency, compute_hb_into, ClockTable, CommitGraph, EdgeKind,
+    History, HistoryIndex, IsolationLevel, SessionId,
 };
 
 /// Statistics from a Plume-style run, for the benchmark harness.
@@ -46,7 +46,7 @@ pub struct PlumeChecker<'h> {
     /// its dependency graph (vector/tree clocks included) for *every*
     /// level, which is why its construction phase dominates on easy inputs
     /// (the paper's Fig. 8 discussion).
-    clocks: Vec<VectorClock>,
+    clocks: ClockTable,
 }
 
 impl<'h> PlumeChecker<'h> {
@@ -57,10 +57,10 @@ impl<'h> PlumeChecker<'h> {
         let index = HistoryIndex::new(history);
         let g = base_commit_graph(&index);
         let topo = g.topological_order();
-        let clocks = match &topo {
-            Some(t) => compute_hb(&index, t),
-            None => Vec::new(),
-        };
+        let mut clocks = ClockTable::new();
+        if let Some(t) = &topo {
+            compute_hb_into(&index, t, &mut clocks);
+        }
         PlumeChecker {
             history,
             index,
@@ -125,14 +125,14 @@ impl<'h> PlumeChecker<'h> {
                 let clocks = &self.clocks;
                 let k = index.num_sessions();
                 for t3 in 0..m as u32 {
-                    let clock = &clocks[t3 as usize];
+                    let clock = clocks.row(t3);
                     let own = index.txn_id(t3).session;
                     for &(x, t1) in index.read_pairs(t3) {
                         for s in 0..k as u32 {
                             let bound = if s == own {
-                                clock.get(s as usize).saturating_sub(1)
+                                clock[s as usize].saturating_sub(1)
                             } else {
-                                clock.get(s as usize)
+                                clock[s as usize]
                             };
                             // Every visible writer gets an edge — no
                             // latest-writer minimality.

@@ -44,7 +44,7 @@ use awdit_obs::chrome::ChromeTraceRecorder;
 use awdit_obs::{phase_delta, Obs, PhaseTiming};
 use awdit_serve::{install_signal_handlers, HttpLimits, ServeConfig, Server};
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
-use awdit_stream::{EngineExt, OnlineChecker, ShutdownToken, StreamConfig};
+use awdit_stream::{OnlineChecker, ShutdownToken, StreamConfig};
 use awdit_workloads::{Benchmark, Uniform};
 
 fn main() -> ExitCode {
@@ -695,17 +695,15 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         })
         .transpose()?;
 
-    // The online monitor hangs off the same engine config as `check`.
     let setup = ObsSetup::from_flags(&flags);
-    let mut engine = Engine::with_config(EngineConfig {
+    let mut checker = OnlineChecker::with_config(StreamConfig {
         level,
         prune,
         prune_interval,
-        max_cycles: parse_witnesses(&flags, 64)?,
-        ..EngineConfig::default()
+        max_cycle_reports: parse_witnesses(&flags, 64)?,
+        ..StreamConfig::default()
     });
-    engine.set_obs(setup.obs.clone());
-    let mut checker = engine.watch();
+    checker.set_obs(setup.obs.clone());
 
     // Long-lived invocations (`--follow`, stdin pipes) finalize cleanly
     // on SIGINT/SIGTERM instead of dying mid-stream: the handler trips

@@ -10,8 +10,8 @@
 //! them, so the transitive closure, the SCCs and the valid commit orders
 //! are the same without it (see [`infer_cc_edges`]).
 //!
-//! Happens-before is represented by per-transaction [`VectorClock`]s
-//! (`ComputeHB`): entry `s` of `t`'s clock counts the committed
+//! Happens-before is represented by per-transaction clock rows of a
+//! [`ClockTable`] (`ComputeHB`): entry `s` of `t`'s row counts the committed
 //! transactions of session `s` that happen before `t` (inclusive of `t`
 //! itself in its own session), which is exact because happens-before
 //! restricted to a session is prefix-closed.
@@ -27,10 +27,9 @@
 //! interpolates on long lists. `O(n·(k + log n))` time in the worst case.
 
 use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle};
-use crate::incremental::infer_cc_edges;
+use crate::incremental::{infer_cc_edges, CommitView};
 use crate::index::{HistoryIndex, NONE};
 use crate::parallel;
-use crate::vector_clock::VectorClock;
 
 /// The CC saturation kernel. It has a single variant and stays only as
 /// [`saturate_cc`]'s second parameter, which the benchmark harness under
@@ -42,61 +41,73 @@ pub enum CcStrategy {
     BinarySearch,
 }
 
-/// Flat, recyclable storage for the CC happens-before clocks: one
-/// `k`-entry row per slot in a single buffer, plus the per-session
-/// frontier clocks and the per-writer scratch counters a pass stamps.
+/// The happens-before clock store (`ComputeHB`) of batch CC, witness
+/// provenance, the Plume baseline and the online checker: one row per
+/// live transaction in a single flat buffer, plus the per-session
+/// frontier clocks.
 ///
-/// Replacing the former `Vec<VectorClock>` table (one heap allocation per
-/// transaction) with flat rows does two things: a saturation pass touches
-/// one contiguous buffer instead of `m` scattered vectors, and the whole
-/// table is an **arena** — [`begin`](Self::begin) re-arms it without
+/// The table is an **arena**: [`begin`](Self::begin) re-arms it without
 /// freeing, so the [`Engine`](crate::Engine) recycles the clock storage
-/// across checks exactly like its index and graph arenas (the
+/// across checks like its index and graph arenas (the
 /// [`EngineStats::arena_growths`](crate::EngineStats) accounting covers
-/// it).
-///
-/// The sequential pass allocates rows through the internal free list as
-/// clocks become live and releases them after their last reader, so the
-/// arena's high-water mark is the peak live-clock count, not `m`. The
-/// sharded pass and provenance materialize all `m` rows with
-/// [`compute_hb_into`].
+/// it). Rows are allocated through a free list as clocks become live and
+/// released after their last reader, so the high-water mark is the peak
+/// live-clock count, not the number of transactions. The sharded batch
+/// pass and provenance keep all rows ([`compute_hb_into`]).
 ///
 /// Entry `s` of a row counts session `s`'s committed transactions the
-/// row's transaction has seen. Because dense ids are session-major, that
-/// count added to the session's first dense id is the id of its first
+/// row's transaction has seen. Because batch dense ids are session-major,
+/// that count added to the session's first dense id is the id of its first
 /// unseen transaction, so the CC kernel compares an entry with writer ids
 /// directly ([`HistoryIndex::writers_before`]).
+///
+/// The online checker drives the same table through
+/// [`observe`](Self::observe), [`release`](Self::release) and
+/// [`watermark`](Self::watermark). Two stream conditions shape it: dense
+/// ids are reused once released, so join deduplication stamps writers with
+/// a per-row round counter rather than the reader's id; and sessions appear
+/// mid-stream, so rows and frontiers widen by doubling their stride, which
+/// keeps a stream that opens sessions one at a time at amortized
+/// `O(live·k)`.
 #[derive(Clone, Debug, Default)]
 pub struct ClockTable {
+    /// Sessions tracked: the length of a row as [`row`](Self::row) returns it.
     k: usize,
-    /// Slot rows: `slot * k .. (slot + 1) * k`.
+    /// Entries per stored row and frontier (`≥ k`; entries past `k` are 0).
+    stride: usize,
+    /// Slot rows: `slot * stride .. (slot + 1) * stride`.
     rows: Vec<u32>,
     /// Released slot ids, reused before growing `rows`.
     free: Vec<u32>,
     /// Per-transaction slot id ([`NONE`] when absent/released).
     slot_of: Vec<u32>,
-    /// Session frontier clocks: `s * k .. (s + 1) * k`.
+    /// Session frontier clocks: `s * stride .. (s + 1) * stride`.
     session: Vec<u32>,
     /// The row being assembled for the current transaction.
     cur: Vec<u32>,
-    /// Per-writer stamp (liveness counting pass).
+    /// Per-writer join stamp: the round that last joined its row.
+    stamp: Vec<u32>,
+    /// Rows computed since the stamps were last cleared.
+    round: u32,
+    /// Per-writer stamp (batch liveness counting pass).
     stamp_a: Vec<u32>,
-    /// Per-writer stamp (join pass).
-    stamp_b: Vec<u32>,
-    /// Per-writer remaining-reader counts (liveness mode).
+    /// Per-writer remaining-reader counts (batch liveness mode).
     readers_left: Vec<u32>,
 }
 
 impl ClockTable {
-    /// An empty table, ready for [`begin`](Self::begin).
+    /// An empty table, ready for [`begin`](Self::begin) or
+    /// [`observe`](Self::observe).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Re-arms the table for a history with `k` sessions and `m` committed
-    /// transactions, keeping every buffer's capacity.
+    /// transactions, keeping every buffer's capacity. `begin(0, 0)` empties
+    /// it for a fresh stream.
     pub fn begin(&mut self, k: usize, m: usize) {
         self.k = k;
+        self.stride = k;
         self.rows.clear();
         self.free.clear();
         self.slot_of.clear();
@@ -105,12 +116,31 @@ impl ClockTable {
         self.session.resize(k * k, 0);
         self.cur.clear();
         self.cur.resize(k, 0);
+        self.stamp.clear();
+        self.stamp.resize(m, 0);
+        self.round = 0;
         self.stamp_a.clear();
         self.stamp_a.resize(m, u32::MAX);
-        self.stamp_b.clear();
-        self.stamp_b.resize(m, u32::MAX);
         self.readers_left.clear();
         self.readers_left.resize(m, 0);
+    }
+
+    /// Tracks at least `k` sessions, widening the stride by doubling when
+    /// `k` outgrows it. A new session's frontier is zero, and so is its
+    /// entry in every stored row: no transaction has seen it yet.
+    pub fn ensure_sessions(&mut self, k: usize) {
+        if k <= self.k {
+            return;
+        }
+        if k > self.stride {
+            let stride = k.max(2 * self.stride);
+            restride(&mut self.rows, self.stride, stride);
+            restride(&mut self.session, self.stride, stride);
+            self.cur.resize(stride, 0);
+            self.stride = stride;
+        }
+        self.session.resize(k * self.stride, 0);
+        self.k = k;
     }
 
     /// Allocates a slot (free list first) whose row contents are
@@ -119,28 +149,30 @@ impl ClockTable {
         if let Some(slot) = self.free.pop() {
             return slot;
         }
-        let slot = (self.rows.len() / self.k.max(1)) as u32;
-        self.rows.resize(self.rows.len() + self.k, 0);
+        let slot = (self.rows.len() / self.stride.max(1)) as u32;
+        self.rows.resize(self.rows.len() + self.stride, 0);
         slot
     }
 
     /// Stores the current row as transaction `d`'s clock.
     fn store(&mut self, d: u32) {
+        debug_assert!(self.slot_of[d as usize] == NONE, "t{d} already holds a row");
         let slot = self.alloc();
         self.slot_of[d as usize] = slot;
-        let r = slot as usize * self.k;
-        self.rows[r..r + self.k].copy_from_slice(&self.cur);
+        let r = slot as usize * self.stride;
+        self.rows[r..r + self.stride].copy_from_slice(&self.cur);
     }
 
-    /// Releases transaction `d`'s row back to the free list.
-    fn release(&mut self, d: u32) {
+    /// Releases transaction `d`'s row back to the free list; `d` may then
+    /// be observed again as a new transaction.
+    pub fn release(&mut self, d: u32) {
         let slot = std::mem::replace(&mut self.slot_of[d as usize], NONE);
         if slot != NONE {
             self.free.push(slot);
         }
     }
 
-    /// The stored clock row of transaction `d`.
+    /// The stored clock row of transaction `d`, one entry per session.
     ///
     /// # Panics
     ///
@@ -149,8 +181,36 @@ impl ClockTable {
     pub fn row(&self, d: u32) -> &[u32] {
         let slot = self.slot_of[d as usize];
         assert!(slot != NONE, "clock of t{d} is not live");
-        let r = slot as usize * self.k;
+        let r = slot as usize * self.stride;
         &self.rows[r..r + self.k]
+    }
+
+    /// Computes and stores the inclusive clock row of `d`, growing the
+    /// table to `view`'s sessions and to `d` first — the online checker's
+    /// entry point. The writers of `d`'s external reads must hold live rows
+    /// (the processing-order contract of [`incremental`](crate::incremental)).
+    pub fn observe<V: CommitView>(&mut self, view: &V, d: u32) {
+        self.ensure_sessions(view.num_sessions());
+        if self.slot_of.len() <= d as usize {
+            self.slot_of.resize(d as usize + 1, NONE);
+            self.stamp.resize(d as usize + 1, 0);
+        }
+        self.compute_row(view, d);
+        self.store(d);
+    }
+
+    /// The watermark: the pointwise minimum of the session frontiers.
+    /// Entry `j` is a count `w` such that every future transaction's clock
+    /// has entry `j ≥ w`, i.e. the first `w` committed transactions of
+    /// session `j` happen before everything still to come.
+    pub fn watermark(&self) -> Vec<u32> {
+        let mut w = vec![u32::MAX; self.k];
+        for frontier in self.session.chunks_exact(self.stride.max(1)) {
+            for (m, &v) in w.iter_mut().zip(frontier) {
+                *m = (*m).min(v);
+            }
+        }
+        w
     }
 
     /// Heap footprint in bytes (capacities, not lengths) — the quantity
@@ -161,8 +221,8 @@ impl ClockTable {
             + self.slot_of.capacity()
             + self.session.capacity()
             + self.cur.capacity()
+            + self.stamp.capacity()
             + self.stamp_a.capacity()
-            + self.stamp_b.capacity()
             + self.readers_left.capacity())
             * std::mem::size_of::<u32>()
     }
@@ -170,20 +230,22 @@ impl ClockTable {
     /// Joins the writers' clocks of `d`'s external reads into the current
     /// row (seeded from `d`'s session frontier) and advances `d`'s own
     /// entry, then publishes the row as the new session frontier.
-    /// Deduplication of repeated writers uses `stamp_b`.
-    fn compute_row(&mut self, index: &HistoryIndex, d: u32) {
-        let s = index.session_of(d) as usize;
-        let k = self.k;
-        // `cur` and `session` never alias: copy via split borrows.
-        let (session, cur) = (&self.session[s * k..(s + 1) * k], &mut self.cur);
-        cur.copy_from_slice(session);
-        for r in index.ext_reads(d) {
-            let w = r.writer as usize;
-            if self.stamp_b[w] != d {
-                self.stamp_b[w] = d;
-                let slot = self.slot_of[w];
+    fn compute_row<V: CommitView>(&mut self, view: &V, d: u32) {
+        self.round = self.round.wrapping_add(1);
+        if self.round == 0 {
+            self.stamp.fill(0);
+            self.round = 1;
+        }
+        let s = view.session_of(d) as usize;
+        let w = self.stride;
+        self.cur.copy_from_slice(&self.session[s * w..(s + 1) * w]);
+        for r in view.ext_reads(d) {
+            let t = r.writer as usize;
+            if self.stamp[t] != self.round {
+                self.stamp[t] = self.round;
+                let slot = self.slot_of[t];
                 debug_assert!(slot != NONE, "writer processed before reader");
-                let row = &self.rows[slot as usize * k..(slot as usize + 1) * k];
+                let row = &self.rows[slot as usize * w..(slot as usize + 1) * w];
                 for (c, &v) in self.cur.iter_mut().zip(row) {
                     if *c < v {
                         *c = v;
@@ -191,11 +253,22 @@ impl ClockTable {
                 }
             }
         }
-        let pos = index.committed_pos(d) + 1;
+        let pos = view.committed_pos(d) + 1;
         if self.cur[s] < pos {
             self.cur[s] = pos;
         }
-        self.session[s * k..(s + 1) * k].copy_from_slice(&self.cur);
+        self.session[s * w..(s + 1) * w].copy_from_slice(&self.cur);
+    }
+}
+
+/// Re-lays `buf`'s rows from stride `old` to the wider `new` in place,
+/// zeroing each row's new tail.
+fn restride(buf: &mut Vec<u32>, old: usize, new: usize) {
+    let n = buf.len().checked_div(old).unwrap_or(0);
+    buf.resize(n * new, 0);
+    for i in (0..n).rev() {
+        buf.copy_within(i * old..(i + 1) * old, i * new);
+        buf[i * new + old..(i + 1) * new].fill(0);
     }
 }
 
@@ -274,29 +347,6 @@ pub fn saturate_cc_into(
         binary_search_par(pool, index, g, &topo, threads, clocks);
     }
     Ok(())
-}
-
-/// `ComputeHB`: the full clock table as one [`VectorClock`] per committed
-/// transaction, computed along a topological order of `so ∪ wr`.
-///
-/// Entry `s` of `clock[t]` is the number of committed transactions of
-/// session `s` that happen before `t` — counting `t` itself for its own
-/// session, i.e. the *inclusive* clock. This is the boxed-clock
-/// convenience form; the saturators themselves run on the flat
-/// [`ClockTable`] via [`compute_hb_into`].
-pub fn compute_hb(index: &HistoryIndex, topo: &[u32]) -> Vec<VectorClock> {
-    let k = index.num_sessions();
-    let mut table = ClockTable::new();
-    compute_hb_into(index, topo, &mut table);
-    let mut clocks: Vec<VectorClock> = vec![VectorClock::new(0); index.num_committed()];
-    for &t in topo {
-        let mut c = VectorClock::new(k);
-        for (s, &v) in table.row(t).iter().enumerate() {
-            c.advance(s, v);
-        }
-        clocks[t as usize] = c;
-    }
-    clocks
 }
 
 /// Sharded [`binary_search`]: the clock table is materialized by
@@ -652,13 +702,68 @@ mod tests {
         let index = HistoryIndex::new(&h);
         let g = base_commit_graph(&index);
         let topo = g.topological_order().unwrap();
-        let clocks = compute_hb(&index, &topo);
-        let t_reader = index.dense_id(crate::types::TxnId::new(1, 0));
-        let t_next = index.dense_id(crate::types::TxnId::new(1, 1));
+        let mut table = ClockTable::new();
+        compute_hb_into(&index, &topo, &mut table);
+        let reader = table.row(index.dense_id(crate::types::TxnId::new(1, 0)));
+        let next = table.row(index.dense_id(crate::types::TxnId::new(1, 1)));
         // The reader saw s1's first txn; its session successor inherits it.
-        assert_eq!(clocks[t_reader as usize].get(0), 1);
-        assert_eq!(clocks[t_next as usize].get(0), 1);
-        assert!(clocks[t_reader as usize].le(&clocks[t_next as usize]));
+        assert_eq!(reader[0], 1);
+        assert_eq!(next[0], 1);
+        assert!(reader.iter().zip(next).all(|(a, b)| a <= b));
+    }
+
+    /// The online path (`observe` on a fresh table, sessions widened on
+    /// demand) computes the batch pass's rows.
+    #[test]
+    fn observe_matches_compute_hb_into() {
+        let mut b = HistoryBuilder::new();
+        let s1 = b.session();
+        let s2 = b.session();
+        b.begin(s1);
+        b.write(s1, 0, 1);
+        b.commit(s1);
+        b.begin(s2);
+        b.read(s2, 0, 1);
+        b.write(s2, 1, 1);
+        b.commit(s2);
+        b.begin(s1);
+        b.read(s1, 1, 1);
+        b.commit(s1);
+        let h = b.finish().unwrap();
+        let index = HistoryIndex::new(&h);
+        let topo = base_commit_graph(&index).topological_order().unwrap();
+        let mut batch = ClockTable::new();
+        compute_hb_into(&index, &topo, &mut batch);
+        let mut online = ClockTable::new();
+        for &t in &topo {
+            online.observe(&index, t);
+        }
+        for t in 0..index.num_committed() as u32 {
+            assert_eq!(online.row(t), batch.row(t), "clock of {t}");
+        }
+    }
+
+    #[test]
+    fn watermark_is_pointwise_min() {
+        let mut b = HistoryBuilder::new();
+        let s1 = b.session();
+        let s2 = b.session();
+        b.begin(s1);
+        b.write(s1, 0, 1);
+        b.commit(s1);
+        b.begin(s2);
+        b.read(s2, 0, 1);
+        b.commit(s2);
+        let h = b.finish().unwrap();
+        let index = HistoryIndex::new(&h);
+        let topo = base_commit_graph(&index).topological_order().unwrap();
+        let mut table = ClockTable::new();
+        for &t in &topo {
+            table.observe(&index, t);
+        }
+        // Session 0's first txn is seen by both frontiers; session 1's is
+        // seen only by its own.
+        assert_eq!(table.watermark(), [1, 0]);
     }
 
     /// The clock table is an arena: a second same-shape saturation reuses

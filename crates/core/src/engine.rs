@@ -8,11 +8,10 @@
 //! monitoring services), where that setup cost is pure overhead. An
 //! [`Engine`] is the amortized form:
 //!
-//! * **One config.** [`EngineConfig`] unifies the batch and streaming
-//!   (`awdit_stream::StreamConfig`) knobs — isolation level, worker
-//!   threads, witness budget, commit-order production, pruning — so
-//!   batch checks, sourced fleets, and online monitors built from the
-//!   same engine agree on their tuning.
+//! * **One config.** [`EngineConfig`] holds the batch knobs — isolation
+//!   level, worker threads, witness budget, commit-order production —
+//!   shared by single checks and sourced fleets. Online monitors take
+//!   their own `awdit_stream::StreamConfig`.
 //! * **Recycled arenas.** The handle owns a [`HistoryIndex`] and a
 //!   [`CommitGraph`] arena; `engine.check(&history)` rebuilds them in
 //!   place ([`HistoryIndex::rebuild`], [`CommitGraph::reset`]), so a
@@ -27,8 +26,7 @@
 //!   are bit-identical at every thread count.
 //! * **Pluggable edges.** [`HistorySource`] abstracts where histories
 //!   come from (files, directories, NDJSON streams in `awdit-formats`;
-//!   simulator fleets in `awdit-simdb`); `awdit_stream::EngineExt::watch`
-//!   builds an online checker from the same engine config.
+//!   simulator fleets in `awdit-simdb`).
 //!
 //! ```
 //! use awdit_core::{Engine, EngineConfig, HistoryBuilder, IsolationLevel};
@@ -69,9 +67,8 @@ use crate::types::{SessionId, TxnId};
 use crate::witness::{ReadConsistencyViolation, Violation, WitnessCycle};
 use awdit_obs::Obs;
 
-/// The unified tuning knobs shared by every engine entry point — batch
-/// checks, sourced fleets ([`Engine::check_source`]), and online monitors
-/// (`awdit_stream::EngineExt::watch`).
+/// The tuning knobs shared by every engine entry point — single checks
+/// and sourced fleets ([`Engine::check_source`]).
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct EngineConfig {
     /// The isolation level checked by [`Engine::check`] and
@@ -81,22 +78,15 @@ pub struct EngineConfig {
     /// (an extra `O(n)` topological sort).
     pub want_commit_order: bool,
     /// Maximum number of commit-order/causality cycles extracted per
-    /// check (and, for online monitors, reported per stream).
+    /// check.
     pub max_cycles: usize,
     /// Worker threads (`1` = sequential, `0` = all cores) for the work
     /// inside one history: the sharded saturators and (via
     /// [`HistorySource::set_pool`]) sharded text parsing. Histories of
     /// a source are checked one after another at every value; outcomes
     /// are bit-identical for every value. At `1` the engine spawns no
-    /// thread. Online monitors ignore it: the stream checker is
-    /// sequential.
+    /// thread.
     pub threads: usize,
-    /// Online monitors only: whether watermark pruning runs (off = exact
-    /// batch agreement, memory grows with the stream).
-    pub prune: bool,
-    /// Online monitors only: processed transactions between pruning
-    /// sweeps.
-    pub prune_interval: u64,
 }
 
 impl Default for EngineConfig {
@@ -106,8 +96,6 @@ impl Default for EngineConfig {
             want_commit_order: false,
             max_cycles: 16,
             threads: 1,
-            prune: true,
-            prune_interval: 256,
         }
     }
 }

@@ -13,8 +13,10 @@
 //! * [`EdgeSink`] abstracts where inferred edges go ([`CommitGraph`] for
 //!   batch, an incremental cycle-detecting DAG for streaming);
 //! * [`RcKernel`] / [`RaKernel`] carry the per-level scratch state across
-//!   calls; [`HbTracker`] maintains happens-before vector clocks, and
-//!   [`infer_cc_edges`] is the CC axiom's inference body.
+//!   calls, and [`infer_cc_edges`] is the CC axiom's inference body over
+//!   the happens-before rows of a [`ClockTable`](crate::ClockTable), which
+//!   the batch pass fills along a topological order and the online
+//!   checker one [`observe`](crate::ClockTable::observe) at a time.
 //!
 //! The batch saturators are implemented as straight loops over these
 //! kernels (see `rc.rs`, `ra.rs`, `cc.rs`), so batch/stream agreement is
@@ -26,7 +28,7 @@
 //! within a session in session order, and a reader only after every
 //! committed transaction it reads from. Any such order yields the same
 //! edges — the RC body is transaction-local, the RA body only consults
-//! state of the reader's own session, and vector-clock joins are
+//! state of the reader's own session, and clock-row joins are
 //! order-independent across valid topological orders.
 
 use std::collections::HashMap;
@@ -35,7 +37,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::graph::{CommitGraph, EdgeKind};
 use crate::index::{DenseId, ExtRead, HistoryIndex, NONE};
 use crate::types::Key;
-use crate::vector_clock::VectorClock;
 
 /// Read access to the derived per-transaction indexes the saturation
 /// kernels need. Implemented by [`HistoryIndex`] (batch) and by the
@@ -365,126 +366,6 @@ impl RaKernel {
     }
 }
 
-/// Maintains happens-before vector clocks (`ComputeHB` of Algorithm 3)
-/// incrementally: each processed transaction's clock is the join of its
-/// session predecessor's clock and its writers' clocks, advanced at its own
-/// session entry.
-///
-/// Transactions must be observed in a `so ∪ wr`-compatible order (the
-/// writers of every external read before the reader). The per-session
-/// frontier clocks double as the *watermark* input for streaming pruning.
-#[derive(Debug, Default)]
-pub struct HbTracker {
-    clocks: Vec<Option<VectorClock>>,
-    session_clock: Vec<VectorClock>,
-    writer_stamp: Vec<u64>,
-    round: u64,
-}
-
-impl HbTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops every stored clock and session frontier so the tracker can
-    /// start a fresh stream, retaining the clock slab's capacity. The
-    /// writer dedup stamps survive untouched — they are round-guarded, and
-    /// the round counter keeps increasing across resets.
-    pub fn reset(&mut self) {
-        self.clocks.clear();
-        self.session_clock.clear();
-    }
-
-    /// Makes sure `k` sessions are tracked (clocks are widened lazily).
-    pub fn ensure_sessions(&mut self, k: usize) {
-        while self.session_clock.len() < k {
-            let cur = self.session_clock.len() + 1;
-            self.session_clock.push(VectorClock::new(cur));
-        }
-        for c in &mut self.session_clock {
-            c.resize(k);
-        }
-    }
-
-    /// Computes, stores, and returns the inclusive clock of `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a committed writer of `d` has not been observed (the
-    /// processing-order contract).
-    pub fn observe<V: CommitView>(&mut self, view: &V, d: DenseId) -> &VectorClock {
-        let k = view.num_sessions();
-        self.ensure_sessions(k);
-        self.round += 1;
-        let s = view.session_of(d) as usize;
-        let mut c = self.session_clock[s].clone();
-        c.resize(k);
-        for r in view.ext_reads(d) {
-            let w = r.writer as usize;
-            ensure(&mut self.writer_stamp, w, 0);
-            if self.writer_stamp[w] != self.round {
-                self.writer_stamp[w] = self.round;
-                let wc = self.clocks[w]
-                    .as_mut()
-                    .expect("writer observed before reader (so ∪ wr order)");
-                wc.resize(k);
-                c.join(wc);
-            }
-        }
-        c.advance(s, view.committed_pos(d) + 1);
-        self.session_clock[s] = c.clone();
-        ensure(&mut self.clocks, d as usize, None);
-        self.clocks[d as usize] = Some(c);
-        self.clocks[d as usize].as_ref().unwrap()
-    }
-
-    /// The stored inclusive clock of `d`, if still held.
-    pub fn clock(&self, d: DenseId) -> Option<&VectorClock> {
-        self.clocks.get(d as usize).and_then(Option::as_ref)
-    }
-
-    /// Releases the clock of `d` (pruning; the slot may be reused later).
-    pub fn drop_clock(&mut self, d: DenseId) {
-        if let Some(slot) = self.clocks.get_mut(d as usize) {
-            *slot = None;
-        }
-    }
-
-    /// The frontier clock of session `s`: the inclusive clock of its most
-    /// recently observed transaction (zero if none).
-    pub fn session_clock(&self, s: usize) -> Option<&VectorClock> {
-        self.session_clock.get(s)
-    }
-
-    /// The watermark: the pointwise minimum over all session frontiers.
-    /// Entry `j` is a count `w` such that every future transaction's clock
-    /// has entry `j ≥ w` — i.e. the first `w` committed transactions of
-    /// session `j` happen before everything still to come.
-    pub fn watermark(&self) -> VectorClock {
-        let k = self.session_clock.len();
-        let mut w = VectorClock::new(k);
-        if k == 0 {
-            return w;
-        }
-        for j in 0..k {
-            let m = (0..k)
-                .map(|s| {
-                    let c = &self.session_clock[s];
-                    if j < c.len() {
-                        c.get(j)
-                    } else {
-                        0
-                    }
-                })
-                .min()
-                .unwrap_or(0);
-            w.advance(j, m);
-        }
-        w
-    }
-}
-
 /// Entry `s` of a clock row, reading 0 past the row's end (a clock that
 /// predates session `s` has seen none of it).
 #[inline]
@@ -494,12 +375,9 @@ fn clock_entry(row: &[u32], s: u32) -> u32 {
 
 /// The Causal Consistency inference body (Algorithm 3's main loop, shared
 /// by the batch saturator, witness provenance and the streaming checker):
-/// given `t3`'s inclusive happens-before clock — as a raw
-/// per-session entries slice, so both [`VectorClock`]s (via
-/// [`entries`](VectorClock::entries)) and the flat
-/// [`ClockTable`](crate::cc::ClockTable) rows plug in without conversion —
-/// orders each session's latest visible writer of every read key before
-/// the observed writer.
+/// given `t3`'s inclusive happens-before clock — a
+/// [`ClockTable`](crate::cc::ClockTable) row — orders each session's latest
+/// visible writer of every read key before the observed writer.
 ///
 /// `writer_row(t1)` is the inclusive clock row of the writer `t1` a pair
 /// reads from. An edge `t2 → t1` is skipped when `t2` already happens
@@ -547,7 +425,6 @@ pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::base_commit_graph;
     use crate::history::HistoryBuilder;
 
     /// The kernels, fed in dense order, must reproduce the batch
@@ -589,60 +466,5 @@ mod tests {
             .filter(|&&(from, to, kind)| from == t2 && to == t1 && !kind.is_base())
             .count();
         assert_eq!(inferred, 2);
-    }
-
-    #[test]
-    fn hb_tracker_matches_compute_hb() {
-        let mut b = HistoryBuilder::new();
-        let s1 = b.session();
-        let s2 = b.session();
-        b.begin(s1);
-        b.write(s1, 0, 1);
-        b.commit(s1);
-        b.begin(s2);
-        b.read(s2, 0, 1);
-        b.write(s2, 1, 1);
-        b.commit(s2);
-        b.begin(s1);
-        b.read(s1, 1, 1);
-        b.commit(s1);
-        let h = b.finish().unwrap();
-        let index = HistoryIndex::new(&h);
-        let g = base_commit_graph(&index);
-        let topo = g.topological_order().unwrap();
-        let batch = crate::cc::compute_hb(&index, &topo);
-        let mut tracker = HbTracker::new();
-        for &t in &topo {
-            tracker.observe(&index, t);
-        }
-        for t in 0..index.num_committed() as u32 {
-            assert_eq!(tracker.clock(t), Some(&batch[t as usize]), "clock of {t}");
-        }
-    }
-
-    #[test]
-    fn watermark_is_pointwise_min() {
-        let mut b = HistoryBuilder::new();
-        let s1 = b.session();
-        let s2 = b.session();
-        b.begin(s1);
-        b.write(s1, 0, 1);
-        b.commit(s1);
-        b.begin(s2);
-        b.read(s2, 0, 1);
-        b.commit(s2);
-        let h = b.finish().unwrap();
-        let index = HistoryIndex::new(&h);
-        let g = base_commit_graph(&index);
-        let topo = g.topological_order().unwrap();
-        let mut tracker = HbTracker::new();
-        for &t in &topo {
-            tracker.observe(&index, t);
-        }
-        let w = tracker.watermark();
-        // Session 0's first txn is seen by both frontiers; session 1's is
-        // seen only by its own.
-        assert_eq!(w.get(0), 1);
-        assert_eq!(w.get(1), 0);
     }
 }

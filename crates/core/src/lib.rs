@@ -53,7 +53,7 @@
 //! | Read Consistency, Alg. 4 | [`read_consistency`] |
 //! | RC checker, Alg. 1 | [`rc`] |
 //! | RA checker, Alg. 2 + Thm. 1.6 | [`ra`] |
-//! | CC checker, Alg. 3 | [`cc`], [`vector_clock`] |
+//! | CC checker, Alg. 3 | [`cc`] |
 //! | `co′`, cycles, witnesses (Sec. 3.4) | [`graph`], [`witness`] |
 //! | commit orders & the axiom oracle | [`linearize`] |
 //! | incremental saturation kernels | [`incremental`] |
@@ -62,8 +62,8 @@
 //! ## Incremental APIs
 //!
 //! The per-level inference bodies are exposed as reusable kernels in
-//! [`incremental`] ([`RcKernel`], [`RaKernel`], [`HbTracker`] +
-//! [`infer_cc_edges`]) over the [`CommitView`]/[`EdgeSink`] traits. The
+//! [`incremental`] ([`RcKernel`], [`RaKernel`], [`infer_cc_edges`] over
+//! [`ClockTable`] rows) behind the [`CommitView`]/[`EdgeSink`] traits. The
 //! batch saturators are loops over these kernels; the `awdit-stream` crate
 //! drives the same kernels one commit at a time to check histories online
 //! with bounded memory.
@@ -90,12 +90,10 @@ pub mod read_consistency;
 pub mod shrink;
 pub mod stats;
 pub mod types;
-pub mod vector_clock;
 pub mod witness;
 
 pub use cc::{
-    causality_cycles, compute_hb, compute_hb_into, saturate_cc, saturate_cc_into, CcStrategy,
-    ClockTable,
+    causality_cycles, compute_hb_into, saturate_cc, saturate_cc_into, CcStrategy, ClockTable,
 };
 pub use checker::{check, check_all_levels, CheckStats, Outcome, Verdict};
 pub use csr::{Csr, CsrBuilder, ReadCols};
@@ -107,7 +105,7 @@ pub use history::{
     replay_history, BuildError, ColumnsError, History, HistoryBuilder, HistoryColumns, HistorySink,
     SessionIter, SessionView, TxnView,
 };
-pub use incremental::{infer_cc_edges, CommitView, EdgeSink, HbTracker, RaKernel, RcKernel};
+pub use incremental::{infer_cc_edges, CommitView, EdgeSink, RaKernel, RcKernel};
 pub use index::{DenseId, ExtRead, HistoryIndex, NONE};
 pub use isolation::{IsolationLevel, ParseIsolationLevelError};
 pub use linearize::{commit_order_from_graph, validate_commit_order, CommitOrderError};
@@ -119,5 +117,4 @@ pub use read_consistency::check_read_consistency;
 pub use shrink::shrink_history;
 pub use stats::HistoryStats;
 pub use types::{Key, OpLoc, SessionId, TxnId, Value};
-pub use vector_clock::VectorClock;
 pub use witness::{ReadConsistencyViolation, Violation, ViolationKind, WitnessCycle, WitnessEdge};

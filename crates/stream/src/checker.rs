@@ -39,20 +39,29 @@
 //! joins the latest in-neighbour of each session to the earliest link
 //! successor of each session, so each retirement adds at most one edge per
 //! (source session, target session) pair. Constraints into a retired
-//! transaction's one-off readers are considered settled at the horizon. A later read of a pruned write misses the retained window and
-//! is reported as a [`StreamViolation::BeyondHorizon`] (counted in
+//! transaction's one-off readers are considered settled at the horizon.
+//! A later read of a pruned write misses the retained window and is
+//! reported as a [`StreamViolation::BeyondHorizon`] (counted in
 //! [`StreamStats::horizon_misses`]) rather than misclassified. With
 //! pruning disabled the checker is exact and agrees with the batch
 //! pipeline on every history.
+//!
+//! A pruned stream must carry each write before the reads of its value. A
+//! read of a value nobody has written yet is a beyond-horizon read as soon
+//! as its key has any pruned write, even if the write arrives later:
+//! waiting for it instead would stall the reader's session until
+//! [`finish`](OnlineChecker::finish) whenever the write really was pruned.
+//! [`for_each_event`](crate::for_each_event) emits histories in such an
+//! order.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use awdit_core::graph::{CommitGraph, EdgeKind};
-use awdit_core::incremental::{infer_cc_edges, HbTracker, RaKernel, RcKernel};
+use awdit_core::incremental::{infer_cc_edges, RaKernel, RcKernel};
 use awdit_core::witness::{
     ReadConsistencyViolation, Violation, ViolationKind, WitnessCycle, WitnessEdge,
 };
-use awdit_core::{IsolationLevel, Key, OpLoc, TxnId, Value, VectorClock};
+use awdit_core::{ClockTable, IsolationLevel, Key, OpLoc, TxnId, Value};
 use awdit_obs::metrics::{Counter, Gauge};
 use awdit_obs::Obs;
 use std::sync::Arc;
@@ -198,43 +207,6 @@ impl Default for StreamConfig {
             max_cycle_reports: 64,
             threads: 1,
         }
-    }
-}
-
-impl From<&awdit_core::EngineConfig> for StreamConfig {
-    /// Projects the engine's unified config onto the streaming knobs, so
-    /// batch checks and online monitors built from one
-    /// [`Engine`](awdit_core::Engine) agree on their tuning
-    /// (`max_cycles` maps to [`max_cycle_reports`](StreamConfig::max_cycle_reports)).
-    ///
-    /// The engine's `threads` is **not** projected: the streaming checker
-    /// runs its incremental kernels on the calling thread.
-    fn from(cfg: &awdit_core::EngineConfig) -> Self {
-        StreamConfig {
-            level: cfg.level,
-            prune: cfg.prune,
-            prune_interval: cfg.prune_interval,
-            max_cycle_reports: cfg.max_cycles,
-            ..StreamConfig::default()
-        }
-    }
-}
-
-/// Streaming extension methods for the core [`Engine`](awdit_core::Engine)
-/// handle (`awdit-core` cannot name this crate's types, so the wiring
-/// lives here).
-pub trait EngineExt {
-    /// An [`OnlineChecker`] configured from the engine's
-    /// [`EngineConfig`](awdit_core::EngineConfig) — the `watch` entry
-    /// point of the engine API.
-    fn watch(&self) -> OnlineChecker;
-}
-
-impl EngineExt for awdit_core::Engine {
-    fn watch(&self) -> OnlineChecker {
-        let mut checker = OnlineChecker::with_config(StreamConfig::from(self.config()));
-        checker.set_obs(self.obs().clone());
-        checker
     }
 }
 
@@ -427,7 +399,7 @@ pub struct OnlineChecker {
     ready: VecDeque<TxnId>,
 
     index: StreamIndex,
-    tracker: HbTracker,
+    clocks: ClockTable,
     rc: RcKernel,
     ra: RaKernel,
     dag: IncrementalDag,
@@ -468,7 +440,7 @@ impl OnlineChecker {
             waiting_txn: HashMap::new(),
             ready: VecDeque::new(),
             index: StreamIndex::new(),
-            tracker: HbTracker::new(),
+            clocks: ClockTable::new(),
             rc: RcKernel::new(),
             ra: RaKernel::new(),
             dag: IncrementalDag::new(),
@@ -486,8 +458,7 @@ impl OnlineChecker {
     /// Attaches an observability handle: stream metrics
     /// (`awdit_stream_*` counters and gauges) and GC spans flow into it.
     /// Counter totals reconcile exactly with [`stats`](Self::stats) when
-    /// attached before the first event. `Engine::watch` propagates the
-    /// engine's handle automatically.
+    /// attached before the first event.
     pub fn set_obs(&mut self, obs: Obs) {
         self.metrics = StreamMetrics::from_obs(&obs);
         self.obs = obs;
@@ -508,9 +479,11 @@ impl OnlineChecker {
         &self.stats
     }
 
-    /// The current watermark (pointwise-minimum frontier clock).
-    pub fn watermark(&self) -> VectorClock {
-        self.tracker.watermark()
+    /// The current watermark: the pointwise minimum of the session
+    /// frontier clocks, one entry per session (see
+    /// [`ClockTable::watermark`]).
+    pub fn watermark(&self) -> Vec<u32> {
+        self.clocks.watermark()
     }
 
     /// Takes the violations emitted since the last drain (for live
@@ -703,7 +676,7 @@ impl OnlineChecker {
             aborted_writes: Vec::new(),
         });
         self.index.ensure_sessions(self.sessions.len());
-        self.tracker.ensure_sessions(self.sessions.len());
+        self.clocks.ensure_sessions(self.sessions.len());
         s
     }
 
@@ -1063,11 +1036,11 @@ impl OnlineChecker {
                 edges.push((r.writer, slot, EdgeKind::WriteRead(r.key)));
             }
         }
-        let clock = self.tracker.observe(&self.index, slot).clone();
+        self.clocks.observe(&self.index, slot);
         match self.cfg.level {
             IsolationLevel::ReadCommitted => self.rc.process(&self.index, slot, &mut edges),
             IsolationLevel::ReadAtomic => self.ra.process(&self.index, slot, &mut edges),
-            IsolationLevel::Causal => self.infer_cc(slot, &clock, &mut edges),
+            IsolationLevel::Causal => self.infer_cc(slot, &mut edges),
         }
 
         // 5. Insert; every edge closing a cycle is a violation, reported
@@ -1144,8 +1117,8 @@ impl OnlineChecker {
     /// so a path `t2 →* t1` through a retired transaction's `wr` edge can
     /// leave no live edge behind, and the inferred edge would be the DAG's
     /// only record of that order.
-    fn infer_cc(&self, slot: u32, clock: &VectorClock, edges: &mut Vec<(u32, u32, EdgeKind)>) {
-        infer_cc_edges(&self.index, slot, clock.entries(), &|_| &[], edges);
+    fn infer_cc(&self, slot: u32, edges: &mut Vec<(u32, u32, EdgeKind)>) {
+        infer_cc_edges(&self.index, slot, self.clocks.row(slot), &|_| &[], edges);
     }
 
     fn report_cycle(&mut self, cycle: &[DagEdge]) {
@@ -1181,13 +1154,13 @@ impl OnlineChecker {
         if let Some(m) = &self.metrics {
             m.gcs.inc();
         }
-        let wm = self.tracker.watermark();
+        let wm = self.clocks.watermark();
         let mut candidates: Vec<(u64, u32)> = self
             .index
             .live_slots()
             .filter(|&(slot, m)| {
                 (m.session as usize) < wm.len()
-                    && m.committed_pos < wm.get(m.session as usize)
+                    && m.committed_pos < wm[m.session as usize]
                     && m.pending_readers == 0
                     // The session's latest processed txn must stay until its
                     // so-successor is processed: the successor's link edge
@@ -1212,7 +1185,7 @@ impl OnlineChecker {
         let index = &self.index;
         let is_boundary = |slot: u32| -> bool {
             let m = index.meta(slot);
-            let bound = wm.get(m.session as usize);
+            let bound = wm[m.session as usize];
             debug_assert!(m.committed_pos < bound);
             m.keys_written.iter().any(|&key| {
                 let list = index.session_key_writers(m.session, key);
@@ -1250,7 +1223,7 @@ impl OnlineChecker {
         // everything.) A condensed edge follows a path that already exists,
         // so it never closes a cycle or moves the topological order.
         let condensed = self.dag.retire_node(slot);
-        self.tracker.drop_clock(slot);
+        self.clocks.release(slot);
         let meta = self.index.retire(slot);
         for &(k, v) in &meta.writes {
             self.writes.remove(&(k, v));
@@ -1327,7 +1300,7 @@ impl OnlineChecker {
         self.waiting_txn.clear();
         self.ready.clear();
         self.index.clear();
-        self.tracker.reset();
+        self.clocks.begin(0, 0);
         // The RC kernel's scratch is round-stamped per reader and carries
         // no cross-transaction state, so it is reusable as-is; the RA
         // kernel's per-session latest-writer table is not.
@@ -1541,34 +1514,109 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awdit_core::{Engine, EngineConfig};
+    use awdit_core::{base_commit_graph, compute_hb_into, History, HistoryBuilder, HistoryIndex};
 
-    #[test]
-    fn stream_config_projects_engine_config() {
-        let engine = Engine::with_config(EngineConfig {
-            level: IsolationLevel::ReadAtomic,
-            max_cycles: 7,
-            prune: false,
-            prune_interval: 99,
-            ..EngineConfig::default()
-        });
-        let cfg = StreamConfig::from(engine.config());
-        assert_eq!(cfg.level, IsolationLevel::ReadAtomic);
-        assert_eq!(cfg.max_cycle_reports, 7);
-        assert!(!cfg.prune);
-        assert_eq!(cfg.prune_interval, 99);
+    /// The batch history of `events`, its sessions numbered in order of
+    /// first appearance as the checker numbers them, so the two agree on
+    /// every `TxnId` and on the meaning of every clock entry.
+    fn history_of(events: &[Event]) -> History {
+        let mut b = HistoryBuilder::new();
+        let mut ids = HashMap::new();
+        for e in events {
+            let s = *ids.entry(e.session()).or_insert_with(|| b.session());
+            match *e {
+                Event::Begin { .. } => b.begin(s),
+                Event::Write { key, value, .. } => b.write(s, key, value),
+                Event::Read { key, value, .. } => b.read(s, key, value),
+                Event::Commit { .. } => b.commit(s),
+                Event::Abort { .. } => b.abort(s),
+            }
+        }
+        b.finish().unwrap()
     }
 
+    /// A seeded serial stream over six keys: each transaction reads the
+    /// latest values of two random keys and writes a fresh value, so every
+    /// write precedes the reads of its value. `sessions` sessions run from
+    /// the start; `late` more open only after half of the `txns`.
+    fn serial_stream(seed: u64, sessions: u64, late: u64, txns: u64) -> Vec<Event> {
+        let mut x = seed;
+        let mut rand = move |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut latest: [Option<u64>; 6] = [None; 6];
+        let mut events = Vec::new();
+        for i in 0..txns {
+            let open = if i < txns / 2 {
+                sessions
+            } else {
+                sessions + late
+            };
+            let session = rand(open);
+            events.push(Event::Begin { session });
+            for _ in 0..2 {
+                let key = rand(6);
+                if let Some(value) = latest[key as usize] {
+                    events.push(Event::Read {
+                        session,
+                        key,
+                        value,
+                    });
+                }
+            }
+            let key = rand(6);
+            events.push(Event::Write {
+                session,
+                key,
+                value: i,
+            });
+            latest[key as usize] = Some(i);
+            events.push(Event::Commit { session });
+        }
+        events
+    }
+
+    /// Every clock row a pruned checker holds equals the batch
+    /// `compute_hb_into` row of the same transaction, on streams that
+    /// reuse retired slots and open sessions after retirements began.
     #[test]
-    fn engine_watch_checks_online() {
-        let engine = Engine::new();
-        let mut c = engine.watch();
-        c.begin(0).unwrap();
-        c.write(0, 1, 10).unwrap();
-        c.commit(0).unwrap();
-        c.begin(1).unwrap();
-        c.read(1, 1, 10).unwrap();
-        c.commit(1).unwrap();
-        assert!(c.finish().unwrap().is_consistent());
+    fn stream_clocks_match_batch_clocks() {
+        for (seed, sessions, late) in [(1, 3, 0), (2, 3, 2), (3, 1, 3), (4, 2, 5)] {
+            let events = serial_stream(seed, sessions, late, 400);
+            let h = history_of(&events);
+            let index = HistoryIndex::new(&h);
+            let topo = base_commit_graph(&index).topological_order().unwrap();
+            let mut batch = ClockTable::new();
+            compute_hb_into(&index, &topo, &mut batch);
+
+            let mut c = OnlineChecker::with_config(StreamConfig {
+                prune: true,
+                prune_interval: 2,
+                ..StreamConfig::default()
+            });
+            let mut seen = HashSet::new();
+            for e in &events {
+                c.apply(e).unwrap();
+                for (slot, m) in c.index.live_slots() {
+                    let online = c.clocks.row(slot);
+                    let offline = batch.row(index.dense_id(m.txn_id));
+                    let (head, tail) = offline.split_at(online.len());
+                    assert_eq!(online, head, "seed {seed}: clock of {}", m.txn_id);
+                    assert!(tail.iter().all(|&v| v == 0), "seed {seed}: {}", m.txn_id);
+                    seen.insert(m.txn_id);
+                }
+            }
+            let stats = *c.stats();
+            assert_eq!(seen.len(), index.num_committed(), "seed {seed}");
+            assert!(stats.retired_txns > 0, "seed {seed}: nothing retired");
+            assert!(
+                stats.processed > stats.peak_live_txns,
+                "seed {seed}: no slot reused"
+            );
+            assert!(c.finish().unwrap().is_consistent(), "seed {seed}");
+        }
     }
 }

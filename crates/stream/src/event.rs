@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use awdit_core::{History, Op, SessionId};
+use awdit_core::{History, Op, ReadSource, SessionId, TxnView};
 
 /// One event of a transaction stream.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -61,50 +61,78 @@ impl Event {
 }
 
 /// Visits a finished [`History`]'s event-stream form one event at a
-/// time, interleaving sessions round-robin (one whole transaction per
-/// session per round) — the streaming core of [`events_of_history`],
-/// for writers that need no materialized `Vec<Event>`.
+/// time — the streaming core of [`events_of_history`], for writers that
+/// need no materialized `Vec<Event>`.
 ///
-/// Per-session event order equals session order, as the online checker
-/// requires; the cross-session interleaving is one plausible arrival order
-/// among many — any of them yields the same verdict.
+/// Sessions take turns round-robin, one whole transaction per turn, so
+/// each session's events keep its session order, as the online checker
+/// requires. A session skips its turn while its next transaction reads a
+/// value written by a transaction not yet emitted, so every write comes
+/// before the reads of its value, as a pruned
+/// [`OnlineChecker`](crate::OnlineChecker) needs. When every session with
+/// transactions left is blocked (a `so ∪ wr` cycle), the lowest-numbered
+/// one goes anyway. The verdict is the same for every arrival order; only
+/// pruning depends on it.
 pub fn for_each_event(h: &History, mut f: impl FnMut(&Event)) {
-    let k = h.num_sessions();
-    let mut next = vec![0usize; k];
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (s, pos) in next.iter_mut().enumerate() {
-            let txns = h.session(SessionId(s as u32));
-            if *pos >= txns.len() {
-                continue;
+    let sessions: Vec<_> = (0..h.num_sessions())
+        .map(|s| h.session(SessionId(s as u32)))
+        .collect();
+    let mut next = vec![0usize; sessions.len()];
+    let mut left: usize = sessions.iter().map(|v| v.len()).sum();
+    // Whether every external write `t` reads has been emitted.
+    let ready = |t: TxnView<'_>, next: &[usize]| {
+        t.ops().iter().all(|op| match *op {
+            Op::Read {
+                source: ReadSource::External { txn, .. },
+                ..
+            } => next[txn.session as usize] > txn.index as usize,
+            _ => true,
+        })
+    };
+    while left > 0 {
+        let mut progressed = false;
+        for s in 0..sessions.len() {
+            if next[s] < sessions[s].len() && ready(sessions[s].txn(next[s]), &next) {
+                emit_txn(h, s, sessions[s].txn(next[s]), &mut f);
+                next[s] += 1;
+                left -= 1;
+                progressed = true;
             }
-            progressed = true;
-            let t = txns.txn(*pos);
-            *pos += 1;
-            let session = s as u64;
-            f(&Event::Begin { session });
-            for op in t.ops() {
-                f(&match *op {
-                    Op::Write { key, value } => Event::Write {
-                        session,
-                        key: h.key_name(key),
-                        value: value.0,
-                    },
-                    Op::Read { key, value, .. } => Event::Read {
-                        session,
-                        key: h.key_name(key),
-                        value: value.0,
-                    },
-                });
-            }
-            f(&if t.is_committed() {
-                Event::Commit { session }
-            } else {
-                Event::Abort { session }
-            });
+        }
+        if !progressed {
+            let s = (0..sessions.len())
+                .find(|&s| next[s] < sessions[s].len())
+                .expect("a session has transactions left");
+            emit_txn(h, s, sessions[s].txn(next[s]), &mut f);
+            next[s] += 1;
+            left -= 1;
         }
     }
+}
+
+/// Visits the events of transaction `t` of session `s`.
+fn emit_txn(h: &History, s: usize, t: TxnView<'_>, f: &mut impl FnMut(&Event)) {
+    let session = s as u64;
+    f(&Event::Begin { session });
+    for op in t.ops() {
+        f(&match *op {
+            Op::Write { key, value } => Event::Write {
+                session,
+                key: h.key_name(key),
+                value: value.0,
+            },
+            Op::Read { key, value, .. } => Event::Read {
+                session,
+                key: h.key_name(key),
+                value: value.0,
+            },
+        });
+    }
+    f(&if t.is_committed() {
+        Event::Commit { session }
+    } else {
+        Event::Abort { session }
+    });
 }
 
 /// Flattens a finished [`History`] into an event stream — the

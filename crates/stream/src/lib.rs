@@ -55,9 +55,7 @@ pub mod index;
 pub mod shutdown;
 pub mod stats;
 
-pub use checker::{
-    EngineExt, OnlineChecker, StreamConfig, StreamError, StreamOutcome, StreamViolation,
-};
+pub use checker::{OnlineChecker, StreamConfig, StreamError, StreamOutcome, StreamViolation};
 pub use dag::{DagEdge, IncrementalDag};
 pub use event::{events_of_history, for_each_event, Event};
 pub use index::{StreamIndex, TxnMeta};

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --example batch_service`
 
 use awdit::formats::DirSource;
-use awdit::stream::EngineExt;
 use awdit::workloads::Uniform;
 use awdit::{
     collect_source, write_awb, write_history, AnomalyRates, DbIsolation, Engine, Format,
@@ -93,9 +92,6 @@ fn main() {
         engine.stats().arena_growths,
         engine.stats().arena_bytes / 1024
     );
-
-    // The same engine config also drives an online monitor:
-    let _watcher = engine.watch();
 
     println!("\nJSON report (schema v{}):", report.schema_version);
     let json = report.to_json();

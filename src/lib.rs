@@ -80,5 +80,5 @@ pub use awdit_formats::{
     FilesSource, Format, HistoryReport, JsonSink, LevelReport, Report, ReportSink, TextSink,
 };
 pub use awdit_simdb::{collect_history, AnomalyRates, DbIsolation, SimConfig, SimSource};
-pub use awdit_stream::{EngineExt, Event, OnlineChecker, StreamConfig, StreamOutcome, StreamStats};
+pub use awdit_stream::{Event, OnlineChecker, StreamConfig, StreamOutcome, StreamStats};
 pub use awdit_workloads::Benchmark;
