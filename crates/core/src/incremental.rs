@@ -16,11 +16,15 @@
 //!   calls, and [`infer_cc_edges`] is the CC axiom's inference body over
 //!   the happens-before rows of a [`ClockTable`](crate::ClockTable), which
 //!   the batch pass fills along a topological order and the online
-//!   checker one [`observe`](crate::ClockTable::observe) at a time.
+//!   checker one [`observe`](crate::ClockTable::observe) at a time;
+//! * [`ReadCheck`] (the five Read Consistency axioms) and
+//!   [`RepeatableReads`] are the per-transaction read steps every level
+//!   runs first, over a transaction's [`TxnOp`]s with resolved sources.
 //!
-//! The batch saturators are implemented as straight loops over these
-//! kernels (see `rc.rs`, `ra.rs`, `cc.rs`), so batch/stream agreement is
-//! structural rather than coincidental.
+//! The batch saturators and read checks are implemented as straight loops
+//! over these kernels and steps (see `rc.rs`, `ra.rs`, `cc.rs`,
+//! `read_consistency.rs`), so batch/stream agreement is structural rather
+//! than coincidental.
 //!
 //! # Processing-order contract
 //!
@@ -36,7 +40,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::graph::{CommitGraph, EdgeKind};
 use crate::index::{DenseId, ExtRead, HistoryIndex, NONE};
-use crate::types::Key;
+use crate::types::{Key, OpLoc, TxnId, Value};
+use crate::witness::ReadConsistencyViolation;
 
 /// Read access to the derived per-transaction indexes the saturation
 /// kernels need. Implemented by [`HistoryIndex`] (batch) and by the
@@ -362,6 +367,176 @@ impl RaKernel {
         // Update the session's latest-writer table with t3's writes.
         for &x in view.keys_written(t3) {
             self.last_write.insert((s, x), t3);
+        }
+    }
+}
+
+/// Where a read's value came from, as [`ReadCheck`] judges it.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ReadFrom {
+    /// No write produced the value (in a stream: none so far).
+    ThinAir,
+    /// The reader's own write at this position.
+    Own(u32),
+    /// Another transaction's write, which committed (in a stream: which
+    /// has not aborted).
+    External(OpLoc),
+    /// An aborted transaction's write.
+    Aborted(OpLoc),
+    /// A read the step does not judge (a stream's read of a pruned write):
+    /// it comes back as [`ReadFinding::Unjudged`] in op order.
+    Unjudged,
+}
+
+/// One operation of the transaction [`ReadCheck::check_txn`] checks.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum TxnOp {
+    /// A write of a value to a key.
+    Write(Key, Value),
+    /// A read of a value from a key, and where the value came from.
+    Read(Key, Value, ReadFrom),
+}
+
+/// What [`ReadCheck::check_txn`] reports, in op order.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ReadFinding {
+    /// A read breaking one of the five axioms.
+    Violation(ReadConsistencyViolation),
+    /// The [`ReadFrom::Unjudged`] read at this position, with its key and
+    /// value.
+    Unjudged(u32, Key, Value),
+}
+
+/// The Read Consistency step (Algorithm 4), one committed transaction at a
+/// time: [`check_read_consistency`](crate::check_read_consistency) is a
+/// loop over it, and the streaming checker runs it at each commit.
+///
+/// The latest own write per key lives in a stamped per-key array that
+/// grows when a key id is past its end, so one step serves a whole history
+/// or a stream that interns keys as they arrive.
+#[derive(Debug, Default)]
+pub struct ReadCheck {
+    round: u64,
+    /// Per key: the round in which the current transaction last wrote it,
+    /// and that write's position.
+    latest_own: Vec<(u64, u32)>,
+}
+
+impl ReadCheck {
+    /// Checks the reads of committed transaction `txn`, whose operations
+    /// `ops` yields in program order, and passes each finding to `sink` in
+    /// op order. `is_final(write, key)` tells whether an
+    /// [`External`](ReadFrom::External) `write` is its transaction's final
+    /// write of `key`.
+    pub fn check_txn(
+        &mut self,
+        txn: TxnId,
+        ops: impl IntoIterator<Item = TxnOp>,
+        is_final: impl Fn(OpLoc, Key) -> bool,
+        mut sink: impl FnMut(ReadFinding),
+    ) {
+        use ReadConsistencyViolation as V;
+        self.round += 1;
+        for (p, op) in ops.into_iter().enumerate() {
+            let p = p as u32;
+            let (key, value, from) = match op {
+                TxnOp::Write(key, _) => {
+                    ensure(&mut self.latest_own, key.index(), (0, 0));
+                    self.latest_own[key.index()] = (self.round, p);
+                    continue;
+                }
+                TxnOp::Read(key, value, from) => (key, value, from),
+            };
+            let read = OpLoc::new(txn, p);
+            let own = match self.latest_own.get(key.index()) {
+                Some(&(round, w)) if round == self.round => Some(OpLoc::new(txn, w)),
+                _ => None,
+            };
+            if from == ReadFrom::Unjudged {
+                sink(ReadFinding::Unjudged(p, key, value));
+                continue;
+            }
+            if let (ReadFrom::External(observed) | ReadFrom::Aborted(observed), Some(own_write)) =
+                (from, own)
+            {
+                // Axiom (d): should have read the own write.
+                sink(ReadFinding::Violation(V::NotOwnWrite {
+                    read,
+                    own_write,
+                    observed,
+                    key,
+                }));
+            }
+            sink(ReadFinding::Violation(match from {
+                ReadFrom::ThinAir => V::ThinAirRead { read, key, value },
+                // Axiom (c): the observed own write is po-after the read.
+                ReadFrom::Own(w) if w > p => {
+                    let write = OpLoc::new(txn, w);
+                    V::FutureRead { read, write, key }
+                }
+                // Axiom (e), internal: a later own write sits between the
+                // observed write and the read. (`own` is never `None` here:
+                // the forward scan saw the write at `w < p`.)
+                ReadFrom::Own(w) => match own {
+                    Some(later_write) if later_write.op != w => {
+                        let observed = OpLoc::new(txn, w);
+                        V::StaleOwnWrite {
+                            read,
+                            observed,
+                            later_write,
+                            key,
+                        }
+                    }
+                    _ => continue,
+                },
+                // Axiom (b).
+                ReadFrom::Aborted(write) => V::AbortedRead { read, write, key },
+                // Axiom (e), external: the writer overwrote this value before
+                // committing.
+                ReadFrom::External(observed) if !is_final(observed, key) => V::NotFinalWrite {
+                    read,
+                    observed,
+                    key,
+                },
+                ReadFrom::External(_) | ReadFrom::Unjudged => continue,
+            }));
+        }
+    }
+}
+
+/// The repeatable-reads step, one committed transaction at a time: no
+/// transaction reads one key from two writers.
+/// [`check_repeatable_reads`](crate::check_repeatable_reads) is a loop
+/// over it, and the streaming checker runs it at each commit.
+///
+/// The first writer per key lives in a stamped per-key array that grows
+/// when a key id is past its end.
+#[derive(Debug, Default)]
+pub struct RepeatableReads {
+    round: u64,
+    /// Per key: the round in which the current transaction first read it,
+    /// and that read's writer.
+    first: Vec<(u64, TxnId)>,
+}
+
+impl RepeatableReads {
+    /// Checks one transaction's external reads, `(key, writer)` in program
+    /// order, calling `sink(key, first_writer, writer)` in op order for
+    /// each read of a key from a writer other than its first read's.
+    pub fn check_txn(
+        &mut self,
+        reads: impl IntoIterator<Item = (Key, TxnId)>,
+        mut sink: impl FnMut(Key, TxnId, TxnId),
+    ) {
+        self.round += 1;
+        for (key, w) in reads {
+            ensure(&mut self.first, key.index(), (0, w));
+            let (round, first) = &mut self.first[key.index()];
+            if *round != self.round {
+                (*round, *first) = (self.round, w);
+            } else if *first != w {
+                sink(key, *first, w);
+            }
         }
     }
 }

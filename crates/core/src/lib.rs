@@ -63,10 +63,11 @@
 //!
 //! The per-level inference bodies are exposed as reusable kernels in
 //! [`incremental`] ([`RcKernel`], [`RaKernel`], [`infer_cc_edges`] over
-//! [`ClockTable`] rows) behind the [`CommitView`]/[`EdgeSink`] traits. The
-//! batch saturators are loops over these kernels; the `awdit-stream` crate
-//! drives the same kernels one commit at a time to check histories online
-//! with bounded memory.
+//! [`ClockTable`] rows) behind the [`CommitView`]/[`EdgeSink`] traits, next
+//! to the per-transaction read steps (`ReadCheck`, `RepeatableReads`). The
+//! batch saturators and read checks are loops over these; the
+//! `awdit-stream` crate drives the same code one commit at a time to check
+//! histories online with bounded memory.
 
 #![deny(unsafe_code)] // sole exception: the lifetime-erased task island in `parallel`
 #![warn(missing_docs)]

@@ -23,31 +23,28 @@ use crate::witness::{Violation, WitnessCycle, WitnessEdge};
 /// same key from two different transactions. Implied by the RA axiom, and a
 /// precondition for [`saturate_ra`]'s uniqueness assumption.
 ///
-/// Returns all offending transactions as
-/// [`Violation::NonRepeatableRead`] values.
+/// A loop over the per-transaction
+/// [`RepeatableReads`](crate::incremental::RepeatableReads) step, which the
+/// streaming checker runs too. Returns every offending read, in dense order
+/// and then program order, as [`Violation::NonRepeatableRead`] values
+/// naming the key's first writer in the transaction.
 pub fn check_repeatable_reads(index: &HistoryIndex) -> Vec<Violation> {
-    let num_keys = index.num_keys();
-    let mut last_writer: Vec<DenseId> = vec![NONE; num_keys];
-    let mut stamp: Vec<u32> = vec![u32::MAX; num_keys];
+    let mut step = crate::incremental::RepeatableReads::default();
     let mut violations = Vec::new();
-
     for t in 0..index.num_committed() as u32 {
-        for r in index.ext_reads(t) {
-            let k = r.key.index();
-            if stamp[k] == t {
-                if last_writer[k] != r.writer {
-                    violations.push(Violation::NonRepeatableRead {
-                        txn: index.txn_id(t),
-                        key: r.key,
-                        first_writer: index.txn_id(last_writer[k]),
-                        second_writer: index.txn_id(r.writer),
-                    });
-                }
-            } else {
-                stamp[k] = t;
-                last_writer[k] = r.writer;
-            }
-        }
+        let txn = index.txn_id(t);
+        let reads = index.ext_reads(t).iter();
+        step.check_txn(
+            reads.map(|r| (r.key, index.txn_id(r.writer))),
+            |key, first_writer, second_writer| {
+                violations.push(Violation::NonRepeatableRead {
+                    txn,
+                    key,
+                    first_writer,
+                    second_writer,
+                })
+            },
+        );
     }
     violations
 }

@@ -10,15 +10,21 @@
 //! (e) the latest such write — for external reads, the writer's final write
 //!     of the key (*observe latest write*).
 //!
-//! Each read is checked independently in `O(1)` amortized time, so the whole
-//! pass is `O(n)` and reports *all* offending reads, letting the downstream
-//! checkers proceed on the remaining clean reads (Section 3.4).
-
-use std::collections::HashMap;
+//! Each read is checked independently in `O(1)` time, so the whole pass is
+//! `O(n)` and reports *all* offending reads, letting the downstream checkers
+//! proceed on the remaining clean reads (Section 3.4).
+//!
+//! The axioms themselves are the per-transaction [`ReadCheck`] step, which
+//! the streaming checker runs too. For axiom (e)'s external case this pass
+//! first sets a per-op bit, "overwritten later in its transaction", over
+//! [`History::flat_ops`] with one stamped reverse scan per transaction; a
+//! read from write `op` of `w` then looks up the bit at
+//! `txn_op_offsets[global(w)] + op`.
 
 use crate::history::History;
+use crate::incremental::{ReadCheck, ReadFinding, ReadFrom, TxnOp};
 use crate::op::{Op, ReadSource};
-use crate::types::{Key, OpLoc, TxnId};
+use crate::types::{OpLoc, TxnId};
 use crate::witness::ReadConsistencyViolation;
 
 /// Checks the five Read Consistency axioms, returning all violations in
@@ -42,102 +48,56 @@ use crate::witness::ReadConsistencyViolation;
 /// # }
 /// ```
 pub fn check_read_consistency(history: &History) -> Vec<ReadConsistencyViolation> {
+    let ops = history.flat_ops();
+    let op_offsets = history.txn_op_offsets();
+    let committed = history.committed_flags();
+    let session_offsets = history.session_offsets();
+    let global = |t: TxnId| session_offsets[t.session as usize] as usize + t.index as usize;
+
+    // Per op: whether a later write of the same key in its transaction
+    // overwrites it. Keys are dense, so a stamped array avoids clearing
+    // between transactions.
+    let mut overwritten = vec![false; ops.len()];
+    let mut stamp: Vec<u32> = vec![0; history.num_keys()];
+    for g in 0..committed.len() {
+        let round = g as u32 + 1;
+        for i in (op_offsets[g] as usize..op_offsets[g + 1] as usize).rev() {
+            if let Op::Write { key, .. } = ops[i] {
+                overwritten[i] = stamp[key.index()] == round;
+                stamp[key.index()] = round;
+            }
+        }
+    }
+
     let mut violations = Vec::new();
-
-    // Final (po-last) write per key of every committed transaction, for
-    // axiom (e)'s external case.
-    let mut final_writes: HashMap<(TxnId, Key), u32> = HashMap::new();
+    let mut step = ReadCheck::default();
     for (tid, txn) in history.committed_txns() {
-        for (p, op) in txn.ops().iter().enumerate() {
-            if let Op::Write { key, .. } = *op {
-                final_writes.insert((tid, key), p as u32);
-            }
-        }
-    }
-
-    // Per-transaction scan with a latest-own-write map. Keys are dense, so a
-    // stamped array avoids clearing between transactions.
-    let num_keys = history.num_keys();
-    let mut latest_own: Vec<u32> = vec![u32::MAX; num_keys];
-    let mut stamp: Vec<u32> = vec![0; num_keys];
-    let mut cur_stamp = 0u32;
-
-    for (tid, txn) in history.committed_txns() {
-        cur_stamp += 1;
-        for (p, op) in txn.ops().iter().enumerate() {
-            let read = OpLoc::new(tid, p as u32);
-            match *op {
-                Op::Write { key, .. } => {
-                    stamp[key.index()] = cur_stamp;
-                    latest_own[key.index()] = p as u32;
-                }
-                Op::Read { key, value, source } => {
-                    let own = (stamp[key.index()] == cur_stamp).then(|| latest_own[key.index()]);
-                    match source {
-                        ReadSource::ThinAir => {
-                            violations.push(ReadConsistencyViolation::ThinAirRead {
-                                read,
-                                key,
-                                value,
-                            });
-                        }
-                        ReadSource::Internal { op: w } => {
-                            if w > p as u32 {
-                                // Axiom (c): the observed own write is
-                                // po-after the read.
-                                violations.push(ReadConsistencyViolation::FutureRead {
-                                    read,
-                                    write: OpLoc::new(tid, w),
-                                    key,
-                                });
-                            } else if own != Some(w) {
-                                // Axiom (e), internal: a later own write
-                                // exists between the observed write and the
-                                // read.
-                                let later = own.expect(
-                                    "an earlier internal write implies an own write was seen",
-                                );
-                                violations.push(ReadConsistencyViolation::StaleOwnWrite {
-                                    read,
-                                    observed: OpLoc::new(tid, w),
-                                    later_write: OpLoc::new(tid, later),
-                                    key,
-                                });
-                            }
-                        }
-                        ReadSource::External { txn: wtxn, op: wop } => {
-                            if let Some(own_write) = own {
-                                // Axiom (d): should have read the own write.
-                                violations.push(ReadConsistencyViolation::NotOwnWrite {
-                                    read,
-                                    own_write: OpLoc::new(tid, own_write),
-                                    observed: OpLoc::new(wtxn, wop),
-                                    key,
-                                });
-                            }
-                            if !history.txn(wtxn).is_committed() {
-                                // Axiom (b).
-                                violations.push(ReadConsistencyViolation::AbortedRead {
-                                    read,
-                                    write: OpLoc::new(wtxn, wop),
-                                    key,
-                                });
-                            } else if final_writes.get(&(wtxn, key)) != Some(&wop) {
-                                // Axiom (e), external: the writer overwrote
-                                // this value before committing.
-                                violations.push(ReadConsistencyViolation::NotFinalWrite {
-                                    read,
-                                    observed: OpLoc::new(wtxn, wop),
-                                    key,
-                                });
-                            }
-                        }
+        let txn_ops = txn.ops().iter().map(|op| match *op {
+            Op::Write { key, value } => TxnOp::Write(key, value),
+            Op::Read { key, value, source } => TxnOp::Read(
+                key,
+                value,
+                match source {
+                    ReadSource::ThinAir => ReadFrom::ThinAir,
+                    ReadSource::Internal { op } => ReadFrom::Own(op),
+                    ReadSource::External { txn, op } if committed[global(txn)] => {
+                        ReadFrom::External(OpLoc::new(txn, op))
                     }
+                    ReadSource::External { txn, op } => ReadFrom::Aborted(OpLoc::new(txn, op)),
+                },
+            ),
+        });
+        step.check_txn(
+            tid,
+            txn_ops,
+            |w, _| !overwritten[op_offsets[global(w.txn)] as usize + w.op as usize],
+            |f| {
+                if let ReadFinding::Violation(v) = f {
+                    violations.push(v);
                 }
-            }
-        }
+            },
+        );
     }
-
     violations
 }
 

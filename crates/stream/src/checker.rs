@@ -8,11 +8,13 @@
 //! available: its session's previous committed transaction must be
 //! processed, and every external read must resolve to a *closed* writer
 //! (committed writers additionally to a *processed* one). Once ready it is
-//! **processed**: Read Consistency is checked, the transaction joins the
-//! [`StreamIndex`], base `so`/`wr` edges and the level's inferred edges
-//! (produced by the same kernels the batch checkers run) are inserted into
-//! an incrementally-maintained DAG, and any edge closing a cycle is
-//! reported immediately as a violation with full provenance.
+//! **processed**: its reads are checked (Read Consistency, and repeatable
+//! reads under RA, by the per-transaction steps batch runs), the
+//! transaction joins the [`StreamIndex`], base `so`/`wr` edges and the
+//! level's inferred edges (produced by the same kernels the batch checkers
+//! run) are inserted into an incrementally-maintained DAG, and any edge
+//! closing a cycle is reported immediately as a violation with full
+//! provenance.
 //!
 //! Reads of values nobody has written yet stay pending — they become
 //! thin-air violations at [`finish`](OnlineChecker::finish); transactions
@@ -57,10 +59,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use awdit_core::graph::{CommitGraph, EdgeKind};
-use awdit_core::incremental::{infer_cc_edges, RaKernel, RcKernel};
-use awdit_core::witness::{
-    ReadConsistencyViolation, Violation, ViolationKind, WitnessCycle, WitnessEdge,
+use awdit_core::incremental::{
+    infer_cc_edges, RaKernel, RcKernel, ReadCheck, ReadFinding, ReadFrom, RepeatableReads, TxnOp,
 };
+use awdit_core::witness::{Violation, ViolationKind, WitnessCycle, WitnessEdge};
 use awdit_core::{ClockTable, IsolationLevel, Key, OpLoc, TxnId, Value};
 use awdit_obs::metrics::{Counter, Gauge};
 use awdit_obs::Obs;
@@ -279,44 +281,22 @@ impl StreamOutcome {
     }
 }
 
-/// Raw (unresolved) operation of an in-flight transaction.
-#[derive(Copy, Clone, Debug)]
-enum RawOp {
-    Write { key: Key, value: Value },
-    Read { key: Key, value: Value },
-}
-
-/// Resolution state of one operation slot (only reads carry content).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum ReadSrc {
-    /// The slot is a write.
-    NotARead,
-    /// Read of an own write at position `op`.
-    Internal { op: u32 },
-    /// Read of a committed (or still-staged) external writer.
-    External { txn: TxnId, op: u32 },
-    /// Read of an aborted transaction's write.
-    Aborted { txn: TxnId, op: u32 },
-    /// The value has not been written by anyone seen so far.
-    AwaitingValue,
-    /// Resolved at `finish`: nobody ever wrote it.
-    ThinAir,
-    /// The key had writes pruned past the watermark; unresolvable.
-    Horizon,
-}
-
 #[derive(Debug)]
 struct OpenTxn {
     id: TxnId,
-    ops: Vec<RawOp>,
+    /// Reads are resolved at commit (until then, [`ReadFrom::ThinAir`]).
+    ops: Vec<TxnOp>,
 }
 
 #[derive(Debug)]
 struct StagedTxn {
     session: u32,
     committed_pos: u32,
-    ops: Vec<RawOp>,
-    sources: Vec<ReadSrc>,
+    /// A read's source is [`ReadFrom::ThinAir`] while its value has no
+    /// writer yet, [`ReadFrom::External`] until the writer aborts, and
+    /// [`ReadFrom::Unjudged`] when its key had writes pruned (a
+    /// beyond-horizon read).
+    ops: Vec<TxnOp>,
     deps: usize,
 }
 
@@ -402,6 +382,9 @@ pub struct OnlineChecker {
     clocks: ClockTable,
     rc: RcKernel,
     ra: RaKernel,
+    /// The shared per-transaction read steps (repeatable reads run under
+    /// RA only, as in batch).
+    read_steps: (ReadCheck, RepeatableReads),
     dag: IncrementalDag,
     reported_cycles: HashSet<(TxnId, TxnId)>,
     cycle_reports: usize,
@@ -443,6 +426,7 @@ impl OnlineChecker {
             clocks: ClockTable::new(),
             rc: RcKernel::new(),
             ra: RaKernel::new(),
+            read_steps: Default::default(),
             dag: IncrementalDag::new(),
             reported_cycles: HashSet::new(),
             cycle_reports: 0,
@@ -575,16 +559,17 @@ impl OnlineChecker {
                         second: loc,
                     });
                 }
-                open.ops.push(RawOp::Write { key: k, value: v });
+                open.ops.push(TxnOp::Write(k, v));
                 self.writes.insert((k, v), (loc.txn, loc.op));
                 // Resolve readers that were waiting for this value.
                 if let Some(waiters) = self.waiting_value.remove(&(k, v)) {
                     for (reader, op) in waiters {
-                        if let Some(st) = self.staged.get_mut(&reader) {
-                            st.sources[op as usize] = ReadSrc::External {
-                                txn: loc.txn,
-                                op: loc.op,
-                            };
+                        if let Some(TxnOp::Read(_, _, from)) = self
+                            .staged
+                            .get_mut(&reader)
+                            .and_then(|st| st.ops.get_mut(op as usize))
+                        {
+                            *from = ReadFrom::External(loc);
                         }
                         self.waiting_txn
                             .entry(loc.txn)
@@ -605,10 +590,8 @@ impl OnlineChecker {
                 let Some(open) = st.open.as_mut() else {
                     return Err(StreamError::NoOpenTransaction { session });
                 };
-                open.ops.push(RawOp::Read {
-                    key: k,
-                    value: Value(value),
-                });
+                open.ops
+                    .push(TxnOp::Read(k, Value(value), ReadFrom::ThinAir));
                 Ok(())
             }
             Event::Commit { session } => {
@@ -702,19 +685,20 @@ impl OnlineChecker {
         self.sessions[s as usize].committed_count += 1;
         self.stats.commits += 1;
 
-        let mut sources = vec![ReadSrc::NotARead; open.ops.len()];
+        let mut ops = open.ops;
         let mut deps = 0usize;
-        for (p, op) in open.ops.iter().enumerate() {
-            let RawOp::Read { key, value } = *op else {
+        for (p, op) in ops.iter_mut().enumerate() {
+            let TxnOp::Read(key, value, from) = op else {
                 continue;
             };
-            sources[p] = match self.writes.get(&(key, value)) {
-                Some(&(wtxn, wop)) if wtxn == id => ReadSrc::Internal { op: wop },
+            let (key, value) = (*key, *value);
+            *from = match self.writes.get(&(key, value)) {
+                Some(&(wtxn, wop)) if wtxn == id => ReadFrom::Own(wop),
                 Some(&(wtxn, wop)) => match self.txn_states.get(&wtxn) {
-                    Some(TxnState::Aborted) => ReadSrc::Aborted { txn: wtxn, op: wop },
+                    Some(TxnState::Aborted) => ReadFrom::Aborted(OpLoc::new(wtxn, wop)),
                     Some(TxnState::Processed { slot }) => {
                         self.index.meta_mut(*slot).pending_readers += 1;
-                        ReadSrc::External { txn: wtxn, op: wop }
+                        ReadFrom::External(OpLoc::new(wtxn, wop))
                     }
                     Some(TxnState::Staged) | None => {
                         // Staged, or the writer transaction is still open.
@@ -723,19 +707,19 @@ impl OnlineChecker {
                             .entry(wtxn)
                             .or_default()
                             .push(Waiter::Read(id));
-                        ReadSrc::External { txn: wtxn, op: wop }
+                        ReadFrom::External(OpLoc::new(wtxn, wop))
                     }
                 },
                 None => {
                     if self.pruned_writes.get(&key).copied().unwrap_or(0) > 0 {
-                        ReadSrc::Horizon
+                        ReadFrom::Unjudged
                     } else {
                         deps += 1;
                         self.waiting_value
                             .entry((key, value))
                             .or_default()
                             .push((id, p as u32));
-                        ReadSrc::AwaitingValue
+                        ReadFrom::ThinAir
                     }
                 }
             };
@@ -760,8 +744,7 @@ impl OnlineChecker {
             StagedTxn {
                 session: s,
                 committed_pos,
-                ops: open.ops,
-                sources,
+                ops,
                 deps,
             },
         );
@@ -781,7 +764,7 @@ impl OnlineChecker {
         self.stats.aborts += 1;
         self.txn_states.insert(id, TxnState::Aborted);
         for op in &open.ops {
-            if let RawOp::Write { key, value } = *op {
+            if let TxnOp::Write(key, value) = *op {
                 self.sessions[s as usize]
                     .aborted_writes
                     .push((id.index, key, value));
@@ -795,10 +778,10 @@ impl OnlineChecker {
                     unreachable!("so waiters only wait on committed transactions")
                 };
                 if let Some(st) = self.staged.get_mut(&reader) {
-                    for src in &mut st.sources {
-                        if let ReadSrc::External { txn, op } = *src {
-                            if txn == id {
-                                *src = ReadSrc::Aborted { txn, op };
+                    for op in &mut st.ops {
+                        if let TxnOp::Read(k, v, ReadFrom::External(w)) = *op {
+                            if w.txn == id {
+                                *op = TxnOp::Read(k, v, ReadFrom::Aborted(w));
                             }
                         }
                     }
@@ -818,9 +801,12 @@ impl OnlineChecker {
     }
 
     fn emit(&mut self, v: StreamViolation) {
+        let horizon = matches!(v, StreamViolation::BeyondHorizon { .. }) as u64;
         self.stats.violations += 1;
+        self.stats.horizon_misses += horizon;
         if let Some(m) = &self.metrics {
             m.violations.inc();
+            m.horizon_misses.add(horizon);
         }
         self.violations.push(v);
     }
@@ -829,158 +815,114 @@ impl OnlineChecker {
         self.emit(StreamViolation::Core(v));
     }
 
-    /// Read Consistency for one committed transaction (Algorithm 4,
-    /// per-transaction form). `final_write_of` resolves a committed
-    /// external writer's final write of a key.
-    fn check_reads(
-        &mut self,
+    /// Runs the shared read steps over committed transaction `id` and
+    /// pushes their findings to `out`, each step's in op order. Only the
+    /// beyond-horizon read is the stream's own: the read-consistency step
+    /// hands it back unjudged, in its place.
+    fn read_findings(
+        &self,
+        (step, repeatable): &mut (ReadCheck, RepeatableReads),
         id: TxnId,
-        ops: &[RawOp],
-        sources: &[ReadSrc],
-        final_write_of: &dyn Fn(&Self, TxnId, Key) -> Option<u32>,
+        ops: &[TxnOp],
+        out: &mut Vec<StreamViolation>,
     ) {
-        let mut latest_own: HashMap<Key, u32> = HashMap::new();
-        let mut out: Vec<StreamViolation> = Vec::new();
-        for (p, op) in ops.iter().enumerate() {
-            let read = OpLoc::new(id, p as u32);
-            match *op {
-                RawOp::Write { key, .. } => {
-                    latest_own.insert(key, p as u32);
-                }
-                RawOp::Read { key, value } => {
-                    let own = latest_own.get(&key).copied();
-                    match sources[p] {
-                        ReadSrc::NotARead => unreachable!(),
-                        ReadSrc::AwaitingValue => {
-                            unreachable!("awaiting reads resolve before processing")
-                        }
-                        ReadSrc::ThinAir => {
-                            out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                ReadConsistencyViolation::ThinAirRead { read, key, value },
-                            )))
-                        }
-                        ReadSrc::Horizon => {
-                            self.stats.horizon_misses += 1;
-                            if let Some(m) = &self.metrics {
-                                m.horizon_misses.inc();
-                            }
-                            out.push(StreamViolation::BeyondHorizon {
-                                txn: id,
-                                op: p as u32,
-                                key: self.key_name(key),
-                                value: value.0,
-                            });
-                        }
-                        ReadSrc::Internal { op: w } => {
-                            if w > p as u32 {
-                                out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                    ReadConsistencyViolation::FutureRead {
-                                        read,
-                                        write: OpLoc::new(id, w),
-                                        key,
-                                    },
-                                )));
-                            } else if own != Some(w) {
-                                let later = own.expect("earlier internal write seen");
-                                out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                    ReadConsistencyViolation::StaleOwnWrite {
-                                        read,
-                                        observed: OpLoc::new(id, w),
-                                        later_write: OpLoc::new(id, later),
-                                        key,
-                                    },
-                                )));
-                            }
-                        }
-                        ReadSrc::External { txn, op } | ReadSrc::Aborted { txn, op } => {
-                            if let Some(own_write) = own {
-                                out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                    ReadConsistencyViolation::NotOwnWrite {
-                                        read,
-                                        own_write: OpLoc::new(id, own_write),
-                                        observed: OpLoc::new(txn, op),
-                                        key,
-                                    },
-                                )));
-                            }
-                            if matches!(sources[p], ReadSrc::Aborted { .. }) {
-                                out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                    ReadConsistencyViolation::AbortedRead {
-                                        read,
-                                        write: OpLoc::new(txn, op),
-                                        key,
-                                    },
-                                )));
-                            } else if final_write_of(self, txn, key) != Some(op) {
-                                out.push(StreamViolation::Core(Violation::ReadConsistency(
-                                    ReadConsistencyViolation::NotFinalWrite {
-                                        read,
-                                        observed: OpLoc::new(txn, op),
-                                        key,
-                                    },
-                                )));
-                            }
-                        }
+        step.check_txn(
+            id,
+            ops.iter().copied(),
+            |w, key| self.is_final_write(w, key),
+            |f| {
+                out.push(match f {
+                    ReadFinding::Violation(v) => {
+                        StreamViolation::Core(Violation::ReadConsistency(v))
                     }
-                }
-            }
+                    ReadFinding::Unjudged(op, key, value) => StreamViolation::BeyondHorizon {
+                        txn: id,
+                        op,
+                        key: self.key_name(key),
+                        value: value.0,
+                    },
+                })
+            },
+        );
+        if self.cfg.level == IsolationLevel::ReadAtomic {
+            let reads = ops.iter().filter_map(|op| match *op {
+                TxnOp::Read(key, _, ReadFrom::External(w)) => Some((key, w.txn)),
+                _ => None,
+            });
+            repeatable.check_txn(reads, |key, first_writer, second_writer| {
+                out.push(StreamViolation::Core(Violation::NonRepeatableRead {
+                    txn: id,
+                    key,
+                    first_writer,
+                    second_writer,
+                }))
+            });
         }
-        for v in out {
-            self.emit(v);
+    }
+
+    /// Whether `w` is its transaction's final write of `key`. A reader is
+    /// checked once its committed writers are processed, or at `finish`
+    /// while they are still staged behind a `so ∪ wr` cycle.
+    fn is_final_write(&self, w: OpLoc, key: Key) -> bool {
+        match self.txn_states.get(&w.txn) {
+            Some(TxnState::Processed { slot }) => {
+                let finals = &self.index.meta(*slot).final_writes;
+                finals.binary_search(&(key, w.op)).is_ok()
+            }
+            _ => self.staged.get(&w.txn).is_some_and(|st| {
+                let mut later = st.ops.iter().skip(w.op as usize + 1);
+                !later.any(|o| matches!(*o, TxnOp::Write(k, _) if k == key))
+            }),
         }
     }
 
     fn process_txn(&mut self, id: TxnId) {
-        let st = self.staged.remove(&id).expect("ready txn is staged");
+        // Only a staged transaction whose dependencies are met is queued,
+        // once.
+        let Some(st) = self.staged.remove(&id) else {
+            debug_assert!(false, "ready transaction {id} is staged");
+            return;
+        };
         self.stats.staged_txns -= 1;
-        let StagedTxn {
-            session,
-            committed_pos,
-            ops,
-            sources,
-            ..
-        } = st;
+        let (session, committed_pos, ops) = (st.session, st.committed_pos, st.ops);
 
-        // 1. Read Consistency. External writers are processed by now, so
+        // 1. Read Consistency and, under RA, repeatable reads, through the
+        // steps batch runs. External writers are processed by now, so
         // their final writes come from the index.
-        self.check_reads(id, &ops, &sources, &|this, wtxn, key| {
-            let TxnState::Processed { slot } = this.txn_states[&wtxn] else {
-                unreachable!("external writer processed before reader")
-            };
-            this.index.meta(slot).final_write_of(key)
-        });
+        let mut steps = std::mem::take(&mut self.read_steps);
+        let mut found = Vec::new();
+        self.read_findings(&mut steps, id, &ops, &mut found);
+        self.read_steps = steps;
+        for v in found {
+            self.emit(v);
+        }
 
         // 2. Derived per-transaction index data (the streaming analog of
         // `HistoryIndex`'s per-transaction pass).
         let mut ext_reads = Vec::new();
-        let mut keys_written = Vec::new();
-        let mut all_writes = Vec::new();
-        let mut final_map: HashMap<Key, u32> = HashMap::new();
+        let mut final_writes = Vec::new();
         for (p, op) in ops.iter().enumerate() {
             match *op {
-                RawOp::Write { key, value } => {
-                    keys_written.push(key);
-                    all_writes.push((key, value));
-                    final_map.insert(key, p as u32);
+                TxnOp::Write(key, _) => final_writes.push((key, p as u32)),
+                TxnOp::Read(key, _, ReadFrom::External(w)) => {
+                    // A reader is processed only after its committed
+                    // writers are.
+                    let Some(&TxnState::Processed { slot }) = self.txn_states.get(&w.txn) else {
+                        debug_assert!(false, "external writer {} is processed", w.txn);
+                        continue;
+                    };
+                    ext_reads.push(awdit_core::ExtRead {
+                        key,
+                        writer: slot,
+                        op: p as u32,
+                    });
                 }
-                RawOp::Read { key, .. } => {
-                    if let ReadSrc::External { txn, .. } = sources[p] {
-                        let TxnState::Processed { slot } = self.txn_states[&txn] else {
-                            unreachable!("external writer processed before reader")
-                        };
-                        ext_reads.push(awdit_core::ExtRead {
-                            key,
-                            writer: slot,
-                            op: p as u32,
-                        });
-                    }
-                }
+                TxnOp::Read(..) => {}
             }
         }
-        keys_written.sort_unstable();
-        keys_written.dedup();
-        let mut final_writes: Vec<(Key, u32)> = final_map.into_iter().collect();
-        final_writes.sort_unstable();
+        // The po-last write of each key, by key.
+        final_writes.sort_unstable_by_key(|&(k, p)| (k, std::cmp::Reverse(p)));
+        final_writes.dedup_by_key(|w| w.0);
         // The same read-column derivation the batch `HistoryIndex` runs, so
         // the two sides cannot drift.
         let cols = awdit_core::ReadCols::from_ext_reads(&ext_reads);
@@ -989,42 +931,19 @@ impl OnlineChecker {
             txn_id: id,
             session,
             committed_pos,
-            keys_written,
+            keys_written: final_writes.iter().map(|w| w.0).collect(),
             keys_read: cols.keys_read,
             first_writer_per_key: cols.first_writers,
             ext_reads,
             read_pairs: cols.read_pairs,
-            writes: all_writes,
+            ops,
             final_writes,
             pending_readers: 0,
         };
         let slot = self.index.insert(meta);
         self.dag.ensure_node(slot, session, committed_pos);
 
-        // 3. Repeatable reads (RA only, mirroring the batch dispatcher).
-        if self.cfg.level == IsolationLevel::ReadAtomic {
-            let mut first_writer: HashMap<Key, u32> = HashMap::new();
-            let mut nrr = Vec::new();
-            for r in &self.index.meta(slot).ext_reads {
-                match first_writer.get(&r.key) {
-                    None => {
-                        first_writer.insert(r.key, r.writer);
-                    }
-                    Some(&w) if w != r.writer => nrr.push(Violation::NonRepeatableRead {
-                        txn: id,
-                        key: r.key,
-                        first_writer: self.index.meta(w).txn_id,
-                        second_writer: self.index.meta(r.writer).txn_id,
-                    }),
-                    Some(_) => {}
-                }
-            }
-            for v in nrr {
-                self.emit_core(v);
-            }
-        }
-
-        // 4. Base edges plus the level's inferred edges, from the shared
+        // 3. Base edges plus the level's inferred edges, from the shared
         // kernels.
         let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
         if let Some(prev) = self.sessions[session as usize].last_processed_slot {
@@ -1043,7 +962,7 @@ impl OnlineChecker {
             IsolationLevel::Causal => self.infer_cc(slot, &mut edges),
         }
 
-        // 5. Insert; every edge closing a cycle is a violation, reported
+        // 4. Insert; every edge closing a cycle is a violation, reported
         // immediately with provenance and then dropped so checking
         // continues.
         for (from, to, kind) in edges {
@@ -1054,7 +973,7 @@ impl OnlineChecker {
         }
         self.stats.live_edges = self.dag.num_edges();
 
-        // 6. Publish and wake dependents.
+        // 5. Publish and wake dependents.
         self.txn_states.insert(id, TxnState::Processed { slot });
         self.sessions[session as usize].last_processed_slot = Some(slot);
         if let Some(waiters) = self.waiting_txn.remove(&id) {
@@ -1075,7 +994,7 @@ impl OnlineChecker {
             }
         }
 
-        // 7. Release the references this transaction held on its writers.
+        // 6. Release the references this transaction held on its writers.
         let writer_slots: Vec<u32> = self
             .index
             .meta(slot)
@@ -1225,9 +1144,11 @@ impl OnlineChecker {
         let condensed = self.dag.retire_node(slot);
         self.clocks.release(slot);
         let meta = self.index.retire(slot);
-        for &(k, v) in &meta.writes {
-            self.writes.remove(&(k, v));
-            *self.pruned_writes.entry(k).or_insert(0) += 1;
+        for op in &meta.ops {
+            if let TxnOp::Write(k, v) = *op {
+                self.writes.remove(&(k, v));
+                *self.pruned_writes.entry(k).or_insert(0) += 1;
+            }
         }
         self.txn_states.remove(&meta.txn_id);
         let s = meta.session;
@@ -1341,16 +1262,15 @@ impl OnlineChecker {
         }
         self.drain_ready();
 
-        // Reads whose value nobody ever wrote are thin-air.
-        let waiting = std::mem::take(&mut self.waiting_value);
-        for ((_, _), entries) in waiting {
-            for (reader, op) in entries {
-                if let Some(st) = self.staged.get_mut(&reader) {
-                    st.sources[op as usize] = ReadSrc::ThinAir;
-                    st.deps -= 1;
-                    if st.deps == 0 {
-                        self.ready.push_back(reader);
-                    }
+        // Reads whose value nobody ever wrote stay thin-air: release their
+        // readers, in read order (the map's own order changes per process).
+        let mut waiting: Vec<_> = self.waiting_value.drain().flat_map(|(_, e)| e).collect();
+        waiting.sort_unstable();
+        for (reader, _) in waiting {
+            if let Some(st) = self.staged.get_mut(&reader) {
+                st.deps -= 1;
+                if st.deps == 0 {
+                    self.ready.push_back(reader);
                 }
             }
         }
@@ -1371,81 +1291,32 @@ impl OnlineChecker {
     }
 
     /// Reports the violations of transactions stuck in a `so ∪ wr` cycle:
-    /// their Read Consistency and repeatable-read checks still run, and one
-    /// witness cycle per strongly connected component is extracted —
-    /// classified as a causality cycle for CC (mirroring the batch early
-    /// return) and as a commit-order cycle for RC/RA (where the batch graph
-    /// simply contains the base cycle).
+    /// their reads are still checked, as at processing (a staged writer's
+    /// final writes come from its ops), and one witness cycle per strongly
+    /// connected component is extracted — classified as a causality cycle
+    /// for CC (mirroring the batch early return) and as a commit-order
+    /// cycle for RC/RA (where the batch graph simply contains the base
+    /// cycle).
+    ///
+    /// Linear in the stuck transactions' operations, up to the sort and
+    /// the binary searches that find a writer's place among them: a stuck
+    /// transaction's session successor is the next stuck one.
     fn finish_deadlocked(&mut self) {
         if self.staged.is_empty() {
             return;
         }
-        let mut stuck: Vec<TxnId> = self.staged.keys().copied().collect();
-        stuck.sort_unstable();
-        let local: HashMap<TxnId, u32> = stuck
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
+        let mut stuck: Vec<(TxnId, &StagedTxn)> =
+            self.staged.iter().map(|(&id, st)| (id, st)).collect();
+        stuck.sort_unstable_by_key(|&(id, _)| id);
 
         // Per-transaction checks first (the batch pipeline checks every
         // committed transaction regardless of cycles).
-        for &id in &stuck {
-            let st = &self.staged[&id];
-            let (ops, sources) = (st.ops.clone(), st.sources.clone());
-            self.check_reads(
-                id,
-                &ops,
-                &sources,
-                &|this, wtxn, key| match this.txn_states.get(&wtxn) {
-                    Some(TxnState::Processed { slot }) => {
-                        this.index.meta(*slot).final_write_of(key)
-                    }
-                    _ => this
-                        .staged
-                        .get(&wtxn)
-                        .map(|w| {
-                            let mut last = None;
-                            for (p, op) in w.ops.iter().enumerate() {
-                                if let RawOp::Write { key: k, .. } = *op {
-                                    if k == key {
-                                        last = Some(p as u32);
-                                    }
-                                }
-                            }
-                            last
-                        })
-                        .unwrap_or(None),
-                },
-            );
-            if self.cfg.level == IsolationLevel::ReadAtomic {
-                let st = &self.staged[&id];
-                let mut first_writer: HashMap<Key, TxnId> = HashMap::new();
-                let mut nrr = Vec::new();
-                for (p, op) in st.ops.iter().enumerate() {
-                    let RawOp::Read { key, .. } = *op else {
-                        continue;
-                    };
-                    if let ReadSrc::External { txn, .. } = st.sources[p] {
-                        match first_writer.get(&key) {
-                            None => {
-                                first_writer.insert(key, txn);
-                            }
-                            Some(&w) if w != txn => nrr.push(Violation::NonRepeatableRead {
-                                txn: id,
-                                key,
-                                first_writer: w,
-                                second_writer: txn,
-                            }),
-                            Some(_) => {}
-                        }
-                    }
-                }
-                for v in nrr {
-                    self.emit_core(v);
-                }
-            }
+        let mut found = Vec::new();
+        let mut steps = std::mem::take(&mut self.read_steps);
+        for &(id, st) in &stuck {
+            self.read_findings(&mut steps, id, &st.ops, &mut found);
         }
+        self.read_steps = steps;
 
         // One witness cycle per SCC of the deadlocked base relation. The
         // graph keeps one provenance bit per edge, so each pair's label
@@ -1453,30 +1324,23 @@ impl OnlineChecker {
         // tracked beside it.
         let mut g = CommitGraph::new(stuck.len());
         let mut kinds: HashMap<(u32, u32), EdgeKind> = HashMap::new();
-        let mut add = |g: &mut CommitGraph, from: u32, to: u32, kind: EdgeKind| {
-            kinds.entry((from, to)).or_insert(kind);
-            g.add_edge(from, to, kind);
+        let mut add = |g: &mut CommitGraph, from: usize, to: usize, kind: EdgeKind| {
+            kinds.entry((from as u32, to as u32)).or_insert(kind);
+            g.add_edge(from as u32, to as u32, kind);
         };
-        for (li, &id) in stuck.iter().enumerate() {
-            let st = &self.staged[&id];
-            // so edge to the next staged transaction of the session (staged
-            // transactions form a suffix of their session, so staged
-            // adjacency is committed adjacency).
-            if let Some(&next) = stuck.iter().find(|&&t| {
-                t.session == id.session && self.staged[&t].committed_pos == st.committed_pos + 1
-            }) {
-                add(&mut g, li as u32, local[&next], EdgeKind::SessionOrder);
+        for (li, &(id, st)) in stuck.iter().enumerate() {
+            // so edge to the session successor: staged transactions form a
+            // suffix of their session's committed ones, so it is the next
+            // stuck transaction when that has the same session.
+            if let Some(&(_, next)) = stuck.get(li + 1).filter(|(t, _)| t.session == id.session) {
+                debug_assert_eq!(next.committed_pos, st.committed_pos + 1);
+                add(&mut g, li, li + 1, EdgeKind::SessionOrder);
             }
-            let mut seen: HashSet<TxnId> = HashSet::new();
-            for (p, op) in st.ops.iter().enumerate() {
-                let RawOp::Read { key, .. } = *op else {
-                    continue;
-                };
-                if let ReadSrc::External { txn, .. } = st.sources[p] {
-                    if let Some(&wl) = local.get(&txn) {
-                        if seen.insert(txn) {
-                            add(&mut g, wl, li as u32, EdgeKind::WriteRead(key));
-                        }
+            // A writer read twice gives one edge: `freeze` keeps the first.
+            for op in &st.ops {
+                if let TxnOp::Read(key, _, ReadFrom::External(w)) = *op {
+                    if let Ok(wl) = stuck.binary_search_by_key(&w.txn, |&(t, _)| t) {
+                        add(&mut g, wl, li, EdgeKind::WriteRead(key));
                     }
                 }
             }
@@ -1493,20 +1357,24 @@ impl OnlineChecker {
                     .edges
                     .iter()
                     .map(|e| WitnessEdge {
-                        from: stuck[e.from as usize],
-                        to: stuck[e.to as usize],
+                        from: stuck[e.from as usize].0,
+                        to: stuck[e.to as usize].0,
+                        // Every graph edge came through `add`, which
+                        // labelled it.
                         kind: kinds[&(e.from, e.to)],
                     })
                     .collect(),
             };
-            let v = match self.cfg.level {
+            found.push(StreamViolation::Core(match self.cfg.level {
                 IsolationLevel::Causal => Violation::CausalityCycle(witness),
                 level => Violation::CommitOrderCycle {
                     level,
                     cycle: witness,
                 },
-            };
-            self.emit_core(v);
+            }));
+        }
+        for v in found {
+            self.emit(v);
         }
     }
 }

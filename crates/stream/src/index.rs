@@ -11,8 +11,8 @@
 
 use std::collections::HashMap;
 
-use awdit_core::incremental::CommitView;
-use awdit_core::{DenseId, ExtRead, Key, TxnId, Value};
+use awdit_core::incremental::{CommitView, TxnOp};
+use awdit_core::{DenseId, ExtRead, Key, TxnId};
 
 /// Per-transaction derived data, mirroring the batch index's layout.
 #[derive(Clone, Debug)]
@@ -34,23 +34,14 @@ pub struct TxnMeta {
     pub ext_reads: Vec<ExtRead>,
     /// Distinct `(key, writer)` pairs, sorted.
     pub read_pairs: Vec<(Key, DenseId)>,
-    /// Every write of the transaction (for value-map cleanup at pruning).
-    pub writes: Vec<(Key, Value)>,
-    /// Final (`po`-last) write position per key, sorted by key.
+    /// The transaction's operations in program order (its writes leave
+    /// the value map at pruning).
+    pub ops: Vec<TxnOp>,
+    /// The `po`-last write position of each key written, sorted by key.
     pub final_writes: Vec<(Key, u32)>,
     /// Staged readers currently holding a resolved reference to this
     /// transaction (blocks pruning).
     pub pending_readers: u32,
-}
-
-impl TxnMeta {
-    /// The final write position of `key`, if the transaction writes it.
-    pub fn final_write_of(&self, key: Key) -> Option<u32> {
-        self.final_writes
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| self.final_writes[i].1)
-    }
 }
 
 /// Slab-backed streaming index over the live committed transactions.

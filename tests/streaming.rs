@@ -19,21 +19,28 @@
 //!   online checker may report strictly more; and the single-session RA
 //!   fast path labels its cycles `CausalityCycle` where the general
 //!   algorithm says `CommitOrderCycle` — hence the merged cycle class.
+//! * **Read violations match exactly**: batch and stream run the same
+//!   per-transaction read-consistency and repeatable-read steps, so the
+//!   sorted lists of `ReadConsistency` violations (and, under RA, of
+//!   `NonRepeatableRead` ones) are equal. The single-session RA fast path
+//!   emits no `NonRepeatableRead`, so that case compares read-consistency
+//!   violations only.
 
 use std::collections::BTreeSet;
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
-use awdit::core::witness::ViolationKind;
+use awdit::core::witness::{Violation, ViolationKind};
 use awdit::formats::history_of_events;
-use awdit::stream::{Event, OnlineChecker, StreamConfig};
+use awdit::stream::{Event, OnlineChecker, StreamConfig, StreamViolation};
 use awdit::{check, Engine, History, IsolationLevel};
 use awdit_core::Op;
 
-/// Replays a finished history as an event stream in round-robin arrival
-/// order, one whole transaction at a time.
-fn replay(h: &History, checker: &mut OnlineChecker) {
+/// A finished history as an event stream in round-robin arrival order,
+/// one whole transaction at a time.
+fn arrival_events(h: &History) -> Vec<Event> {
     let k = h.num_sessions();
     let mut next = vec![0usize; k];
+    let mut events = Vec::new();
     let mut progressed = true;
     while progressed {
         progressed = false;
@@ -45,25 +52,30 @@ fn replay(h: &History, checker: &mut OnlineChecker) {
             progressed = true;
             let t = txns.txn(*pos);
             *pos += 1;
-            let sid = s as u64;
-            checker.begin(sid).unwrap();
+            let session = s as u64;
+            events.push(Event::Begin { session });
             for op in t.ops() {
-                match *op {
-                    Op::Write { key, value } => {
-                        checker.write(sid, h.key_name(key), value.0).unwrap()
-                    }
-                    Op::Read { key, value, .. } => {
-                        checker.read(sid, h.key_name(key), value.0).unwrap()
-                    }
-                }
+                events.push(match *op {
+                    Op::Write { key, value } => Event::Write {
+                        session,
+                        key: h.key_name(key),
+                        value: value.0,
+                    },
+                    Op::Read { key, value, .. } => Event::Read {
+                        session,
+                        key: h.key_name(key),
+                        value: value.0,
+                    },
+                });
             }
-            if t.is_committed() {
-                checker.commit(sid).unwrap();
+            events.push(if t.is_committed() {
+                Event::Commit { session }
             } else {
-                checker.abort(sid).unwrap();
-            }
+                Event::Abort { session }
+            });
         }
     }
+    events
 }
 
 /// Collapses the two cycle kinds into one class (see module docs).
@@ -75,15 +87,20 @@ fn normalize(kind: ViolationKind) -> ViolationKind {
 }
 
 fn check_agreement(h: &History, label: &str) {
+    let events = arrival_events(h);
+    // The history as the stream saw it: keys and sessions interned in
+    // arrival order, so dense ids in violations line up.
+    let arrived = history_of_events(&events).expect("replayed history is well-formed");
     for level in IsolationLevel::ALL {
         let batch = check(h, level);
-        let mut online = OnlineChecker::with_config(StreamConfig {
-            level,
-            prune: false,
-            ..StreamConfig::default()
-        });
-        replay(h, &mut online);
-        let outcome = online.finish().expect("replayed history is well-formed");
+        let outcome = run_events(
+            &events,
+            StreamConfig {
+                level,
+                prune: false,
+                ..StreamConfig::default()
+            },
+        );
         assert_eq!(
             batch.is_consistent(),
             outcome.is_consistent(),
@@ -103,6 +120,29 @@ fn check_agreement(h: &History, label: &str) {
                 normalize(k)
             }
         };
+        // The exact read violations, sorted.
+        let read_violations = |vs: &mut dyn Iterator<Item = &Violation>| {
+            let mut out: Vec<String> = vs
+                .filter(|v| match v {
+                    Violation::ReadConsistency(_) => true,
+                    Violation::NonRepeatableRead { .. } => {
+                        arrived.num_sessions() > 1 || level != IsolationLevel::ReadAtomic
+                    }
+                    _ => false,
+                })
+                .map(|v| format!("{v:?}"))
+                .collect();
+            out.sort();
+            out
+        };
+        assert_eq!(
+            read_violations(&mut check(&arrived, level).violations().iter()),
+            read_violations(&mut outcome.violations().iter().filter_map(|v| match v {
+                StreamViolation::Core(v) => Some(v),
+                StreamViolation::BeyondHorizon { .. } => None,
+            })),
+            "read violation mismatch [{label}] level {level}\nhistory:\n{h}"
+        );
         let batch_kinds: BTreeSet<String> = batch
             .violations()
             .iter()
@@ -164,6 +204,225 @@ fn online_matches_batch_on_generated_histories() {
         checked += 1;
     }
     assert!(checked >= 500, "only {checked} histories checked");
+}
+
+/// One planted history per Read Consistency axiom, one non-repeatable
+/// read, and the same reads inside transactions deadlocked on a `so ∪ wr`
+/// cycle (checked at `finish`): stream and batch report the same read
+/// violations.
+#[test]
+fn planted_read_violations_agree() {
+    use awdit::HistoryBuilder;
+    type Plant = fn(&mut HistoryBuilder, awdit_core::SessionId, awdit_core::SessionId);
+    let plants: [(&str, Plant); 7] = [
+        ("thin-air", |b, _, s1| {
+            b.begin(s1);
+            b.read(s1, 1, 99);
+            b.commit(s1);
+        }),
+        ("aborted", |b, s0, s1| {
+            b.begin(s0);
+            b.write(s0, 1, 1);
+            b.abort(s0);
+            b.begin(s1);
+            b.read(s1, 1, 1);
+            b.commit(s1);
+        }),
+        ("future", |b, _, s1| {
+            b.begin(s1);
+            b.read(s1, 1, 1);
+            b.write(s1, 1, 1);
+            b.commit(s1);
+        }),
+        ("not-own", |b, s0, s1| {
+            b.begin(s0);
+            b.write(s0, 1, 1);
+            b.commit(s0);
+            b.begin(s1);
+            b.write(s1, 1, 2);
+            b.read(s1, 1, 1);
+            b.commit(s1);
+        }),
+        ("stale-own", |b, _, s1| {
+            b.begin(s1);
+            b.write(s1, 1, 1);
+            b.write(s1, 1, 2);
+            b.read(s1, 1, 1);
+            b.commit(s1);
+        }),
+        ("not-final", |b, s0, s1| {
+            b.begin(s0);
+            b.write(s0, 1, 1);
+            b.write(s0, 1, 2);
+            b.commit(s0);
+            b.begin(s1);
+            b.read(s1, 1, 1);
+            b.commit(s1);
+        }),
+        ("non-repeatable", |b, s0, s1| {
+            b.begin(s0);
+            b.write(s0, 1, 1);
+            b.commit(s0);
+            b.begin(s0);
+            b.write(s0, 1, 2);
+            b.commit(s0);
+            b.begin(s1);
+            b.read(s1, 1, 1);
+            b.read(s1, 1, 2);
+            b.commit(s1);
+        }),
+    ];
+    for (name, plant) in plants {
+        for deadlocked in [false, true] {
+            let mut b = HistoryBuilder::new();
+            let s0 = b.session();
+            let s1 = b.session();
+            if deadlocked {
+                // s1's first transaction reads what its second writes, so
+                // every later transaction of s1 stays staged to the end.
+                b.begin(s1);
+                b.read(s1, 7, 70);
+                b.commit(s1);
+                b.begin(s1);
+                b.write(s1, 7, 70);
+                b.commit(s1);
+            }
+            plant(&mut b, s0, s1);
+            let h = b.finish().expect("planted history builds");
+            let label = format!("planted/{name}/deadlocked={deadlocked}");
+            assert!(
+                check(&h, IsolationLevel::ReadAtomic)
+                    .violations()
+                    .iter()
+                    .any(|v| matches!(
+                        v,
+                        Violation::ReadConsistency(_) | Violation::NonRepeatableRead { .. }
+                    )),
+                "[{label}] plants a read violation"
+            );
+            check_agreement(&h, &label);
+        }
+    }
+}
+
+/// Two interleaved sessions, each deadlocked on a `so ∪ wr` cycle through
+/// an aborted transaction: each session's first transaction reads what a
+/// later one writes. `finish` reports one witness per session, and its
+/// `so` steps skip the aborted transactions.
+#[test]
+fn interleaved_deadlocks_report_their_exact_cycles() {
+    let (begin, commit, abort) = (
+        |session| Event::Begin { session },
+        |session| Event::Commit { session },
+        |session| Event::Abort { session },
+    );
+    let write = |session, key, value| Event::Write {
+        session,
+        key,
+        value,
+    };
+    let read = |session, key, value| Event::Read {
+        session,
+        key,
+        value,
+    };
+    let events = [
+        // A.t0 reads what A.t3 writes; B.t0 reads what B.t2 writes.
+        begin(10),
+        read(10, 1, 13),
+        commit(10),
+        begin(20),
+        read(20, 2, 22),
+        commit(20),
+        begin(10),
+        write(10, 3, 11),
+        commit(10),
+        begin(20),
+        write(20, 4, 21),
+        abort(20),
+        begin(10),
+        write(10, 3, 12),
+        abort(10),
+        begin(20),
+        write(20, 2, 22),
+        commit(20),
+        begin(10),
+        write(10, 1, 13),
+        commit(10),
+        begin(20),
+        write(20, 4, 23),
+        commit(20),
+        begin(10),
+        write(10, 3, 14),
+        commit(10),
+    ];
+    for prune in [true, false] {
+        let outcome = run_events(
+            &events,
+            StreamConfig {
+                level: IsolationLevel::Causal,
+                prune,
+                prune_interval: 1,
+                ..StreamConfig::default()
+            },
+        );
+        let got: Vec<String> = outcome.violations().iter().map(|v| v.to_string()).collect();
+        assert_eq!(
+            got,
+            [
+                "causality cycle: s1.t0 --so--> s1.t2; s1.t2 --wr[k1]--> s1.t0",
+                "causality cycle: s0.t0 --so--> s0.t1; s0.t1 --so--> s0.t3; s0.t3 --wr[k0]--> s0.t0",
+            ],
+            "prune={prune}"
+        );
+    }
+}
+
+/// A reader that commits while its writer is still open has read an
+/// aborted write once the writer aborts, explicitly or by the stream
+/// ending; batch says the same of the explicit case's events.
+#[test]
+fn read_of_a_writer_that_aborts_later_is_an_aborted_read() {
+    let mut events = vec![
+        Event::Begin { session: 0 },
+        Event::Write {
+            session: 0,
+            key: 1,
+            value: 1,
+        },
+        Event::Begin { session: 1 },
+        Event::Read {
+            session: 1,
+            key: 1,
+            value: 1,
+        },
+        Event::Commit { session: 1 },
+        Event::Abort { session: 0 },
+    ];
+    let cfg = StreamConfig {
+        level: IsolationLevel::ReadCommitted,
+        ..StreamConfig::default()
+    };
+    let batch = check(
+        &history_of_events(&events).expect("well-formed"),
+        IsolationLevel::ReadCommitted,
+    );
+    assert_eq!(batch.violations().len(), 1);
+    for explicit in [true, false] {
+        if !explicit {
+            events.pop();
+        }
+        let online = run_events(&events, cfg);
+        assert_eq!(
+            online.violations(),
+            [StreamViolation::Core(batch.violations()[0].clone())],
+            "explicit abort: {explicit}"
+        );
+        assert_eq!(
+            online.violations()[0].kind(),
+            Some(ViolationKind::AbortedRead)
+        );
+    }
 }
 
 /// With pruning *enabled* and reads that stay fresh *in arrival order*,
