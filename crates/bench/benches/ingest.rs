@@ -10,9 +10,7 @@
 //!   machinery behind `Engine::check_source`'s fast path.
 //!
 //! * **binary-load** — the `.awb` columnar file mmap-loaded straight
-//!   into a recycled arena (no parsing, no read resolution);
-//! * **shard-parse** — the parallel sharded text parser at each thread
-//!   count in `AWDIT_BENCH_THREADS` (comma-separated, default `1,2,4,8`).
+//!   into a recycled arena (no parsing, no read resolution).
 //!
 //! Throughput is operations per second of the parsed history.
 //! `AWDIT_BENCH_TXNS` overrides the history length so CI can smoke-run
@@ -31,8 +29,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use awdit_core::{Engine, History, HistoryBuilder, HistorySink, IsolationLevel, SessionId};
 use awdit_formats::{
-    parse_history, read_awb_path_into, read_history, read_sharded, write_awb, write_history,
-    write_native_to, FilesSource, Format,
+    parse_history, read_awb_path_into, read_history, write_awb, write_history, write_native_to,
+    FilesSource, Format,
 };
 use awdit_simdb::{collect_history, DbIsolation, SimConfig};
 use awdit_workloads::Uniform;
@@ -69,15 +67,6 @@ fn env_or(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Thread counts for the shard sweep: `AWDIT_BENCH_THREADS=1,2,8`.
-fn bench_threads() -> Vec<usize> {
-    std::env::var("AWDIT_BENCH_THREADS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8])
 }
 
 /// A sink that hands the `.awb` loader a recycled arena, so the bench
@@ -212,24 +201,6 @@ fn bench_ingest(c: &mut Criterion) {
             sink.0.size()
         })
     });
-
-    // Parallel sharded parsing of the native text, swept over threads.
-    let native_bytes = std::fs::read(&files[0].1).expect("read native fixture");
-    for threads in bench_threads() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("shard-parse-native-t{threads}"), ops),
-            &native_bytes,
-            |b, bytes| {
-                let mut builder = HistoryBuilder::new();
-                let mut arena = History::default();
-                b.iter(|| {
-                    read_sharded(bytes, Format::Native, threads, &mut builder).expect("parse");
-                    builder.finish_into(&mut arena).expect("finish");
-                    arena.size()
-                })
-            },
-        );
-    }
 
     // End-to-end load+check: one reused engine streaming files from a
     // source versus a cold parse + cold check per file.

@@ -20,10 +20,10 @@
 //! * **Batching.** [`Engine::check_source`] is the one batch loop: it
 //!   streams each history of a [`HistorySource`] into the recycled ingest
 //!   arenas (`.awb` files bulk-load) and checks it before reading the
-//!   next, so peak memory is bounded by the largest single history. The
-//!   `threads` knob parallelizes *within* a history — sharded text
-//!   parsing and sharded saturation — never across histories; outcomes
-//!   are bit-identical at every thread count.
+//!   next, so peak memory is bounded by the largest single history. Text
+//!   parses line by line at every thread count. The `threads` knob
+//!   parallelizes *within* a history — sharded saturation — never across
+//!   histories; outcomes are bit-identical at every thread count.
 //! * **Pluggable edges.** [`HistorySource`] abstracts where histories
 //!   come from (files, directories, NDJSON streams in `awdit-formats`;
 //!   simulator fleets in `awdit-simdb`).
@@ -49,8 +49,6 @@
 //! # Ok(())
 //! # }
 //! ```
-
-use std::sync::Arc;
 
 use crate::cc::{saturate_cc_into, ClockTable};
 use crate::checker::{CheckStats, Outcome};
@@ -81,11 +79,10 @@ pub struct EngineConfig {
     /// check.
     pub max_cycles: usize,
     /// Worker threads (`1` = sequential, `0` = all cores) for the work
-    /// inside one history: the sharded saturators and (via
-    /// [`HistorySource::set_pool`]) sharded text parsing. Histories of
-    /// a source are checked one after another at every value; outcomes
-    /// are bit-identical for every value. At `1` the engine spawns no
-    /// thread.
+    /// inside one history: the sharded saturators. Parsing is sequential,
+    /// and histories of a source are checked one after another at every
+    /// value; outcomes are bit-identical for every value. At `1` the
+    /// engine spawns no thread.
     pub threads: usize,
 }
 
@@ -168,7 +165,7 @@ pub struct Engine {
     /// The persistent worker pool every parallel stage dispatches on —
     /// created once at build, workers parked between forks. Width 1 owns
     /// no threads at all.
-    pool: Arc<parallel::Pool>,
+    pool: parallel::Pool,
 }
 
 impl Default for Engine {
@@ -201,13 +198,13 @@ impl Engine {
             ingested_bytes: 0,
             stats: EngineStats::default(),
             obs: Obs::disabled(),
-            pool: Arc::new(parallel::Pool::new(cfg.threads)),
+            pool: parallel::Pool::new(cfg.threads),
         }
     }
 
     /// The engine's worker pool (its [`stats`](parallel::Pool::stats)
     /// count wakes, steals and parks).
-    pub fn pool(&self) -> &Arc<parallel::Pool> {
+    pub fn pool(&self) -> &parallel::Pool {
         &self.pool
     }
 
@@ -307,10 +304,8 @@ impl Engine {
     /// peak memory is bounded by the largest single history. The history
     /// passed to `each` is the engine's ingest arena, valid for the call.
     ///
-    /// The source is handed the engine's worker pool via
-    /// [`HistorySource::set_pool`], so file sources parse text in sharded
-    /// form on the same workers saturation shards through. Either way the
-    /// threads work inside one history at a time, and outcomes are
+    /// Sources parse on the calling thread; the engine's workers shard
+    /// saturation inside one history at a time, and outcomes are
     /// bit-identical at every thread count.
     ///
     /// # Errors
@@ -328,11 +323,9 @@ impl Engine {
         S: HistorySource + ?Sized,
         F: FnMut(String, &History, Vec<Outcome>),
     {
-        // Parsers and sharded sources report ingest metrics through the
-        // thread-current handle.
+        // Parsers report ingest metrics through the thread-current handle.
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
-        source.set_pool(Arc::clone(&self.pool));
         loop {
             let next = {
                 let _s = obs.span("ingest");
@@ -712,12 +705,6 @@ pub trait HistorySource {
             Err(e) => Some(Err(e)),
         }
     }
-
-    /// Hands the source a worker pool for parsing within one history
-    /// ([`Engine::check_source`] passes the engine's own). Sources that
-    /// can parse sharded (the file sources in `awdit-formats`) shard to
-    /// the pool's width; the default ignores it.
-    fn set_pool(&mut self, _pool: Arc<parallel::Pool>) {}
 }
 
 /// Every iterator of `Result<SourcedHistory, SourceError>` is a source —

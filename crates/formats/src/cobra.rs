@@ -14,10 +14,10 @@
 
 use std::io::{BufRead, Write};
 
-use awdit_core::{History, HistoryBuilder, HistorySink, Op, SessionId};
+use awdit_core::{History, HistoryBuilder, HistorySink, Op};
 
 use crate::error::ParseError;
-use crate::reader::LineReader;
+use crate::reader::{open_session, LineReader};
 
 /// The first line of every Cobra-style file.
 pub const COBRA_HEADER: &str = "cobra-log";
@@ -95,8 +95,7 @@ pub(crate) fn read_cobra_lines<R: BufRead, S: HistorySink + ?Sized>(
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err("missing session id"))?;
-        sink.ensure_sessions(session + 1);
-        let sid = SessionId(session as u32);
+        let sid = open_session(sink, session, lineno)?;
         match tag {
             "T" | "C" | "A" => {
                 if parts.next().is_some() {

@@ -18,10 +18,10 @@
 
 use std::io::{BufRead, Write};
 
-use awdit_core::{History, HistoryBuilder, HistorySink, Op, SessionId};
+use awdit_core::{History, HistoryBuilder, HistorySink, Op};
 
 use crate::error::ParseError;
-use crate::reader::LineReader;
+use crate::reader::{open_session, LineReader};
 
 /// The first line of every DBCop-style file.
 pub const DBCOP_HEADER: &str = "dbcop-history";
@@ -79,7 +79,12 @@ fn expect_line<R: BufRead, T>(
 ) -> Result<T, ParseError> {
     loop {
         match lines.next_line()? {
-            None => return Err(ParseError::new(0, "unexpected end of file")),
+            None => {
+                return Err(ParseError::new(
+                    lines.line_no().max(1),
+                    "unexpected end of file",
+                ))
+            }
             Some((raw, lineno)) => {
                 let line = raw.trim();
                 if !line.is_empty() {
@@ -123,10 +128,11 @@ pub(crate) fn read_dbcop_lines<R: BufRead, S: HistorySink + ?Sized>(
             .ok_or_else(|| ParseError::new(lineno, "expected `sessions N`"))
     })?;
 
-    sink.ensure_sessions(num_sessions);
-
+    // Each session is created when its block opens, so a huge count with
+    // no blocks behind it allocates nothing before the missing block
+    // fails the parse.
     for expected_sid in 0..num_sessions {
-        let num_txns: usize = expect_line(lines, |line, lineno| {
+        let (session, num_txns) = expect_line(lines, |line, lineno| {
             let mut parts = line.split_whitespace();
             let ok = parts.next() == Some("session");
             let sid = parts.next().and_then(|p| p.parse::<usize>().ok());
@@ -141,9 +147,8 @@ pub(crate) fn read_dbcop_lines<R: BufRead, S: HistorySink + ?Sized>(
                     format!("expected session {expected_sid}, found {}", sid.unwrap()),
                 ));
             }
-            Ok(txns.unwrap())
+            Ok((open_session(sink, expected_sid, lineno)?, txns.unwrap()))
         })?;
-        let session = SessionId(expected_sid as u32);
         for _ in 0..num_txns {
             let (committed, num_ops) = expect_line(lines, |line, lineno| {
                 let mut parts = line.split_whitespace();

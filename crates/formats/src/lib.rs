@@ -13,12 +13,13 @@
 //! | Cobra-style | [`cobra`] | tagged per-session log records |
 //! | streaming NDJSON | [`stream`] | one transaction event per line (for `awdit watch`) |
 //!
-//! Beyond the text formats, [`binary`] defines the mmap-able binary
-//! columnar `.awb` format, [`shard`] parses large text files in parallel
-//! byte-range shards with bit-identical output, and [`detect`]
-//! centralizes content-sniff-then-extension dispatch across every kind
-//! of input. [`detect_format`] sniffs a text header, and [`parse_auto`]
-//! parses whichever format it finds.
+//! Every text format has one parser: an incremental reader that pulls
+//! one line at a time through a [`LineReader`] (see [`reader`]), at every
+//! thread count. Beyond the text formats, [`binary`] defines the
+//! mmap-able binary columnar `.awb` format, and [`detect`] centralizes
+//! content-sniff-then-extension dispatch across every kind of input.
+//! [`detect_format`] sniffs a text header, and [`parse_auto`] parses
+//! whichever format it finds.
 //!
 //! Two further modules form the edges of the engine API: [`source`]
 //! implements [`HistorySource`](awdit_core::HistorySource) over file
@@ -59,7 +60,6 @@ pub mod native;
 pub mod plume;
 pub mod reader;
 pub mod report;
-pub mod shard;
 pub mod source;
 pub mod stream;
 
@@ -80,9 +80,6 @@ pub use report::{
     history_stats_json, EdgeReport, EngineStatsReport, HistoryReport, JsonSink, LevelReport,
     PhaseTimingReport, Report, ReportSink, TextSink, ViolationReport, MIN_SCHEMA_VERSION,
     SCHEMA_VERSION,
-};
-pub use shard::{
-    read_sharded, read_sharded_at, read_sharded_at_pool, read_sharded_pool, SHARD_MIN_BYTES,
 };
 pub use source::{events_into_sink, history_of_events, DirSource, FilesSource};
 pub use stream::{

@@ -25,7 +25,7 @@ use std::io::{BufRead, Write};
 use awdit_core::{History, HistoryBuilder, HistorySink, Op, SessionId};
 
 use crate::error::ParseError;
-use crate::reader::LineReader;
+use crate::reader::{open_session, LineReader};
 
 /// The first line of every native-format file.
 pub const NATIVE_HEADER: &str = "awdit-history v1";
@@ -96,9 +96,7 @@ pub(crate) fn read_native_lines<R: BufRead, S: HistorySink + ?Sized>(
             let id: usize = rest.trim().parse().map_err(|_| {
                 ParseError::new(lineno, format!("bad session id `{}`", rest.trim()))
             })?;
-            // Sessions must appear in order; create up to the id.
-            sink.ensure_sessions(id + 1);
-            current = Some(SessionId(id as u32));
+            current = Some(open_session(sink, id, lineno)?);
             continue;
         }
         let (committed, rest) = if let Some(rest) = line.strip_prefix("c:") {

@@ -19,7 +19,7 @@ use std::io::{BufRead, Write};
 use awdit_core::{History, HistoryBuilder, HistorySink, Op, SessionId};
 
 use crate::error::ParseError;
-use crate::reader::LineReader;
+use crate::reader::{open_session, LineReader};
 
 /// Streams `history` out in the Plume style.
 ///
@@ -108,11 +108,10 @@ pub(crate) fn read_plume_lines<R: BufRead, S: HistorySink + ?Sized>(
             return Err(err());
         }
 
-        sink.ensure_sessions(session + 1);
+        let sid = open_session(sink, session, lineno)?;
         while open.len() <= session {
             open.push(None);
         }
-        let sid = SessionId(session as u32);
         match open[session] {
             Some(cur) if cur == txn => {}
             Some(cur) if txn > cur => {

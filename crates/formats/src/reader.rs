@@ -2,14 +2,16 @@
 //!
 //! Every parser in this crate is an *incremental reader*: it pulls one
 //! line at a time from any [`BufRead`] through a [`LineReader`] and emits
-//! history events into a [`HistorySink`](awdit_core::HistorySink) as it
-//! goes — no full-file `String`, no intermediate nested representation.
+//! history events into a [`HistorySink`] as it goes — no full-file
+//! `String`, no intermediate nested representation.
 //! The reader tracks absolute line numbers (for [`ParseError`]s) and
 //! offers single-line lookahead, which is what format sniffing needs:
 //! peek the first meaningful line, pick a parser, and hand it the same
 //! reader with the line still unconsumed.
 
 use std::io::BufRead;
+
+use awdit_core::{HistorySink, SessionId};
 
 use crate::error::ParseError;
 
@@ -146,6 +148,25 @@ pub(crate) fn expect_header<R: BufRead>(
             }
         }
     }
+}
+
+/// Creates sessions `0..=id` in `sink` and returns session `id` — the
+/// shared session step of the text readers. An id that does not fit a
+/// [`SessionId`] (`u32::MAX` and up) is an error at line `lineno`, so an
+/// untrusted file cannot wrap `id + 1` or overflow the id.
+pub(crate) fn open_session<S: HistorySink + ?Sized>(
+    sink: &mut S,
+    id: usize,
+    lineno: usize,
+) -> Result<SessionId, ParseError> {
+    if id >= u32::MAX as usize {
+        return Err(ParseError::new(
+            lineno,
+            format!("session id {id} out of range (at most {})", u32::MAX - 1),
+        ));
+    }
+    sink.ensure_sessions(id + 1);
+    Ok(SessionId(id as u32))
 }
 
 #[cfg(test)]

@@ -5,15 +5,14 @@
 //! ([`Engine::check_source`](awdit_core::Engine::check_source)): every
 //! `awdit check` argument becomes a [`FilesSource`] or [`DirSource`] whose
 //! files stream, one at a time, into the engine's recycled ingest arenas
-//! (`.awb` files bulk-load, text files parse in shards above one thread),
-//! and a recorded `awdit watch` event log checks batch-style through the
-//! same entry point (each NDJSON file replays into one [`History`]).
+//! (`.awb` files bulk-load, text files parse line by line at every thread
+//! count), and a recorded `awdit watch` event log checks batch-style
+//! through the same entry point (each NDJSON file replays into one
+//! [`History`]).
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use awdit_core::parallel::Pool;
 use awdit_core::{
     History, HistoryBuilder, HistorySink, HistorySource, SourceError, SourcedHistory,
 };
@@ -22,7 +21,6 @@ use awdit_stream::Event;
 use crate::binary::read_awb_path_into;
 use crate::detect::{detect_bytes, detect_extension, looks_binary, read_prefix, Detected};
 use crate::reader::LineReader;
-use crate::shard::read_sharded_pool;
 use crate::stream::{read_events_lines, EventReplayer};
 use crate::{read_history_lines, Format, ParseError};
 
@@ -68,18 +66,14 @@ pub fn history_of_events(events: &[Event]) -> Result<History, String> {
 /// Streams one history file into `sink`, dispatching on
 /// [`detect`](crate::detect) (content sniff first, extension fallback)
 /// unless a [`Format`] is pinned: binary `.awb` files bulk-load (mmap
-/// where available), NDJSON event logs replay, and text histories either
-/// stream line by line (no pool, or a width-1 one: no full-file buffer
-/// anywhere) or parse in parallel shards on `pool` through a whole-file
-/// buffer that is freed before this returns, so it is never resident
-/// while the history is checked.
+/// where available), while NDJSON event logs and text histories stream
+/// line by line with no full-file buffer anywhere.
 fn read_path_into(
-    pool: Option<&Pool>,
     path: &Path,
     format: Option<Format>,
     sink: &mut (impl HistorySink + ?Sized),
 ) -> Result<(), String> {
-    use std::io::{Read, Seek, SeekFrom};
+    use std::io::{Seek, SeekFrom};
 
     let mut file = std::fs::File::open(path).map_err(|e| format!("cannot read: {e}"))?;
     let detected = match format {
@@ -107,31 +101,22 @@ fn read_path_into(
             }
         }
     };
-    let bytes = match (detected, pool.filter(|p| p.width() > 1)) {
-        (Detected::Binary, _) => {
+    match detected {
+        Detected::Binary => {
             drop(file);
             read_awb_path_into(path, sink).map_err(|e| e.to_string())?;
-            std::fs::metadata(path).map_or(0, |m| m.len())
         }
-        (Detected::Events, _) => {
+        Detected::Events => {
             let mut lines = LineReader::new(BufReader::new(file));
             read_events_lines(&mut lines, sink).map_err(|e| e.to_string())?;
-            std::fs::metadata(path).map_or(0, |m| m.len())
         }
-        (Detected::History(f), Some(pool)) => {
-            let mut buf = Vec::new();
-            file.read_to_end(&mut buf)
-                .map_err(|e| format!("cannot read: {e}"))?;
-            read_sharded_pool(pool, &buf, f, pool.width(), sink).map_err(|e| e.to_string())?;
-            buf.len() as u64
-        }
-        (Detected::History(f), None) => {
+        Detected::History(f) => {
             let mut lines = LineReader::new(BufReader::new(file));
             read_history_lines(&mut lines, f, sink).map_err(|e| e.to_string())?;
-            std::fs::metadata(path).map_or(0, |m| m.len())
         }
-    };
+    }
     if let Some(metrics) = awdit_obs::current().metrics() {
+        let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
         metrics.counter("awdit_ingest_bytes_total").add(bytes);
     }
     Ok(())
@@ -140,19 +125,12 @@ fn read_path_into(
 /// A [`HistorySource`] over an explicit list of history files, yielded in
 /// list order. Each file's kind — text format, binary `.awb`, NDJSON
 /// event log — is auto-detected via [`detect`](crate::detect) unless
-/// pinned with [`with_format`](Self::with_format). Once
-/// [`HistorySource::set_pool`] hands it a pool wider than one (as
-/// [`Engine::check_source`](awdit_core::Engine::check_source) hands it
-/// the engine's), text files parse in parallel shards on that pool —
-/// bit-identical to the streaming parse.
+/// pinned with [`with_format`](Self::with_format).
 #[derive(Clone, Debug)]
 pub struct FilesSource {
     paths: Vec<PathBuf>,
     format: Option<Format>,
     pos: usize,
-    /// The workers a text file's shard parse runs on: the engine's pool,
-    /// so one check parks one set of threads. `None` parses sequentially.
-    shard_pool: Option<Arc<Pool>>,
 }
 
 impl FilesSource {
@@ -166,7 +144,6 @@ impl FilesSource {
             paths: paths.into_iter().map(Into::into).collect(),
             format: None,
             pos: 0,
-            shard_pool: None,
         }
     }
 
@@ -188,11 +165,9 @@ impl FilesSource {
         sink: &mut (impl HistorySink + ?Sized),
     ) -> Result<String, SourceError> {
         let origin = path.display().to_string();
-        read_path_into(self.shard_pool.as_deref(), path, self.format, sink).map_err(|message| {
-            SourceError {
-                origin: origin.clone(),
-                message,
-            }
+        read_path_into(path, self.format, sink).map_err(|message| SourceError {
+            origin: origin.clone(),
+            message,
         })?;
         Ok(origin)
     }
@@ -226,10 +201,6 @@ impl HistorySource for FilesSource {
         let path = self.paths.get(self.pos)?.clone();
         self.pos += 1;
         Some(self.load_into(&path, sink))
-    }
-
-    fn set_pool(&mut self, pool: Arc<Pool>) {
-        self.shard_pool = Some(pool);
     }
 }
 
@@ -297,10 +268,6 @@ impl HistorySource for DirSource {
         sink: &mut dyn awdit_core::HistorySink,
     ) -> Option<Result<String, SourceError>> {
         self.inner.next_into(sink)
-    }
-
-    fn set_pool(&mut self, pool: Arc<Pool>) {
-        self.inner.set_pool(pool);
     }
 }
 

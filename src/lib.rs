@@ -8,8 +8,8 @@
 //!   (`O(n^{3/2})`, `O(n^{3/2})`, `O(n·k)`), with witness reporting, and
 //!   the reusable [`Engine`] handle for embedded/batched checking.
 //! * [`formats`] — history file formats (native, Plume-,
-//!   DBCop-, Cobra-style, and the binary columnar `.awb`), parallel
-//!   sharded parsing, history sources, and machine-readable reports.
+//!   DBCop-, Cobra-style, and the binary columnar `.awb`), history
+//!   sources, and machine-readable reports.
 //! * [`simdb`] — a deterministic transactional KV-store
 //!   simulator with pluggable isolation semantics and anomaly injection
 //!   (the reproduction's stand-in for PostgreSQL/CockroachDB/RocksDB).
@@ -75,9 +75,9 @@ pub use awdit_core::{
     ViolationKind,
 };
 pub use awdit_formats::{
-    parse_auto, parse_awb, parse_history, read_auto, read_awb_path_into, read_history,
-    read_sharded, write_awb, write_awb_to, write_history, write_history_to, Detected, DirSource,
-    FilesSource, Format, HistoryReport, JsonSink, LevelReport, Report, ReportSink, TextSink,
+    parse_auto, parse_awb, parse_history, read_auto, read_awb_path_into, read_history, write_awb,
+    write_awb_to, write_history, write_history_to, Detected, DirSource, FilesSource, Format,
+    HistoryReport, JsonSink, LevelReport, Report, ReportSink, TextSink,
 };
 pub use awdit_simdb::{collect_history, AnomalyRates, DbIsolation, SimConfig, SimSource};
 pub use awdit_stream::{Event, OnlineChecker, StreamConfig, StreamOutcome, StreamStats};

@@ -6,13 +6,15 @@
 //! all together) × threads {1, 2, 8}; plus
 //! the allocation-reuse regression guard (a second same-shape check
 //! through one engine performs no arena growth, observed via
-//! [`EngineStats::arena_growths`]).
+//! [`EngineStats::arena_growths`]); plus the file edge: every text format
+//! and parse errors come out of `check_source` the same at every thread
+//! count.
 
 use awdit::baselines::{check_naive, random_noisy_history, random_plausible_history, GenParams};
 use awdit::{
-    check, collect_history, replay_history, validate_commit_order, DbIsolation, Engine,
-    EngineConfig, History, HistoryBuilder, IsolationLevel, Outcome, SimConfig, SourceError,
-    SourcedHistory,
+    check, collect_history, read_history, replay_history, validate_commit_order, write_history,
+    DbIsolation, DirSource, Engine, EngineConfig, FilesSource, Format, History, HistoryBuilder,
+    IsolationLevel, Outcome, SimConfig, SourceError, SourcedHistory,
 };
 use awdit_workloads::Uniform;
 
@@ -319,4 +321,133 @@ fn alternating_shapes_do_not_leak_state() {
         growths_after_first_round,
         "alternating small/large shapes must recycle, not re-grow, arenas"
     );
+}
+
+/// Deterministic committed-only history every text format can represent.
+fn sample_history(sessions: usize, txns: usize) -> History {
+    let mut b = HistoryBuilder::new();
+    let sids: Vec<_> = (0..sessions).map(|_| b.session()).collect();
+    let mut committed: Vec<Vec<u64>> = vec![Vec::new(); 8];
+    let mut next = 1u64;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut rand = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for i in 0..txns {
+        let sid = sids[i % sessions];
+        b.begin(sid);
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        for _ in 0..1 + (rand() % 4) {
+            let key = rand() % 8;
+            let unwritten =
+                committed[key as usize].is_empty() && pending.iter().all(|(k, _)| *k != key);
+            if unwritten || rand() % 2 == 0 {
+                b.write(sid, key, next);
+                pending.push((key, next));
+                next += 1;
+            } else if let Some(&(_, v)) = pending.iter().rev().find(|(k, _)| *k == key) {
+                b.read(sid, key, v);
+            } else {
+                let vs = &committed[key as usize];
+                b.read(sid, key, vs[rand() as usize % vs.len()]);
+            }
+        }
+        b.commit(sid);
+        for (k, v) in pending {
+            committed[k as usize].push(v);
+        }
+    }
+    b.finish().unwrap()
+}
+
+/// The engine path end-to-end: a directory of large files checked at
+/// threads ∈ {1, 2, 8} produces identical named outcomes.
+#[test]
+fn engine_check_source_is_thread_invariant() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("awdit-shard-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let h = canonical(&sample_history(6, 6000));
+    std::fs::write(dir.join("a.awdit"), write_history(&h, Format::Native)).unwrap();
+    std::fs::write(dir.join("b.plume"), write_history(&h, Format::Plume)).unwrap();
+    std::fs::write(dir.join("c.dbcop"), write_history(&h, Format::Dbcop)).unwrap();
+    std::fs::write(dir.join("d.cobra"), write_history(&h, Format::Cobra)).unwrap();
+
+    let run = |threads: usize| {
+        let mut engine = Engine::with_config(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        });
+        let mut lines = Vec::new();
+        engine
+            .check_source(
+                &mut DirSource::new(&dir).unwrap(),
+                Some(IsolationLevel::Causal),
+                |name, _, outs| lines.push(format!("{name}: {}", fingerprint(&outs[0]))),
+            )
+            .unwrap();
+        lines.join("\n")
+    };
+    let reference = run(1);
+    assert!(reference.contains("a.awdit"), "all four files checked");
+    for threads in &THREAD_COUNTS[1..] {
+        assert_eq!(reference, run(*threads), "diverged at {threads} threads");
+    }
+    // And all of them agree with a direct in-memory check.
+    let direct = fingerprint(&check(&h, IsolationLevel::Causal));
+    for line in reference.lines() {
+        let (name, fp) = line.split_once(": ").unwrap();
+        assert_eq!(fp, direct, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A parse error mid-file surfaces from `check_source` as the same
+/// [`SourceError`] at every thread count — the reader's own message,
+/// line number included — and leaves the engine able to check the next
+/// source.
+#[test]
+fn check_source_parse_errors_are_thread_invariant() {
+    let h = canonical(&sample_history(4, 1200));
+    let mut text = write_history(&h, Format::Native);
+    let poison = text.len() / 2;
+    let line_start = text[..poison].rfind('\n').map_or(0, |p| p + 1);
+    let line_end = text[line_start..]
+        .find('\n')
+        .map_or(text.len(), |p| line_start + p);
+    text.replace_range(line_start..line_end, "not a history line");
+    let mut path = std::env::temp_dir();
+    path.push(format!("awdit-parse-error-{}.awdit", std::process::id()));
+    std::fs::write(&path, &text).unwrap();
+
+    let parse_err =
+        read_history(text.as_bytes(), Format::Native, &mut HistoryBuilder::new()).unwrap_err();
+    assert!(parse_err.line > 1, "{parse_err}");
+    let expected = SourceError {
+        origin: path.display().to_string(),
+        message: parse_err.to_string(),
+    };
+    for threads in THREAD_COUNTS {
+        let mut engine = Engine::with_config(EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        });
+        let err = engine
+            .check_source(&mut FilesSource::new([&path]), None, |name, _, _| {
+                panic!("{name} must not check")
+            })
+            .unwrap_err();
+        assert_eq!(err, expected, "error diverged at {threads} threads");
+        assert_eq!(
+            fingerprint(&engine.check(&h)),
+            fingerprint(&check(&h, IsolationLevel::Causal)),
+            "engine after the error at {threads} threads"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }

@@ -14,7 +14,7 @@ use std::io::BufReader;
 use awdit::core::HistorySink;
 use awdit::formats::{
     events_into_sink, history_of_events, parse_events, read_auto, read_events, write_events,
-    write_events_to, write_history_to, Detected, SHARD_MIN_BYTES,
+    write_events_to, write_history_to, Detected,
 };
 use awdit::stream::events_of_history;
 use awdit::{
@@ -229,6 +229,30 @@ proptest! {
     }
 }
 
+/// Session ids from untrusted text end in a line-numbered `ParseError`
+/// into either sink: an id that does not fit a `SessionId` would wrap
+/// `id + 1` or allocate per id, and a DBCop session count creates no
+/// session before its block is read.
+#[test]
+fn hostile_session_ids_are_parse_errors() {
+    let inputs = [
+        (
+            "awdit-history v1\nsession 18446744073709551615\nc: w(1,1)\n",
+            2,
+        ),
+        ("cobra-log\nT 18446744073709551615\n", 2),
+        ("w(0,2,18446744073709551615,0)\n", 1),
+        ("dbcop-history\nsessions 4000000000\n", 2),
+    ];
+    for (text, line) in inputs {
+        let err = read_auto(text.as_bytes(), &mut HistoryBuilder::new()).unwrap_err();
+        assert_eq!(err.line, line, "{text:?}: {err}");
+        let mut engine = Engine::new();
+        let err = read_auto(text.as_bytes(), &mut engine).unwrap_err();
+        assert_eq!(err.line, line, "{text:?} into the engine: {err}");
+    }
+}
+
 /// Empty transactions (representable everywhere except Plume) round-trip
 /// exactly, including through the streaming readers.
 #[test]
@@ -289,10 +313,9 @@ fn streaming_writers_match_string_writers() {
     }
 }
 
-/// The `check_source` loop: a mixed-format directory — text files large
-/// enough to parse in shards above one thread, an NDJSON log, and the
-/// `.awb` twin that bulk-loads — checks to the same verdicts as
-/// materialized per-history checks, every file is ingested identically
+/// The `check_source` loop: a mixed-format directory — text files, an
+/// NDJSON log, and the `.awb` twin that bulk-loads — checks to the same
+/// verdicts as materialized per-history checks, every file is ingested identically
 /// at 1 and 2 threads, and a second identical pass performs **zero**
 /// arena growth: there is no per-history materialization left to
 /// allocate.
@@ -306,12 +329,7 @@ fn check_source_streams_with_zero_rework() {
     let config = SimConfig::new(DbIsolation::Causal, 4, 7).with_max_lag(4);
     let mut w = awdit_workloads::Uniform::default();
     let h = awdit::collect_history(config, &mut w, 2500).unwrap();
-    let native = write_history(&h, Format::Native);
-    assert!(
-        native.len() > 2 * SHARD_MIN_BYTES,
-        "text must shard at 2 threads"
-    );
-    std::fs::write(dir.join("a.awdit"), native).unwrap();
+    std::fs::write(dir.join("a.awdit"), write_history(&h, Format::Native)).unwrap();
     std::fs::write(dir.join("b.dbcop"), write_history(&h, Format::Dbcop)).unwrap();
     std::fs::write(dir.join("c.cobra"), write_history(&h, Format::Cobra)).unwrap();
     std::fs::write(dir.join("d.ndjson"), write_events(&events_of_history(&h))).unwrap();

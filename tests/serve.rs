@@ -518,6 +518,23 @@ fn batch_check_endpoint_round_trips_reports() {
     ts.stop();
 }
 
+/// A text upload whose session id does not fit a `SessionId` gets a 400
+/// naming the line, and the shared engine answers the next valid upload:
+/// the parse fails before anything can panic under the engine lock.
+#[test]
+fn hostile_session_id_upload_returns_400() {
+    let ts = TestServer::start(exact_causal_config());
+    let hostile = "awdit-history v1\nsession 18446744073709551615\nc: w(1,1)\n";
+    let (status, err) = request(ts.addr, "POST", "/v1/check?isolation=cc", hostile);
+    assert_eq!(status, 400, "{err}");
+    assert!(err.contains("line 2"), "{err}");
+    let h = random_noisy_history(5, GenParams::default());
+    let body = ndjson(&events_of_history(&h));
+    let (status, json) = request(ts.addr, "POST", "/v1/check?isolation=cc", &body);
+    assert_eq!(status, 200, "{json}");
+    ts.stop();
+}
+
 /// `check_threads` tunes the shared batch engine behind `POST /v1/check`
 /// independently of the accept threads: verdicts are identical across
 /// engine thread counts, and `/healthz` reports the resolved count
