@@ -38,7 +38,9 @@ pub struct CheckStats {
     /// Committed transactions analyzed.
     pub committed_txns: usize,
     /// Edges saturation emitted into the commit graph, duplicates counted
-    /// — the work the level's inference did.
+    /// — the work the level's inference did. For CC, an inferred pair that
+    /// its shard already emitted is dropped before it counts (see
+    /// [`CommitGraph::num_emitted_edges`](crate::CommitGraph::num_emitted_edges)).
     pub emitted_edges: usize,
     /// Distinct edges kept in the saturated commit graph
     /// (`so ∪ wr ∪ inferred`).

@@ -117,7 +117,11 @@ pub struct EngineStats {
     /// same-shape source grows nothing at any thread count.
     pub arena_growths: u64,
     /// Current heap footprint of the handle's arenas (index + graph +
-    /// clock table + ingest), in bytes (capacities, not lengths).
+    /// clock table + ingest), in bytes (capacities, not lengths). The
+    /// metrics registry splits it by arena: the gauges
+    /// `awdit_engine_arena_bytes{arena="history"|"ingest"|"index"|"graph"|"clocks"}`
+    /// sum to the unlabeled `awdit_engine_arena_bytes`. After a CC check
+    /// it is the same at every thread count.
     pub arena_bytes: usize,
     /// The resolved worker-thread count this engine runs with. A config
     /// of `0` ("all cores") is resolved against the machine's available
@@ -438,11 +442,14 @@ impl Engine {
     fn account(&mut self, histories: u64, checks: u64) {
         self.stats.histories += histories;
         self.stats.checks += checks;
-        let bytes = self.index.heap_bytes()
-            + self.graph.heap_bytes()
-            + self.clocks.heap_bytes()
-            + self.ingest.heap_bytes()
-            + self.ingested_bytes;
+        let arenas = [
+            ("history", self.ingested_bytes),
+            ("ingest", self.ingest.heap_bytes()),
+            ("index", self.index.heap_bytes()),
+            ("graph", self.graph.heap_bytes()),
+            ("clocks", self.clocks.heap_bytes()),
+        ];
+        let bytes = arenas.iter().map(|&(_, b)| b).sum();
         let grew = bytes > self.stats.arena_bytes;
         if grew {
             self.stats.arena_growths += 1;
@@ -458,6 +465,11 @@ impl Engine {
                 metrics.counter("awdit_engine_arena_growths_total").inc();
             }
             metrics.gauge("awdit_engine_arena_bytes").set(bytes as f64);
+            for (arena, b) in arenas {
+                metrics
+                    .gauge(&format!("awdit_engine_arena_bytes{{arena=\"{arena}\"}}"))
+                    .set(b as f64);
+            }
         }
     }
 }

@@ -196,7 +196,10 @@ impl CommitGraph {
     }
 
     /// Number of edges emitted since the last [`reset`](Self::reset),
-    /// duplicates counted.
+    /// duplicates counted. CC saturation drops a repeated inferred pair
+    /// within each of its fixed shards before it is emitted
+    /// ([`saturate_cc_into`](crate::saturate_cc_into)), so for CC this
+    /// counts the pairs left after that per-shard filter.
     pub fn num_emitted_edges(&self) -> usize {
         self.shards.iter().map(Vec::len).sum()
     }

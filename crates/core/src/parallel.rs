@@ -29,9 +29,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use crate::index::HistoryIndex;
 use crate::types::SessionId;
 
-/// Below this many work items (committed transactions), the saturators
-/// skip parallel dispatch entirely: even a warm-pool wake over a tiny
-/// history costs more than the saturation itself.
+/// Below this many work items (committed transactions), the RC and RA
+/// saturators skip parallel dispatch entirely: even a warm-pool wake over
+/// a tiny history costs more than the saturation itself. CC needs no
+/// cutoff: its shards have a fixed size, so a small history is one shard
+/// and runs inline.
 pub const SEQUENTIAL_CUTOFF: usize = 512;
 
 /// The machine's available hardware parallelism (≥ 1).

@@ -21,7 +21,8 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Cursor, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use awdit_core::{parallel, Engine, EngineConfig, IsolationLevel, Outcome};
@@ -428,7 +429,7 @@ impl Server {
                 stream_stats_json(&s)
             ));
         }
-        let es = self.engine.lock().unwrap().stats();
+        let es = self.engine().stats();
         let body = format!(
             "{{\"status\":\"{}\",\"sessions\":{{\"open\":{},\"finished\":{},\"pooled\":{},\
              \"warm_cap\":{}}},\
@@ -451,6 +452,25 @@ impl Server {
         );
         write_response(writer, 200, "application/json", body.as_bytes(), &[], true)?;
         Ok(true)
+    }
+
+    /// The shared batch engine. A lock poisoned by a panic under it holds
+    /// an engine in an unknown state: it is replaced by a fresh engine of
+    /// the same config, and the poison is cleared.
+    fn engine(&self) -> MutexGuard<'_, Engine> {
+        self.engine.lock().unwrap_or_else(|poisoned| {
+            let mut engine = poisoned.into_inner();
+            *engine = self.fresh_engine(*engine.config());
+            self.engine.clear_poison();
+            engine
+        })
+    }
+
+    /// A new engine with `cfg` and the daemon's observability handle.
+    fn fresh_engine(&self, cfg: EngineConfig) -> Engine {
+        let mut engine = Engine::with_config(cfg);
+        engine.set_obs(self.obs.clone());
+        engine
     }
 
     fn post_check<R: BufRead, W: Write>(
@@ -491,42 +511,30 @@ impl Server {
         };
         let name = req.query_param("name").unwrap_or("upload").to_string();
         let started = Instant::now();
-        let mut engine = self.engine.lock().unwrap();
-        if let Err(e) = read_auto(Cursor::new(bytes), &mut *engine) {
-            // Seal-and-discard resets the ingest arenas after the torn
-            // upload; the outcome of the partial history is irrelevant.
-            let _ = engine.finish_ingest_level(level);
-            drop(engine);
-            json_error(writer, 400, &format!("cannot parse history: {e}"))?;
-            return Ok(false);
-        }
-        let outcomes: Vec<Outcome> = if all {
-            match engine.finish_ingest_all_levels() {
-                Ok(arr) => arr.to_vec(),
-                Err(e) => {
-                    drop(engine);
-                    json_error(writer, 400, &format!("malformed history: {e}"))?;
-                    return Ok(false);
-                }
+        // A panic while parsing or checking must not take the daemon down:
+        // it answers 500, and the engine, whose arenas it may have left
+        // half-built, is replaced.
+        let checked = {
+            let mut engine = self.engine();
+            let checked = panic::catch_unwind(AssertUnwindSafe(|| {
+                check_upload(&mut engine, &bytes, level, all, &name, started)
+            }));
+            if checked.is_err() {
+                *engine = self.fresh_engine(*engine.config());
             }
-        } else {
-            match engine.finish_ingest_level(level) {
-                Ok(out) => vec![out],
-                Err(e) => {
-                    drop(engine);
-                    json_error(writer, 400, &format!("malformed history: {e}"))?;
-                    return Ok(false);
-                }
+            checked
+        };
+        let report = match checked {
+            Ok(Ok(report)) => report,
+            Ok(Err(message)) => {
+                json_error(writer, 400, &message)?;
+                return Ok(false);
+            }
+            Err(_) => {
+                json_error(writer, 500, "internal error while checking the history")?;
+                return Ok(false);
             }
         };
-        let time_ms = started.elapsed().as_secs_f64() * 1e3;
-        let report = Report::new(vec![HistoryReport::new(
-            &name,
-            engine.ingested(),
-            &outcomes,
-            time_ms,
-        )]);
-        drop(engine);
         let json = report.to_json();
         write_response(writer, 200, "application/json", json.as_bytes(), &[], true)?;
         Ok(true)
@@ -806,6 +814,37 @@ fn framing_error_response<W: Write>(writer: &mut W, e: &HttpError) -> io::Result
     json_error(writer, status, &msg)
 }
 
+/// Parses an uploaded history into `engine` and checks it at `level`, or
+/// at every level when `all` is set; `Err` is the 400 message.
+fn check_upload(
+    engine: &mut Engine,
+    bytes: &[u8],
+    level: IsolationLevel,
+    all: bool,
+    name: &str,
+    started: Instant,
+) -> Result<Report, String> {
+    if let Err(e) = read_auto(Cursor::new(bytes), &mut *engine) {
+        // Seal-and-discard resets the ingest arenas after the torn
+        // upload; the outcome of the partial history is irrelevant.
+        let _ = engine.finish_ingest_level(level);
+        return Err(format!("cannot parse history: {e}"));
+    }
+    let outcomes: Vec<Outcome> = if all {
+        engine.finish_ingest_all_levels().map(|arr| arr.to_vec())
+    } else {
+        engine.finish_ingest_level(level).map(|out| vec![out])
+    }
+    .map_err(|e| format!("malformed history: {e}"))?;
+    let time_ms = started.elapsed().as_secs_f64() * 1e3;
+    Ok(Report::new(vec![HistoryReport::new(
+        name,
+        engine.ingested(),
+        &outcomes,
+        time_ms,
+    )]))
+}
+
 /// Writes a one-field JSON error body and marks the connection closed.
 fn json_error<W: Write>(writer: &mut W, status: u16, message: &str) -> io::Result<()> {
     let body = format!("{{\"error\":\"{}\"}}", json_escape(message));
@@ -903,6 +942,44 @@ mod tests {
             let summary = handle.join().expect("join");
             assert!(summary.sessions.is_empty());
         });
+    }
+
+    /// A panic under the engine lock poisons it; the next upload gets a
+    /// fresh engine and a 200, not a panicking worker.
+    #[test]
+    fn poisoned_engine_is_replaced() {
+        let server = server();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _engine = server.engine.lock().unwrap();
+                panic!("poison the engine lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(server.engine.is_poisoned());
+        let token = server.shutdown_token();
+        // The daemon is stopped before any assertion, so a failed upload
+        // fails the test instead of leaving `run` to wait forever.
+        let resp = std::thread::scope(|s| {
+            let handle = s.spawn(|| server.run());
+            let history = "awdit-history v1\nsession 0\nc: w(1,1)\n";
+            let resp = roundtrip(
+                &server,
+                &format!(
+                    "POST /v1/check?isolation=cc HTTP/1.1\r\nHost: x\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+                    history.len(),
+                    history
+                ),
+            );
+            token.trigger();
+            assert!(handle.join().is_ok_and(|r| r.is_ok()), "the daemon failed");
+            resp
+        });
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(resp.contains("\"consistent\""), "{resp}");
+        assert!(!server.engine.is_poisoned());
+        assert_eq!(server.engine().stats().histories, 1);
     }
 
     #[test]

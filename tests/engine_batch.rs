@@ -273,6 +273,31 @@ fn cc_clock_table_is_a_recycled_engine_arena() {
     );
 }
 
+/// After a CC check the arena footprint is the same at every thread
+/// count: the clock rows are bounded by the same blocks, and the fixed
+/// inference shards fill the same pair buffers.
+#[test]
+fn cc_arena_bytes_are_thread_invariant() {
+    let config = SimConfig::new(DbIsolation::Causal, 16, 5).with_max_lag(8);
+    let h = collect_history(config, &mut Uniform::default(), 20_000).expect("history builds");
+    let bytes: Vec<usize> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| {
+            let mut engine = Engine::with_config(EngineConfig {
+                level: IsolationLevel::Causal,
+                threads,
+                ..EngineConfig::default()
+            });
+            assert!(engine.check(&h).is_consistent());
+            engine.stats().arena_bytes
+        })
+        .collect();
+    assert!(
+        bytes.iter().all(|&b| b == bytes[0]),
+        "arena bytes at threads {THREAD_COUNTS:?}: {bytes:?}"
+    );
+}
+
 /// Checking through a fresh-per-call wrapper and through a reused engine
 /// must agree even when histories alternate shapes (arena resets are not
 /// allowed to leak state between checks).

@@ -203,6 +203,15 @@ fn engine_metrics_reconcile_with_engine_stats() {
         snap.gauge("awdit_engine_arena_bytes"),
         Some(stats.arena_bytes as f64)
     );
+    // The per-arena gauges split the total exactly.
+    let per_arena: f64 = ["history", "ingest", "index", "graph", "clocks"]
+        .iter()
+        .map(|arena| {
+            snap.gauge(&format!("awdit_engine_arena_bytes{{arena=\"{arena}\"}}"))
+                .unwrap_or_else(|| panic!("missing arena gauge {arena}"))
+        })
+        .sum();
+    assert_eq!(per_arena, stats.arena_bytes as f64);
     // Phase aggregates exist for every span the engine claims to emit.
     let phases = obs.phase_timings();
     for p in ["check", "read_consistency", "index_rebuild", "saturate_cc"] {
