@@ -221,7 +221,7 @@ pub fn check_serializable_sat(history: &History, max_txns: usize) -> Option<bool
     // writer and the reader.
     for t3 in 0..m as u32 {
         for &(x, t1) in index.read_pairs(t3) {
-            for (_, writers) in index.key_writes(x) {
+            for (_, _, writers) in index.key_writes(x) {
                 for &t2 in writers {
                     if t2 != t1 && t2 != t3 {
                         solver.add_clause([before(t1, t2).negate(), before(t2, t3).negate()]);

@@ -144,6 +144,8 @@ CONVERT: streams IN (any supported format, auto-detected) to OUT via the
          --to (native|plume|dbcop|cobra|events|awb) or OUT's extension
          (.awdit/.plume/.dbcop/.cobra/.ndjson/.awb); `-o OUT` also
          works, and omitting OUT writes to stdout (--to required)
+GENERATE: writes --format (any of convert's --to values), else the
+         format OUT's extension names as for convert, else native text
 EXIT CODES: 0 = consistent, 1 = any history inconsistent,
          2 = usage or parse error (an unknown flag included)"
     );
@@ -573,8 +575,18 @@ fn cmd_convert(args: &[String]) -> Result<ExitCode, String> {
         .expect("one input path")
         .map_err(|e| e.to_string())?;
 
-    // Output side: the symmetric streaming writers — records go to the
-    // (buffered) sink as they are produced, no output `String`.
+    write_target(&sourced.history, &target, out_path).map_err(|e| format!("convert: {e}"))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Writes `history` as `target` to `out_path`, or to stdout without one,
+/// through the streaming writers: records go to the (buffered) sink as
+/// they are produced, with no output `String`.
+fn write_target(
+    history: &History,
+    target: &ConvertTarget,
+    out_path: Option<&str>,
+) -> Result<(), String> {
     fn emit<W: std::io::Write>(
         history: &History,
         target: &ConvertTarget,
@@ -587,16 +599,16 @@ fn cmd_convert(args: &[String]) -> Result<ExitCode, String> {
         }
         out.flush()
     }
-    let result = match out_path {
+    match out_path {
         Some(path) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            emit(&sourced.history, &target, std::io::BufWriter::new(file))
+            emit(history, target, std::io::BufWriter::new(file))
+                .map_err(|e| format!("cannot write `{path}`: {e}"))
         }
-        None => emit(&sourced.history, &target, std::io::stdout().lock()),
-    };
-    result.map_err(|e| format!("convert: {e}"))?;
-    Ok(ExitCode::SUCCESS)
+        None => emit(history, target, std::io::stdout().lock())
+            .map_err(|e| format!("cannot write history: {e}")),
+    }
 }
 
 fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
@@ -640,23 +652,16 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
     }
     .map_err(|e| format!("generation failed: {e}"))?;
 
-    let format: Format = flags.get("format").unwrap_or("native").parse()?;
-    match flags.get("out") {
-        Some(out) => {
-            let file =
-                std::fs::File::create(out).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-            let mut w = std::io::BufWriter::new(file);
-            write_history_to(&history, format, &mut w)
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-            eprintln!("wrote {} ({})", out, HistoryStats::of(&history));
-        }
-        None => {
-            let mut out = std::io::stdout().lock();
-            write_history_to(&history, format, &mut out)
-                .and_then(|()| out.flush())
-                .map_err(|e| format!("cannot write history: {e}"))?;
-        }
+    // `--format`, else the output's extension as `convert` reads it, else
+    // native text.
+    let out = flags.get("out");
+    let target = match flags.get("format") {
+        Some(format) => convert_target(Some(format), None)?,
+        None => convert_target(None, out).unwrap_or(ConvertTarget::History(Format::Native)),
+    };
+    write_target(&history, &target, out)?;
+    if let Some(out) = out {
+        eprintln!("wrote {} ({})", out, HistoryStats::of(&history));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -1009,3 +1009,60 @@ fn unknown_flags_exit_2_and_name_the_flag() {
     }
     let _ = std::fs::remove_file(history);
 }
+
+/// `generate -o h.awb` writes the binary form, as `convert` does for an
+/// `.awb` output: the file starts with the `.awb` magic, and checking it
+/// gives the same stable report as the `convert --to awb` twin of the
+/// native text.
+#[test]
+fn generate_picks_the_format_from_the_extension() {
+    let dir = tmp("gen-ext");
+    let _ = std::fs::remove_dir_all(&dir);
+    for side in ["generated", "converted"] {
+        std::fs::create_dir_all(dir.join(side)).unwrap();
+    }
+    let generated = dir.join("generated").join("h.awb");
+    let converted = dir.join("converted").join("h.awb");
+    let text = dir.join("h.awdit");
+    for out in [&generated, &text] {
+        let run = awdit()
+            .args(["generate", "--benchmark", "uniform", "--db", "rc"])
+            .args(["--sessions", "4", "--txns", "300", "--seed", "5"])
+            .args(["-o", out.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    let run = awdit()
+        .args(["convert", "--to", "awb"])
+        .args([text.to_str().unwrap(), converted.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(std::fs::read(&generated).unwrap().starts_with(b"AWBHIST"));
+    let report = |side: &str| {
+        let out = awdit()
+            .current_dir(dir.join(side))
+            .args(["check", "--isolation", "all", "--stable-report"])
+            .args(["--report", "json", "h.awb"])
+            .output()
+            .unwrap();
+        (out.status.code(), out.stdout)
+    };
+    let generated_report = report("generated");
+    assert_eq!(
+        generated_report.0,
+        Some(1),
+        "an RC store's history breaks CC"
+    );
+    assert_eq!(generated_report, report("converted"));
+    let _ = std::fs::remove_dir_all(dir);
+}

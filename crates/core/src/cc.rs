@@ -28,11 +28,14 @@
 //! `Writes_s'[x]` list ([`HistoryIndex::writers_before`]). The index numbers
 //! committed transactions session-major, so a session's writers are
 //! ascending dense ids whose offset from the session's first id *is* their
-//! committed position: the search compares ids directly, exactly, and
-//! interpolates on long lists. `O(n·(k + log n))` time in the worst case.
+//! committed position: the search, and the test whether the observed writer
+//! already sees the writer found, compare ids directly and exactly. Each
+//! shard keeps a cursor per write list ([`WriterSearch`]) and gallops from
+//! where the list's last search ended, which readers close in the order
+//! make a near miss. `O(n·(k + log n))` time in the worst case.
 
 use crate::graph::{base_commit_graph, base_commit_graph_into, CommitGraph, Cycle, EdgeKind};
-use crate::incremental::{infer_cc_edges, CommitView, EdgeSink};
+use crate::incremental::{infer_cc_edges, CommitView, EdgeSink, WriterSearch};
 use crate::index::{HistoryIndex, NONE};
 use crate::parallel;
 
@@ -65,7 +68,8 @@ pub enum CcStrategy {
 /// row's transaction has seen. Because batch dense ids are session-major,
 /// that count added to the session's first dense id is the id of its first
 /// unseen transaction, so the CC kernel compares an entry with writer ids
-/// directly ([`HistoryIndex::writers_before`]).
+/// directly ([`HistoryIndex::writers_before`],
+/// [`HistoryIndex::is_at_or_after`]).
 ///
 /// The online checker drives the same table through
 /// [`observe`](Self::observe), [`release`](Self::release) and
@@ -324,11 +328,14 @@ const SHARD_TXNS: usize = 1024;
 /// `log2` of the entries of a shard's [`RepeatFilter`] cache (128 KiB).
 const REPEAT_CACHE_BITS: u32 = 14;
 
+/// `log2` of a shard's write-list cursor slots ([`WriterSearch`], 128 KiB).
+const CURSOR_BITS: u32 = 14;
+
 /// [`saturate_cc`] into a caller-owned graph and [`ClockTable`], on up to
 /// `threads` participants of `pool` (`0` = all cores) — the
 /// [`Engine`](crate::Engine)'s path: both arenas are re-armed in place,
 /// so a same-shape check grows neither (only [`CommitGraph::freeze`]'s
-/// scatter scratch and each shard's repeat cache are transient).
+/// scatter scratch and each shard's repeat cache and cursors are transient).
 ///
 /// One loop at every thread count walks the topological order of
 /// `so ∪ wr` in blocks of 16,384 transactions:
@@ -340,13 +347,17 @@ const REPEAT_CACHE_BITS: u32 = 14;
 ///    graph's pair buffers, adopted in shard order. Each shard drops an
 ///    inferred pair it already emitted (a 16,384-entry direct-mapped
 ///    cache of whole `(from, to)` keys), which leaves the frozen graph
-///    unchanged: [`CommitGraph::freeze`] keeps only first occurrences;
+///    unchanged: [`CommitGraph::freeze`] keeps only first occurrences.
+///    Each shard also starts a fresh [`WriterSearch`] (16,384 empty
+///    write-list cursor slots) and adds its counts to the
+///    `awdit_cc_writer_searches_total` and `awdit_cc_search_probes_total`
+///    counters once it is done;
 /// 3. every row whose last reader is now done is released to the table's
 ///    free list, and so is each of the block's rows that nobody reads.
 ///
 /// So the clock memory is the live clocks plus one block, and the
-/// emitted pairs, their order and the frozen graph are the same at every
-/// thread count.
+/// emitted pairs, their order, the frozen graph and the search counters
+/// are the same at every thread count.
 ///
 /// # Errors
 ///
@@ -376,6 +387,12 @@ pub fn saturate_cc_into(
     let threads = parallel::effective_threads(threads);
     let m = index.num_committed();
     clocks.begin(index.num_sessions(), m);
+    let counters = obs.metrics().map(|metrics| {
+        (
+            metrics.counter("awdit_cc_writer_searches_total"),
+            metrics.counter("awdit_cc_search_probes_total"),
+        )
+    });
 
     // Number of distinct reader transactions per writer, so clocks can be
     // released eagerly.
@@ -400,8 +417,20 @@ pub fn saturate_cc_into(
         let shards: Vec<&[u32]> = block.chunks(SHARD_TXNS).collect();
         g.fill_shards(pool, threads, "cc_binary_search", &shards, |shard, sink| {
             let mut sink = RepeatFilter::new(sink);
+            let mut search = WriterSearch::new(CURSOR_BITS);
             for &t3 in *shard {
-                infer_cc_edges(index, t3, table.row(t3), &|w| table.row(w), &mut sink);
+                infer_cc_edges(
+                    index,
+                    t3,
+                    table.row(t3),
+                    |w| table.row(w),
+                    &mut search,
+                    &mut sink,
+                );
+            }
+            if let Some((searches, probes)) = &counters {
+                searches.add(search.searches);
+                probes.add(search.probes);
             }
         });
         for &t3 in block {
@@ -683,7 +712,14 @@ mod tests {
         let mut table = ClockTable::new();
         compute_hb_into(&index, &topo, &mut table);
         let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
-        infer_cc_edges(&index, t3, table.row(t3), &|_| &[], &mut emitted);
+        infer_cc_edges(
+            &index,
+            t3,
+            table.row(t3),
+            |_| &[],
+            &mut WriterSearch::new(0),
+            &mut emitted,
+        );
         let pairs: Vec<(u32, u32)> = emitted.iter().map(|&(f, t, _)| (f, t)).collect();
         assert_eq!(pairs, [(t2, t1), (t5, t1)]);
 

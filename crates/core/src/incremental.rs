@@ -46,6 +46,16 @@ use crate::witness::ReadConsistencyViolation;
 /// Read access to the derived per-transaction indexes the saturation
 /// kernels need. Implemented by [`HistoryIndex`] (batch) and by the
 /// streaming index in `awdit-stream`.
+///
+/// The CC kernel's two position questions — how many of a session's
+/// writers precede a clock entry ([`writers_before`](Self::writers_before)),
+/// and whether a writer is past another clock entry
+/// ([`is_at_or_after`](Self::is_at_or_after)) — are asked of the view, so
+/// each index answers them its own way: [`HistoryIndex`] compares
+/// session-major dense ids and gallops from a cursor, while the stream's
+/// slab index, whose reused slot ids carry no order, searches committed
+/// positions from scratch. The visitor and the kernel's `writer_row` are
+/// generic, so each view gets its own monomorphized kernel.
 pub trait CommitView {
     /// Number of sessions seen so far.
     fn num_sessions(&self) -> usize;
@@ -67,16 +77,32 @@ pub trait CommitView {
     /// Distinct `(key, writer)` pairs read externally by `d`, sorted.
     fn read_pairs(&self, d: DenseId) -> &[(Key, DenseId)];
     /// Visits the sessions writing `key` (ascending), each with its
-    /// committed writers in session order. A visitor rather than a
-    /// returned slice so implementations are free to store the lists in
-    /// flat CSR form ([`HistoryIndex`]) or per-session vectors
-    /// (`awdit-stream`'s slab index).
-    fn for_each_key_writes(&self, key: Key, f: &mut dyn FnMut(u32, &[DenseId]));
+    /// committed writers in session order: `f(session, list, writers)`,
+    /// where `list` names the write list for
+    /// [`WriterSearch`]'s cursors (any value, reused or not, is correct;
+    /// distinct ones let searches resume where they stopped). A visitor
+    /// rather than a returned slice so implementations are free to store
+    /// the lists in flat CSR form ([`HistoryIndex`]) or per-session
+    /// vectors (`awdit-stream`'s slab index).
+    fn for_each_key_writes(&self, key: Key, f: impl FnMut(u32, u32, &[DenseId]));
     /// The number of leading entries of `writes` — session `session`'s
     /// writers of a key as [`for_each_key_writes`](Self::for_each_key_writes)
-    /// visits them — whose committed position is below `bound`: the CC
-    /// kernel's visible-writer search.
-    fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize;
+    /// visits them — whose committed position is below `bound`, and the
+    /// entries compared to find it: the CC kernel's visible-writer search.
+    /// `hint`, when given, is where the list's previous search ended, which
+    /// an implementation may start from or ignore.
+    fn writers_before(
+        &self,
+        session: u32,
+        writes: &[DenseId],
+        bound: u32,
+        hint: Option<u32>,
+    ) -> (usize, u32);
+    /// Whether `w`, a committed transaction of session `session`, has
+    /// committed position `pos` or later.
+    fn is_at_or_after(&self, _session: u32, w: DenseId, pos: u32) -> bool {
+        self.committed_pos(w) >= pos
+    }
 }
 
 impl CommitView for HistoryIndex {
@@ -107,13 +133,22 @@ impl CommitView for HistoryIndex {
     fn read_pairs(&self, d: DenseId) -> &[(Key, DenseId)] {
         HistoryIndex::read_pairs(self, d)
     }
-    fn for_each_key_writes(&self, key: Key, f: &mut dyn FnMut(u32, &[DenseId])) {
-        for (s, writes) in HistoryIndex::key_writes(self, key) {
-            f(s, writes);
+    fn for_each_key_writes(&self, key: Key, mut f: impl FnMut(u32, u32, &[DenseId])) {
+        for (s, list, writes) in HistoryIndex::key_writes(self, key) {
+            f(s, list, writes);
         }
     }
-    fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize {
-        HistoryIndex::writers_before(self, session, writes, bound)
+    fn writers_before(
+        &self,
+        session: u32,
+        writes: &[DenseId],
+        bound: u32,
+        hint: Option<u32>,
+    ) -> (usize, u32) {
+        HistoryIndex::writers_before(self, session, writes, bound, hint)
+    }
+    fn is_at_or_after(&self, session: u32, w: DenseId, pos: u32) -> bool {
+        HistoryIndex::is_at_or_after(self, session, w, pos)
     }
 }
 
@@ -548,15 +583,53 @@ fn clock_entry(row: &[u32], s: u32) -> u32 {
     row.get(s as usize).copied().unwrap_or(0)
 }
 
+/// The CC kernel's search state across [`infer_cc_edges`] calls: a
+/// direct-mapped table of write-list cursors and two work counters.
+///
+/// Slot `list mod len` holds the list that last searched there and where
+/// that search ended. The next search of the same list gallops from that
+/// position ([`CommitView::writers_before`]); readers close in a
+/// topological order see similar clocks, so the answer is usually at or
+/// next to it. A list that finds another list in its slot searches
+/// without a hint, as a list searched for the first time does. Either
+/// way the search is exact, so a stale cursor or two lists sharing a slot
+/// cost compares, never a different answer.
+#[derive(Clone, Debug)]
+pub struct WriterSearch {
+    /// `2^bits` slots of `(list, position)`; `u32::MAX` marks an empty
+    /// slot (no list id is that large).
+    cursors: Vec<(u32, u32)>,
+    /// Visible-writer searches run.
+    pub searches: u64,
+    /// Write-list entries those searches compared.
+    pub probes: u64,
+}
+
+impl WriterSearch {
+    /// A search with `2^bits` empty cursor slots and zeroed counters;
+    /// `bits = 0` gives one slot that every list shares.
+    pub fn new(bits: u32) -> Self {
+        WriterSearch {
+            cursors: vec![(u32::MAX, 0); 1 << bits],
+            searches: 0,
+            probes: 0,
+        }
+    }
+}
+
 /// The Causal Consistency inference body (Algorithm 3's main loop, shared
 /// by the batch saturator, witness provenance and the streaming checker):
 /// given `t3`'s inclusive happens-before clock — a
 /// [`ClockTable`](crate::cc::ClockTable) row — orders each session's latest
 /// visible writer of every read key before the observed writer.
 ///
+/// Each session's latest visible writer is found by
+/// [`CommitView::writers_before`], starting from the list's `search`
+/// cursor if its slot holds one, and leaving the answer there.
+///
 /// `writer_row(t1)` is the inclusive clock row of the writer `t1` a pair
 /// reads from. An edge `t2 → t1` is skipped when `t2` already happens
-/// before `t1` — its committed position is below `t1`'s entry for `t2`'s
+/// before `t1` — its committed position is at most `t1`'s entry for `t2`'s
 /// session — because a `so ∪ wr` path then orders the two, and the edge
 /// would change neither the transitive closure nor the SCCs. A session
 /// whose every visible writer `t1` already sees is skipped without a
@@ -565,13 +638,15 @@ pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
     view: &V,
     t3: DenseId,
     clock: &[u32],
-    writer_row: &dyn Fn(DenseId) -> &'r [u32],
+    writer_row: impl Fn(DenseId) -> &'r [u32],
+    search: &mut WriterSearch,
     g: &mut G,
 ) {
     let s = view.session_of(t3);
+    let mask = search.cursors.len() - 1;
     for &(x, t1) in view.read_pairs(t3) {
         let row1 = writer_row(t1);
-        view.for_each_key_writes(x, &mut |s_prime, writes| {
+        view.for_each_key_writes(x, |s_prime, list, writes| {
             // Strict happens-before: the reader's own inclusive entry counts
             // the reader itself, so subtract it.
             let entry = clock_entry(clock, s_prime);
@@ -586,10 +661,15 @@ pub fn infer_cc_edges<'r, V: CommitView, G: EdgeSink>(
                 return;
             }
             // Latest writer with committed position < bound.
-            let cnt = view.writers_before(s_prime, writes, bound);
+            let cursor = &mut search.cursors[list as usize & mask];
+            let hint = (cursor.0 == list).then_some(cursor.1);
+            let (cnt, probes) = view.writers_before(s_prime, writes, bound, hint);
+            *cursor = (list, cnt as u32);
+            search.searches += 1;
+            search.probes += u64::from(probes);
             if cnt > 0 {
                 let t2 = writes[cnt - 1];
-                if t2 != t1 && view.committed_pos(t2) >= hb1 {
+                if t2 != t1 && view.is_at_or_after(s_prime, t2, hb1) {
                     g.add_edge(t2, t1, EdgeKind::Inferred(x));
                 }
             }

@@ -397,12 +397,14 @@ impl HistoryIndex {
         }
     }
 
-    /// The sessions writing `key` (ascending), each with its committed
-    /// writers in session order — only sessions with at least one write
-    /// appear, which is what keeps Algorithm 3's per-read work proportional
-    /// to the writers that exist rather than to `k`.
+    /// The sessions writing `key` (ascending), each with its write list's
+    /// row id in the two-level CSR and its committed writers in session
+    /// order — only sessions with at least one write appear, which is what
+    /// keeps Algorithm 3's per-read work proportional to the writers that
+    /// exist rather than to `k`. Row ids are distinct across all keys'
+    /// lists.
     #[inline]
-    pub fn key_writes(&self, key: Key) -> impl Iterator<Item = (u32, &[DenseId])> {
+    pub fn key_writes(&self, key: Key) -> impl Iterator<Item = (u32, u32, &[DenseId])> {
         let entries = if key.index() < self.num_keys {
             self.key_sessions.row_range(key.index())
         } else {
@@ -411,6 +413,7 @@ impl HistoryIndex {
         entries.map(move |e| {
             (
                 self.key_sessions.values()[e],
+                e as u32,
                 self.key_session_writers.row(e),
             )
         })
@@ -419,26 +422,42 @@ impl HistoryIndex {
     /// The number of leading entries of `writes` — session `session`'s
     /// committed writers of a key in session order, as
     /// [`key_writes`](Self::key_writes) yields them — whose committed
-    /// position is below `bound`. Equal to
+    /// position is below `bound`, and the number of entries the search
+    /// compared. The count equals
     /// `writes.partition_point(|&w| self.committed_pos(w) < bound)`.
     ///
     /// Dense ids are session-major, so the session's committed
     /// transactions are the consecutive ids `base..base + len` and
     /// `committed_pos(w) = w − base`. Hence `committed_pos(w) < bound ⇔
     /// w < base + bound`: the search compares ids and loads no position.
-    /// Lists longer than `INTERPOLATE_MIN_LEN` start from the entry whose
-    /// share of the list is `bound`'s share of the session, and gallop
-    /// from it.
+    /// With a `hint` it gallops outward from that entry (any value: past
+    /// the end means the end), so a hint at or near the answer costs one
+    /// or two compares, and a stale one only `O(log distance)` more;
+    /// without one it binary searches the whole list.
     #[inline]
-    pub fn writers_before(&self, session: u32, writes: &[DenseId], bound: u32) -> usize {
-        let ids = self.session_committed.row_range(session as usize);
-        let target = ids.start as u32 + bound;
-        let n = writes.len();
-        if n <= INTERPOLATE_MIN_LEN {
-            return writes.partition_point(|&w| w < target);
-        }
-        let guess = (bound as u64 * n as u64 / ids.len() as u64) as usize;
-        gallop_below(writes, target, guess.min(n - 1))
+    pub fn writers_before(
+        &self,
+        session: u32,
+        writes: &[DenseId],
+        bound: u32,
+        hint: Option<u32>,
+    ) -> (usize, u32) {
+        search_below(writes, self.session_base(session) + bound, hint)
+    }
+
+    /// Whether `w`, a committed transaction of session `session`, has
+    /// committed position `pos` or later: `w ≥ base + pos`, with the
+    /// session-major `base` of [`writers_before`](Self::writers_before).
+    #[inline]
+    pub fn is_at_or_after(&self, session: u32, w: DenseId, pos: u32) -> bool {
+        w >= self.session_base(session) + pos
+    }
+
+    /// The dense id of session `session`'s first committed transaction
+    /// (dense ids are session-major).
+    #[inline]
+    fn session_base(&self, session: u32) -> u32 {
+        self.session_committed.offsets()[session as usize]
     }
 
     /// Iterates over every `(session, key)` pair with at least one committed
@@ -446,43 +465,63 @@ impl HistoryIndex {
     pub fn session_write_lists(&self) -> impl Iterator<Item = (u32, Key, &[DenseId])> {
         (0..self.num_keys).flat_map(move |k| {
             self.key_writes(Key(k as u32))
-                .map(move |(s, ws)| (s, Key(k as u32), ws))
+                .map(move |(s, _, ws)| (s, Key(k as u32), ws))
         })
     }
 }
 
-/// Write lists longer than this are searched by [`gallop_below`] from an
-/// interpolated guess; shorter ones are binary searched directly, which
-/// measured faster on the short per-`(session, key)` lists of small
-/// histories.
-const INTERPOLATE_MIN_LEN: usize = 64;
-
-/// The number of entries of the ascending `ids` below `target`, galloping
-/// outward from index `guess` until the answer is bracketed and binary
-/// searching the bracket. From a good guess (evenly spread ids, as a
-/// session's writers of a key are) the bracket is a few entries wide, so
-/// the search touches one or two cache lines instead of `log₂ len`.
-fn gallop_below(ids: &[u32], target: u32, guess: usize) -> usize {
+/// The number of entries of the ascending `ids` below `target`, and the
+/// entries compared to find it. With a hint the search gallops outward
+/// from `min(hint, len)` — offsets 1, 2, 4, … — until the answer is
+/// bracketed, then binary searches the bracket, so it is exact from any
+/// hint; without one the bracket is the whole list.
+fn search_below(ids: &[u32], target: u32, hint: Option<u32>) -> (usize, u32) {
     let n = ids.len();
-    let mut step = 1;
-    let (mut lo, mut hi) = (guess, guess);
-    if ids[guess] < target {
-        // The answer is in lo..=hi once hi == n or ids[hi] >= target.
-        (lo, hi) = (guess + 1, guess + 1);
-        while hi < n && ids[hi] < target {
-            lo = hi + 1;
-            hi = (hi + step).min(n);
-            step *= 2;
-        }
-    } else {
-        // The answer is in lo..=hi once lo == 0 or ids[lo - 1] < target.
-        while lo > 0 && ids[lo - 1] >= target {
-            hi = lo - 1;
-            lo = hi.saturating_sub(step);
-            step *= 2;
+    let mut probes = 0;
+    let mut below = |i: usize| {
+        probes += 1;
+        ids[i] < target
+    };
+    // Bracket the answer: it lies in lo..=hi.
+    let (mut lo, mut hi) = (0, n);
+    if let Some(hint) = hint {
+        let h = (hint as usize).min(n);
+        let mut step = 1;
+        if h < n && below(h) {
+            lo = h + 1;
+            while h + step < n {
+                if !below(h + step) {
+                    hi = h + step;
+                    break;
+                }
+                lo = h + step + 1;
+                step *= 2;
+            }
+        } else {
+            hi = h;
+            while step <= h {
+                if below(h - step) {
+                    lo = h - step + 1;
+                    break;
+                }
+                hi = h - step;
+                step *= 2;
+            }
         }
     }
-    lo + ids[lo..hi].partition_point(|&w| w < target)
+    // Branch-free binary search of lo..hi, as `partition_point` does.
+    let mut size = hi - lo;
+    if size == 0 {
+        return (lo, probes);
+    }
+    while size > 1 {
+        let half = size / 2;
+        if below(lo + half) {
+            lo += half;
+        }
+        size -= half;
+    }
+    (lo + usize::from(below(lo)), probes)
 }
 
 #[cfg(test)]
@@ -592,8 +631,10 @@ mod tests {
         let h = b.finish().unwrap();
         let idx = HistoryIndex::new(&h);
         let x = idx.keys_written(0)[0];
-        let groups: Vec<(u32, Vec<DenseId>)> =
-            idx.key_writes(x).map(|(s, ws)| (s, ws.to_vec())).collect();
+        let groups: Vec<(u32, Vec<DenseId>)> = idx
+            .key_writes(x)
+            .map(|(s, _, ws)| (s, ws.to_vec()))
+            .collect();
         // Sessions ascending, each with its writers in session order.
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0].0, 0);
@@ -606,10 +647,13 @@ mod tests {
 
     /// `writers_before` must count exactly what a search over committed
     /// positions counts, for every bound from 0 to one past the session's
-    /// end, on write lists of every shape: one entry, every entry at the
-    /// start or the end of the session, TPC-C-like bursts, skewed spacing
-    /// (so interpolation guesses far off and the gallop runs to either
-    /// end), and uniform lists on both sides of `INTERPOLATE_MIN_LEN` and of
+    /// end and from every hint — the list's start, middle, last entry and
+    /// end, `u32::MAX`, the answer itself, and none — in at most two
+    /// compares from the answer, `2·log₂ d + 4` from a hint `d` entries
+    /// away and `⌈log₂ len⌉ + 1` from none, on write lists of every shape:
+    /// one entry, every entry at
+    /// the start or the end of the session, TPC-C-like bursts, skewed
+    /// spacing (so the gallop runs to either end), and uniform lists of
     /// 1,000 entries and more. Aborted transactions are interleaved, and
     /// every session but the first starts at a nonzero dense id.
     #[test]
@@ -630,9 +674,6 @@ mod tests {
             (0..n).map(|i| i < 600 || i % 97 == 0).collect(),
             (0..n).map(|i| i == 0 || i >= n - 200).collect(),
             (0..n).map(|i| i < 200 || i == n - 1).collect(),
-            (0..n).map(|i| i % 37 == 0 && i / 37 < 64).collect(),
-            (0..n).map(|i| i % 37 == 0 && i / 37 < 65).collect(),
-            (0..n).map(|i| i % 37 == 0 && i / 37 < 66).collect(),
             (0..n).map(|_| coin(50)).collect(),
             (0..n).map(|_| coin(90)).collect(),
             (0..n).map(|_| coin(3)).collect(),
@@ -660,22 +701,41 @@ mod tests {
             .map(Key)
             .find(|&k| h.key_name(k) == 0)
             .unwrap();
-        let lists: Vec<(u32, &[DenseId])> = idx.key_writes(x).collect();
+        let lists: Vec<(u32, &[DenseId])> = idx.key_writes(x).map(|(s, _, ws)| (s, ws)).collect();
         assert_eq!(lists.len(), shapes.len());
         let lens: Vec<usize> = lists.iter().map(|(_, ws)| ws.len()).collect();
         assert!(lens.contains(&1));
-        assert!(lens.contains(&INTERPOLATE_MIN_LEN) && lens.contains(&(INTERPOLATE_MIN_LEN + 1)));
         assert!(lens.iter().filter(|&&l| l >= 1_000).count() >= 2);
-        assert_eq!(idx.writers_before(0, &[], 0), 0);
+        for hint in [None, Some(0), Some(1), Some(u32::MAX)] {
+            assert_eq!(idx.writers_before(0, &[], 0, hint), (0, 0));
+        }
         for (s, writes) in lists {
             let len = idx.session_committed(SessionId(s)).len() as u32;
+            let n = writes.len() as u32;
             for bound in 0..=len + 1 {
-                assert_eq!(
-                    idx.writers_before(s, writes, bound),
-                    writes.partition_point(|&w| idx.committed_pos(w) < bound),
-                    "session {s} ({} writers), bound {bound}",
-                    writes.len()
-                );
+                let expected = writes.partition_point(|&w| idx.committed_pos(w) < bound);
+                let hints = [0, n / 2, n - 1, n, u32::MAX, expected as u32];
+                for hint in hints.map(Some).into_iter().chain([None]) {
+                    let (count, probes) = idx.writers_before(s, writes, bound, hint);
+                    assert_eq!(
+                        count, expected,
+                        "session {s} ({n} writers), bound {bound}, hint {hint:?}"
+                    );
+                    // A finger search's cost grows with the log of the
+                    // hint's distance from the answer; a cold search's with
+                    // the log of the list's length.
+                    let limit = match hint {
+                        Some(h) => match expected.abs_diff((h as usize).min(writes.len())) {
+                            0 => 2,
+                            d => 2 * d.ilog2() + 4,
+                        },
+                        None => writes.len().next_power_of_two().ilog2() + 1,
+                    };
+                    assert!(
+                        probes <= limit,
+                        "{probes} compares: session {s}, bound {bound}, hint {hint:?}"
+                    );
+                }
             }
         }
     }

@@ -106,7 +106,7 @@ pub use history::{
     replay_history, BuildError, ColumnsError, History, HistoryBuilder, HistoryColumns, HistorySink,
     SessionIter, SessionView, TxnView,
 };
-pub use incremental::{infer_cc_edges, CommitView, EdgeSink, RaKernel, RcKernel};
+pub use incremental::{infer_cc_edges, CommitView, EdgeSink, RaKernel, RcKernel, WriterSearch};
 pub use index::{DenseId, ExtRead, HistoryIndex, NONE};
 pub use isolation::{IsolationLevel, ParseIsolationLevelError};
 pub use linearize::{commit_order_from_graph, validate_commit_order, CommitOrderError};

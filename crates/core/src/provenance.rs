@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use crate::cc::{compute_hb_into, ClockTable};
 use crate::graph::{base_commit_graph, Cycle, EdgeKind};
-use crate::incremental::{infer_cc_edges, EdgeSink, RaKernel, RcKernel};
+use crate::incremental::{infer_cc_edges, EdgeSink, RaKernel, RcKernel, WriterSearch};
 use crate::index::HistoryIndex;
 use crate::isolation::IsolationLevel;
 use crate::types::SessionId;
@@ -168,8 +168,16 @@ fn label_inferred(
                 .expect("a saturated CC graph has an acyclic base");
             let mut table = ClockTable::new();
             compute_hb_into(index, &topo, &mut table);
+            let mut search = WriterSearch::new(0);
             for &t3 in topo.iter().filter(|&&t| is_reader[t as usize]) {
-                infer_cc_edges(index, t3, table.row(t3), &|w| table.row(w), &mut emitted);
+                infer_cc_edges(
+                    index,
+                    t3,
+                    table.row(t3),
+                    |w| table.row(w),
+                    &mut search,
+                    &mut emitted,
+                );
                 if record(&mut emitted, labels, &mut pending) {
                     return;
                 }

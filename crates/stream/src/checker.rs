@@ -61,6 +61,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use awdit_core::graph::{CommitGraph, EdgeKind};
 use awdit_core::incremental::{
     infer_cc_edges, RaKernel, RcKernel, ReadCheck, ReadFinding, ReadFrom, RepeatableReads, TxnOp,
+    WriterSearch,
 };
 use awdit_core::witness::{Violation, ViolationKind, WitnessCycle, WitnessEdge};
 use awdit_core::{ClockTable, IsolationLevel, Key, OpLoc, TxnId, Value};
@@ -382,6 +383,9 @@ pub struct OnlineChecker {
     clocks: ClockTable,
     rc: RcKernel,
     ra: RaKernel,
+    /// The CC kernel's search state: one cursor, which the stream index's
+    /// search ignores.
+    cc_search: WriterSearch,
     /// The shared per-transaction read steps (repeatable reads run under
     /// RA only, as in batch).
     read_steps: (ReadCheck, RepeatableReads),
@@ -426,6 +430,7 @@ impl OnlineChecker {
             clocks: ClockTable::new(),
             rc: RcKernel::new(),
             ra: RaKernel::new(),
+            cc_search: WriterSearch::new(0),
             read_steps: Default::default(),
             dag: IncrementalDag::new(),
             reported_cycles: HashSet::new(),
@@ -1036,8 +1041,9 @@ impl OnlineChecker {
     /// so a path `t2 →* t1` through a retired transaction's `wr` edge can
     /// leave no live edge behind, and the inferred edge would be the DAG's
     /// only record of that order.
-    fn infer_cc(&self, slot: u32, edges: &mut Vec<(u32, u32, EdgeKind)>) {
-        infer_cc_edges(&self.index, slot, self.clocks.row(slot), &|_| &[], edges);
+    fn infer_cc(&mut self, slot: u32, edges: &mut Vec<(u32, u32, EdgeKind)>) {
+        let row = self.clocks.row(slot);
+        infer_cc_edges(&self.index, slot, row, |_| &[], &mut self.cc_search, edges);
     }
 
     fn report_cycle(&mut self, cycle: &[DagEdge]) {

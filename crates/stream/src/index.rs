@@ -203,15 +203,27 @@ impl CommitView for StreamIndex {
     fn read_pairs(&self, d: DenseId) -> &[(Key, DenseId)] {
         &self.meta(d).read_pairs
     }
-    fn for_each_key_writes(&self, key: Key, f: &mut dyn FnMut(u32, &[DenseId])) {
+    fn for_each_key_writes(&self, key: Key, mut f: impl FnMut(u32, u32, &[DenseId])) {
         if let Some(per_session) = self.writes_by_key.get(&key) {
             for (s, writers) in per_session {
-                f(*s, writers);
+                f(*s, 0, writers);
             }
         }
     }
-    fn writers_before(&self, _: u32, writes: &[DenseId], bound: u32) -> usize {
-        // Slab slots are reused, so ids carry no order: search positions.
-        writes.partition_point(|&w| self.meta(w).committed_pos < bound)
+    fn writers_before(
+        &self,
+        _: u32,
+        writes: &[DenseId],
+        bound: u32,
+        _: Option<u32>,
+    ) -> (usize, u32) {
+        // Slab slots are reused, so ids carry no order: search positions
+        // from scratch.
+        let mut probes = 0;
+        let count = writes.partition_point(|&w| {
+            probes += 1;
+            self.meta(w).committed_pos < bound
+        });
+        (count, probes)
     }
 }

@@ -23,7 +23,11 @@ use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams
 use awdit::obs::chrome::{json_lint, validate_trace, ChromeTraceRecorder};
 use awdit::obs::Obs;
 use awdit::stream::{events_of_history, StreamConfig};
-use awdit::{Engine, EngineConfig, History, IsolationLevel};
+use awdit::workloads::Uniform;
+use awdit::{
+    collect_history, DbIsolation, Engine, EngineConfig, History, HistoryBuilder, IsolationLevel,
+    SimConfig,
+};
 use std::sync::Arc;
 
 fn gen_histories() -> Vec<(String, History)> {
@@ -225,6 +229,83 @@ fn engine_metrics_reconcile_with_engine_stats() {
 /// The per-stage pool series must partition the aggregate pool counters:
 /// every fork is attributed to exactly one named stage, and the labeled
 /// busy-time counters sum to `awdit_pool_busy_ns_total` exactly.
+/// The CC kernel's work counters after one causal check of `h`:
+/// `(awdit_cc_writer_searches_total, awdit_cc_search_probes_total)`.
+fn cc_search_counters(h: &History, threads: usize) -> (u64, u64) {
+    let obs = Obs::new();
+    let mut engine = Engine::with_config(EngineConfig {
+        level: IsolationLevel::Causal,
+        threads,
+        ..EngineConfig::default()
+    });
+    engine.set_obs(obs.clone());
+    engine.check(h);
+    let snap = obs.metrics().unwrap().snapshot();
+    let get = |name| {
+        snap.counter(name)
+            .unwrap_or_else(|| panic!("missing {name}"))
+    };
+    (
+        get("awdit_cc_writer_searches_total"),
+        get("awdit_cc_search_probes_total"),
+    )
+}
+
+/// The CC search counters are exact and do not depend on `--threads`.
+///
+/// By hand: `t1, t2` write `x` in session 0; `t3` reads `t2`'s `x` and
+/// writes `y`; `t4` reads `t3`'s `y`, then `t1`'s `x`, and `t5` reads
+/// `t1`'s `x` again. Only `t4` and `t5` search (every other pair's writer
+/// already sees what the reader sees), both in session 0's list
+/// `[t1, t2]` for the writers before position 2: `t4` finds no cursor for
+/// the list and binary searches it (two compares), leaving the cursor at
+/// 2, where `t5` confirms the answer with one compare.
+#[test]
+fn cc_search_counters_are_exact_and_thread_invariant() {
+    let mut b = HistoryBuilder::new();
+    let (s0, s1, s2) = (b.session(), b.session(), b.session());
+    let (x, y) = (0, 1);
+    for v in [1, 2] {
+        b.begin(s0);
+        b.write(s0, x, v);
+        b.commit(s0);
+    }
+    b.begin(s1);
+    b.read(s1, x, 2);
+    b.write(s1, y, 3);
+    b.commit(s1);
+    b.begin(s2);
+    b.read(s2, y, 3);
+    b.read(s2, x, 1);
+    b.commit(s2);
+    b.begin(s2);
+    b.read(s2, x, 1);
+    b.commit(s2);
+    let hand = b.finish().unwrap();
+    for threads in [1, 2, 8] {
+        assert_eq!(cc_search_counters(&hand, threads), (2, 3), "t{threads}");
+    }
+
+    let h = collect_history(
+        SimConfig::new(DbIsolation::Causal, 16, 7),
+        &mut Uniform::default(),
+        20_000,
+    )
+    .unwrap();
+    let (searches, probes) = cc_search_counters(&h, 1);
+    assert!(
+        searches > 0 && probes >= searches,
+        "{searches} searches, {probes} probes"
+    );
+    for threads in [2, 8] {
+        assert_eq!(
+            cc_search_counters(&h, threads),
+            (searches, probes),
+            "t{threads}"
+        );
+    }
+}
+
 #[test]
 fn pool_stage_series_partition_the_aggregates() {
     let obs = Obs::new();

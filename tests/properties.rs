@@ -9,7 +9,7 @@ use awdit::core::graph::{is_inferred, target};
 use awdit::core::parallel::SEQUENTIAL_CUTOFF;
 use awdit::core::{
     base_commit_graph, compute_hb_into, infer_cc_edges, saturate_cc_into, ClockTable, CommitGraph,
-    EdgeKind, HistoryIndex, Pool,
+    CommitView, DenseId, EdgeKind, ExtRead, HistoryIndex, Key, Pool, WriterSearch,
 };
 use awdit::reductions::{general_reduction, UndirectedGraph};
 use awdit::workloads::{Tpcc, TpccConfig, Uniform};
@@ -214,7 +214,8 @@ proptest! {
             let mut unfiltered = base_commit_graph(&index);
             let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
             for &t3 in &topo {
-                infer_cc_edges(&index, t3, table.row(t3), &|_| &[], &mut emitted);
+                let mut search = WriterSearch::new(0);
+                infer_cc_edges(&index, t3, table.row(t3), |_| &[], &mut search, &mut emitted);
             }
             for &(from, to, kind) in &emitted {
                 unfiltered.add_edge(from, to, kind);
@@ -260,12 +261,68 @@ proptest! {
     }
 }
 
-/// The per-shard repeat filter of CC saturation is exact: the frozen
-/// graph's packed successors equal a reference that keeps every pair —
-/// the full `compute_hb_into` table, `infer_cc_edges` over the
-/// topological order with the hb filter into a plain `Vec`, then
-/// `freeze` — on a wide 64-session uniform history and on a TPC-C history
-/// long enough to span more than one saturation block.
+/// A [`HistoryIndex`] whose visible-writer search ignores the hint and
+/// searches committed positions, and whose visibility test loads the
+/// writer's position — the stream index's way, independent of dense-id
+/// arithmetic and cursors.
+struct Unhinted<'a>(&'a HistoryIndex);
+
+impl CommitView for Unhinted<'_> {
+    fn num_sessions(&self) -> usize {
+        self.0.num_sessions()
+    }
+    fn session_of(&self, d: DenseId) -> u32 {
+        self.0.session_of(d)
+    }
+    fn committed_pos(&self, d: DenseId) -> u32 {
+        self.0.committed_pos(d)
+    }
+    fn ext_reads(&self, d: DenseId) -> &[ExtRead] {
+        self.0.ext_reads(d)
+    }
+    fn keys_written(&self, d: DenseId) -> &[Key] {
+        self.0.keys_written(d)
+    }
+    fn keys_read(&self, d: DenseId) -> &[Key] {
+        self.0.keys_read(d)
+    }
+    fn first_writers(&self, d: DenseId) -> &[DenseId] {
+        self.0.first_writers(d)
+    }
+    fn writes_key(&self, d: DenseId, key: Key) -> bool {
+        self.0.writes_key(d, key)
+    }
+    fn read_pairs(&self, d: DenseId) -> &[(Key, DenseId)] {
+        self.0.read_pairs(d)
+    }
+    fn for_each_key_writes(&self, key: Key, mut f: impl FnMut(u32, u32, &[DenseId])) {
+        for (s, _, writes) in self.0.key_writes(key) {
+            f(s, 0, writes);
+        }
+    }
+    fn writers_before(
+        &self,
+        _: u32,
+        writes: &[DenseId],
+        bound: u32,
+        _: Option<u32>,
+    ) -> (usize, u32) {
+        (
+            writes.partition_point(|&w| self.0.committed_pos(w) < bound),
+            0,
+        )
+    }
+}
+
+/// CC saturation's shortcuts are exact: the per-shard repeat filter, the
+/// write-list cursors and the dense-id visibility test. The frozen
+/// graph's packed successors at threads 1, 2 and 8 equal a reference that
+/// keeps every pair and uses none of them — the full `compute_hb_into`
+/// table, `infer_cc_edges` over [`Unhinted`] along the topological order
+/// with the hb filter into a plain `Vec`, then `freeze`. The histories: a
+/// wide 64-session uniform one, a TPC-C one long enough to span more than
+/// one saturation block, and a 20k-key 4-session uniform one with more
+/// write lists than a shard has cursors, so lists share cursors.
 #[test]
 fn cc_repeat_filter_keeps_the_frozen_graph() {
     let wide = collect_history(
@@ -280,21 +337,45 @@ fn cc_repeat_filter_keeps_the_frozen_graph() {
         20_000,
     )
     .unwrap();
-    for (name, h) in [("wide-uniform", wide), ("tpcc", tpcc)] {
+    let many_keys = collect_history(
+        SimConfig::new(DbIsolation::Causal, 4, 5),
+        &mut Uniform::new(20_000, 8, 0.5),
+        20_000,
+    )
+    .unwrap();
+    let many_keys_lists = HistoryIndex::new(&many_keys).session_write_lists().count();
+    assert!(
+        many_keys_lists > 1 << 14,
+        "{many_keys_lists} write lists share no cursor"
+    );
+    for (name, h) in [
+        ("wide-uniform", wide),
+        ("tpcc", tpcc),
+        ("many-keys", many_keys),
+    ] {
         let index = HistoryIndex::new(&h);
         let mut reference = base_commit_graph(&index);
         let topo = reference.topological_order().expect("acyclic base");
         let mut table = ClockTable::new();
         compute_hb_into(&index, &topo, &mut table);
         let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        let mut search = WriterSearch::new(0);
         for &t3 in &topo {
-            infer_cc_edges(&index, t3, table.row(t3), &|w| table.row(w), &mut emitted);
+            let view = Unhinted(&index);
+            infer_cc_edges(
+                &view,
+                t3,
+                table.row(t3),
+                |w| table.row(w),
+                &mut search,
+                &mut emitted,
+            );
         }
         for &(from, to, kind) in &emitted {
             reference.add_edge(from, to, kind);
         }
         reference.freeze();
-        for threads in [1, 2] {
+        for threads in [1, 2, 8] {
             let mut g = CommitGraph::new(0);
             saturate_cc_into(
                 &Pool::new(threads),
