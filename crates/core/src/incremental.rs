@@ -629,7 +629,7 @@ impl WriterSearch {
 ///
 /// `writer_row(t1)` is the inclusive clock row of the writer `t1` a pair
 /// reads from. An edge `t2 → t1` is skipped when `t2` already happens
-/// before `t1` — its committed position is at most `t1`'s entry for `t2`'s
+/// before `t1` — its committed position is below `t1`'s entry for `t2`'s
 /// session — because a `so ∪ wr` path then orders the two, and the edge
 /// would change neither the transitive closure nor the SCCs. A session
 /// whose every visible writer `t1` already sees is skipped without a

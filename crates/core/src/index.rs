@@ -651,10 +651,9 @@ mod tests {
     /// end, `u32::MAX`, the answer itself, and none — in at most two
     /// compares from the answer, `2·log₂ d + 4` from a hint `d` entries
     /// away and `⌈log₂ len⌉ + 1` from none, on write lists of every shape:
-    /// one entry, every entry at
-    /// the start or the end of the session, TPC-C-like bursts, skewed
-    /// spacing (so the gallop runs to either end), and uniform lists of
-    /// 1,000 entries and more. Aborted transactions are interleaved, and
+    /// one entry, every entry at the start or the end of the session,
+    /// TPC-C-like bursts, skewed spacing (so the gallop runs to either
+    /// end), and uniform lists of 1,000 entries and more. Aborted transactions are interleaved, and
     /// every session but the first starts at a nonzero dense id.
     #[test]
     fn writers_before_matches_a_search_over_positions() {

@@ -17,7 +17,8 @@
 //! 4. **Metric/stat reconciliation** — engine and stream counters equal
 //!    the corresponding `EngineStats`/`StreamStats` fields (and the edge
 //!    counters the summed `CheckStats`) when the `Obs` handle is attached
-//!    before the first event.
+//!    before the first event; the CC search counters match a hand count
+//!    and are the same at every thread count.
 
 use awdit::baselines::{random_noisy_history, random_plausible_history, GenParams};
 use awdit::obs::chrome::{json_lint, validate_trace, ChromeTraceRecorder};

@@ -213,8 +213,8 @@ proptest! {
             compute_hb_into(&index, &topo, &mut table);
             let mut unfiltered = base_commit_graph(&index);
             let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
+            let mut search = WriterSearch::new(0);
             for &t3 in &topo {
-                let mut search = WriterSearch::new(0);
                 infer_cc_edges(&index, t3, table.row(t3), |_| &[], &mut search, &mut emitted);
             }
             for &(from, to, kind) in &emitted {
@@ -359,9 +359,8 @@ fn cc_repeat_filter_keeps_the_frozen_graph() {
         let mut table = ClockTable::new();
         compute_hb_into(&index, &topo, &mut table);
         let mut emitted: Vec<(u32, u32, EdgeKind)> = Vec::new();
-        let mut search = WriterSearch::new(0);
+        let (view, mut search) = (Unhinted(&index), WriterSearch::new(0));
         for &t3 in &topo {
-            let view = Unhinted(&index);
             infer_cc_edges(
                 &view,
                 t3,
