@@ -653,8 +653,9 @@ mod tests {
     /// away and `⌈log₂ len⌉ + 1` from none, on write lists of every shape:
     /// one entry, every entry at the start or the end of the session,
     /// TPC-C-like bursts, skewed spacing (so the gallop runs to either
-    /// end), and uniform lists of 1,000 entries and more. Aborted transactions are interleaved, and
-    /// every session but the first starts at a nonzero dense id.
+    /// end), and uniform lists of 1,000 entries and more. Aborted
+    /// transactions are interleaved, and every session but the first
+    /// starts at a nonzero dense id.
     #[test]
     fn writers_before_matches_a_search_over_positions() {
         let mut seed = 0x2545_f491_4f6c_dd1du64;
