@@ -243,22 +243,31 @@ pub struct ReadCols {
 impl ReadCols {
     /// Derives the columns from the program-ordered external reads.
     pub fn from_ext_reads(ext_reads: &[ExtRead]) -> Self {
-        let mut per_key: Vec<(Key, DenseId)> = Vec::with_capacity(ext_reads.len());
-        for r in ext_reads {
-            per_key.push((r.key, r.writer));
-        }
+        let mut cols = ReadCols::default();
+        cols.fill(ext_reads);
+        cols
+    }
+
+    /// Re-derives the columns from `ext_reads` in place, reusing the three
+    /// vectors' capacity: once they have held a transaction's columns, a
+    /// transaction with no more reads refills them without allocating.
+    pub fn fill(&mut self, ext_reads: &[ExtRead]) {
+        let pairs = &mut self.read_pairs;
+        pairs.clear();
+        pairs.extend(ext_reads.iter().map(|r| (r.key, r.writer)));
         // Stable sort keeps po order within equal keys, so the first entry
         // per key is the po-first read of that key.
-        per_key.sort_by_key(|&(k, _)| k);
-        let mut read_pairs = per_key.clone();
-        read_pairs.sort_unstable();
-        read_pairs.dedup();
-        per_key.dedup_by_key(|&mut (k, _)| k);
-        ReadCols {
-            keys_read: per_key.iter().map(|&(k, _)| k).collect(),
-            first_writers: per_key.iter().map(|&(_, w)| w).collect(),
-            read_pairs,
+        pairs.sort_by_key(|&(k, _)| k);
+        self.keys_read.clear();
+        self.first_writers.clear();
+        for &(k, w) in pairs.iter() {
+            if self.keys_read.last() != Some(&k) {
+                self.keys_read.push(k);
+                self.first_writers.push(w);
+            }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
     }
 }
 
@@ -327,5 +336,45 @@ mod tests {
         assert_eq!(cols.keys_read, vec![Key(1), Key(2)]);
         assert_eq!(cols.first_writers, vec![4, 9]);
         assert_eq!(cols.read_pairs, vec![(Key(1), 4), (Key(2), 3), (Key(2), 9)]);
+    }
+
+    /// The in-place fill equals the allocating derivation and a naive
+    /// reference, also when the columns last held more reads.
+    #[test]
+    fn read_cols_fill_in_place_matches_a_fresh_derivation() {
+        let mut x = 7u64;
+        let mut rand = move |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut cols = ReadCols::default();
+        for round in 0..400 {
+            // Lengths shrink and grow, so most fills reuse longer columns.
+            let len = rand(if round % 2 == 0 { 40 } else { 6 }) as usize;
+            let reads: Vec<ExtRead> = (0..len)
+                .map(|op| ExtRead {
+                    key: Key(rand(8) as u32),
+                    writer: rand(5) as DenseId,
+                    op: op as u32,
+                })
+                .collect();
+            cols.fill(&reads);
+            assert_eq!(cols, ReadCols::from_ext_reads(&reads), "round {round}");
+
+            let mut first = std::collections::BTreeMap::new();
+            let mut pairs = std::collections::BTreeSet::new();
+            for r in &reads {
+                first.entry(r.key).or_insert(r.writer);
+                pairs.insert((r.key, r.writer));
+            }
+            assert_eq!(cols.keys_read, first.keys().copied().collect::<Vec<_>>());
+            assert_eq!(
+                cols.first_writers,
+                first.values().copied().collect::<Vec<_>>()
+            );
+            assert_eq!(cols.read_pairs, pairs.into_iter().collect::<Vec<_>>());
+        }
     }
 }

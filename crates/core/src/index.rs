@@ -174,6 +174,7 @@ impl HistoryIndex {
 
         let mut wt_scratch: Vec<Key> = Vec::new();
         let mut er_scratch: Vec<ExtRead> = Vec::new();
+        let mut cols = ReadCols::default();
         for (d, &tid) in txn_ids.iter().enumerate() {
             let txn = history.txn(tid);
             wt_scratch.clear();
@@ -201,10 +202,10 @@ impl HistoryIndex {
             wt_scratch.dedup();
             num_ext_reads += er_scratch.len();
 
-            let cols = ReadCols::from_ext_reads(&er_scratch);
-            keys_read.push_row(cols.keys_read);
-            first_writers.push_row(cols.first_writers);
-            read_pairs.push_row(cols.read_pairs);
+            cols.fill(&er_scratch);
+            keys_read.push_row(cols.keys_read.iter().copied());
+            first_writers.push_row(cols.first_writers.iter().copied());
+            read_pairs.push_row(cols.read_pairs.iter().copied());
             ext_reads.push_row(er_scratch.iter().copied());
 
             for &k in &wt_scratch {

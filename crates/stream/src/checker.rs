@@ -21,6 +21,24 @@
 //! deadlocked on each other (a `so ∪ wr` cycle) are detected at `finish`
 //! too, mirroring the batch classification.
 //!
+//! A warm checker processes a transaction without heap allocation:
+//!
+//! - the last session looked up is remembered, so the events of one
+//!   transaction look its session up once;
+//! - the per-key tables (the index's write lists, the pruned-write counts)
+//!   are vectors indexed by the interned [`Key`];
+//! - a retired index slot keeps its [`TxnMeta`](crate::TxnMeta) buffers
+//!   for the next transaction placed there, whose arrival hands the slot's
+//!   old operation buffer to the next transaction to open;
+//! - edges, `wr` deduplication and pruning sweeps use scratch the checker
+//!   owns, and the DAG pools retired nodes' adjacency lists for the lists
+//!   that grow next.
+//!
+//! Maps keyed by values from the stream itself (session names, key names,
+//! `(key, value)` pairs) keep std's randomly seeded hashing, so a hostile
+//! stream cannot flood them. A stream may name at most [`MAX_SESSIONS`]
+//! sessions.
+//!
 //! # Watermark pruning
 //!
 //! The per-session frontier clocks induce a *watermark*: the pointwise
@@ -56,6 +74,7 @@
 //! [`for_each_event`](crate::for_each_event) emits histories in such an
 //! order.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use awdit_core::graph::{CommitGraph, EdgeKind};
@@ -71,7 +90,7 @@ use std::sync::Arc;
 
 use crate::dag::{DagEdge, IncrementalDag};
 use crate::event::Event;
-use crate::index::{StreamIndex, TxnMeta};
+use crate::index::StreamIndex;
 use crate::shutdown::ShutdownToken;
 use crate::stats::StreamStats;
 
@@ -108,6 +127,12 @@ pub enum StreamError {
         /// The offending session name.
         session: u64,
     },
+    /// An event named a new session while the stream already had
+    /// [`MAX_SESSIONS`] of them.
+    TooManySessions {
+        /// The cap, [`MAX_SESSIONS`].
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -128,11 +153,23 @@ impl std::fmt::Display for StreamError {
             StreamError::NestedTransaction { session } => {
                 write!(f, "begin on session {session} while a transaction is open")
             }
+            StreamError::TooManySessions { limit } => {
+                write!(f, "more than {limit} sessions in one stream")
+            }
         }
     }
 }
 
 impl std::error::Error for StreamError {}
+
+/// Distinct session names one [`OnlineChecker`] accepts; the next new name
+/// is a [`StreamError::TooManySessions`].
+///
+/// Every session widens the happens-before frontier, a `k × k` table of
+/// `u32`s, so an untrusted stream of one-transaction sessions would
+/// otherwise grow it without bound (8,000 sessions already take about
+/// 0.5 GB). At the cap the frontier is 4 MiB.
+pub const MAX_SESSIONS: usize = 1024;
 
 /// A violation reported by the online checker: either one of the batch
 /// pipeline's violations, or the stream-specific beyond-horizon read.
@@ -364,14 +401,18 @@ pub struct OnlineChecker {
     error: Option<StreamError>,
 
     session_ids: HashMap<u64, u32>,
+    /// The last session name looked up and its id: one transaction's
+    /// events arrive back to back, so most events skip `session_ids`.
+    last_session: Option<(u64, u32)>,
     sessions: Vec<SessionState>,
     key_ids: HashMap<u64, Key>,
     key_names: Vec<u64>,
 
     /// The unique-value write map: `(key, value) → (writer, op)`.
     writes: HashMap<(Key, Value), (TxnId, u32)>,
-    /// Per key: number of writes whose map entries were pruned.
-    pruned_writes: HashMap<Key, u64>,
+    /// Per key (indexed by the interned [`Key`]): number of writes whose
+    /// map entries were pruned.
+    pruned_writes: Vec<u64>,
     txn_states: HashMap<TxnId, TxnState>,
 
     staged: HashMap<TxnId, StagedTxn>,
@@ -390,6 +431,18 @@ pub struct OnlineChecker {
     /// RA only, as in batch).
     read_steps: (ReadCheck, RepeatableReads),
     dag: IncrementalDag,
+    /// Operation buffers handed back by recycled index slots and aborted
+    /// transactions, for the next transactions to open.
+    spare_ops: Vec<Vec<TxnOp>>,
+    /// The edges of the transaction being processed.
+    edges: Vec<(u32, u32, EdgeKind)>,
+    /// Per slot: the round in which the transaction being processed got
+    /// its `wr` edge from that writer (one edge per writer).
+    wr_stamp: Vec<u64>,
+    wr_round: u64,
+    /// Pruning sweep scratch: the candidates in DAG order, then the ones
+    /// that retire.
+    prune_scratch: (Vec<(u64, u32)>, Vec<u32>),
     reported_cycles: HashSet<(TxnId, TxnId)>,
     cycle_reports: usize,
 
@@ -416,11 +469,12 @@ impl OnlineChecker {
             cfg,
             error: None,
             session_ids: HashMap::new(),
+            last_session: None,
             sessions: Vec::new(),
             key_ids: HashMap::new(),
             key_names: Vec::new(),
             writes: HashMap::new(),
-            pruned_writes: HashMap::new(),
+            pruned_writes: Vec::new(),
             txn_states: HashMap::new(),
             staged: HashMap::new(),
             waiting_value: HashMap::new(),
@@ -433,6 +487,11 @@ impl OnlineChecker {
             cc_search: WriterSearch::new(0),
             read_steps: Default::default(),
             dag: IncrementalDag::new(),
+            spare_ops: Vec::new(),
+            edges: Vec::new(),
+            wr_stamp: Vec::new(),
+            wr_round: 0,
+            prune_scratch: Default::default(),
             reported_cycles: HashSet::new(),
             cycle_reports: 0,
             violations: Vec::new(),
@@ -529,7 +588,7 @@ impl OnlineChecker {
         }
         match *event {
             Event::Begin { session } => {
-                let s = self.ensure_session(session);
+                let s = self.ensure_session(session)?;
                 let st = &mut self.sessions[s as usize];
                 if st.open.is_some() {
                     return Err(StreamError::NestedTransaction { session });
@@ -538,7 +597,7 @@ impl OnlineChecker {
                 st.next_txn_index += 1;
                 st.open = Some(OpenTxn {
                     id,
-                    ops: Vec::new(),
+                    ops: self.spare_ops.pop().unwrap_or_default(),
                 });
                 self.stats.begins += 1;
                 Ok(())
@@ -548,7 +607,7 @@ impl OnlineChecker {
                 key,
                 value,
             } => {
-                let s = self.ensure_session(session);
+                let s = self.ensure_session(session)?;
                 let k = self.ensure_key(key);
                 let v = Value(value);
                 let st = &mut self.sessions[s as usize];
@@ -556,17 +615,25 @@ impl OnlineChecker {
                     return Err(StreamError::NoOpenTransaction { session });
                 };
                 let loc = OpLoc::new(open.id, open.ops.len() as u32);
-                if let Some(&(first_txn, first_op)) = self.writes.get(&(k, v)) {
-                    return Err(StreamError::DuplicateWrite {
-                        key,
-                        value,
-                        first: OpLoc::new(first_txn, first_op),
-                        second: loc,
-                    });
+                match self.writes.entry((k, v)) {
+                    Entry::Occupied(first) => {
+                        let &(first_txn, first_op) = first.get();
+                        return Err(StreamError::DuplicateWrite {
+                            key,
+                            value,
+                            first: OpLoc::new(first_txn, first_op),
+                            second: loc,
+                        });
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert((loc.txn, loc.op));
+                    }
                 }
                 open.ops.push(TxnOp::Write(k, v));
-                self.writes.insert((k, v), (loc.txn, loc.op));
                 // Resolve readers that were waiting for this value.
+                if self.waiting_value.is_empty() {
+                    return Ok(());
+                }
                 if let Some(waiters) = self.waiting_value.remove(&(k, v)) {
                     for (reader, op) in waiters {
                         if let Some(TxnOp::Read(_, _, from)) = self
@@ -589,7 +656,7 @@ impl OnlineChecker {
                 key,
                 value,
             } => {
-                let s = self.ensure_session(session);
+                let s = self.ensure_session(session)?;
                 let k = self.ensure_key(key);
                 let st = &mut self.sessions[s as usize];
                 let Some(open) = st.open.as_mut() else {
@@ -600,7 +667,7 @@ impl OnlineChecker {
                 Ok(())
             }
             Event::Commit { session } => {
-                let s = self.ensure_session(session);
+                let s = self.ensure_session(session)?;
                 if self.sessions[s as usize].open.is_none() {
                     return Err(StreamError::NoOpenTransaction { session });
                 }
@@ -609,7 +676,7 @@ impl OnlineChecker {
                 Ok(())
             }
             Event::Abort { session } => {
-                let s = self.ensure_session(session);
+                let s = self.ensure_session(session)?;
                 if self.sessions[s as usize].open.is_none() {
                     return Err(StreamError::NoOpenTransaction { session });
                 }
@@ -649,12 +716,26 @@ impl OnlineChecker {
         self.apply(&Event::Abort { session })
     }
 
-    fn ensure_session(&mut self, name: u64) -> u32 {
+    /// The id of session `name`, interning it if it is new (refused past
+    /// [`MAX_SESSIONS`]).
+    fn ensure_session(&mut self, name: u64) -> Result<u32, StreamError> {
+        if let Some((last, s)) = self.last_session {
+            if last == name {
+                return Ok(s);
+            }
+        }
         if let Some(&s) = self.session_ids.get(&name) {
-            return s;
+            self.last_session = Some((name, s));
+            return Ok(s);
+        }
+        if self.sessions.len() >= MAX_SESSIONS {
+            return Err(StreamError::TooManySessions {
+                limit: MAX_SESSIONS,
+            });
         }
         let s = self.sessions.len() as u32;
         self.session_ids.insert(name, s);
+        self.last_session = Some((name, s));
         self.sessions.push(SessionState {
             open: None,
             next_txn_index: 0,
@@ -665,7 +746,7 @@ impl OnlineChecker {
         });
         self.index.ensure_sessions(self.sessions.len());
         self.clocks.ensure_sessions(self.sessions.len());
-        s
+        Ok(s)
     }
 
     fn ensure_key(&mut self, name: u64) -> Key {
@@ -675,6 +756,7 @@ impl OnlineChecker {
         let k = Key(self.key_names.len() as u32);
         self.key_ids.insert(name, k);
         self.key_names.push(name);
+        self.pruned_writes.push(0);
         k
     }
 
@@ -716,7 +798,7 @@ impl OnlineChecker {
                     }
                 },
                 None => {
-                    if self.pruned_writes.get(&key).copied().unwrap_or(0) > 0 {
+                    if self.pruned_writes[key.index()] > 0 {
                         ReadFrom::Unjudged
                     } else {
                         deps += 1;
@@ -764,7 +846,7 @@ impl OnlineChecker {
     }
 
     fn abort_open(&mut self, s: u32) {
-        let open = self.sessions[s as usize].open.take().expect("open txn");
+        let mut open = self.sessions[s as usize].open.take().expect("open txn");
         let id = open.id;
         self.stats.aborts += 1;
         self.txn_states.insert(id, TxnState::Aborted);
@@ -774,6 +856,10 @@ impl OnlineChecker {
                     .aborted_writes
                     .push((id.index, key, value));
             }
+        }
+        if open.ops.capacity() > 0 {
+            open.ops.clear();
+            self.spare_ops.push(open.ops);
         }
         // Readers waiting on this writer observe an aborted write: resolve
         // them without a wr edge.
@@ -889,7 +975,7 @@ impl OnlineChecker {
             return;
         };
         self.stats.staged_txns -= 1;
-        let (session, committed_pos, ops) = (st.session, st.committed_pos, st.ops);
+        let (session, committed_pos, mut ops) = (st.session, st.committed_pos, st.ops);
 
         // 1. Read Consistency and, under RA, repeatable reads, through the
         // steps batch runs. External writers are processed by now, so
@@ -903,60 +989,44 @@ impl OnlineChecker {
         }
 
         // 2. Derived per-transaction index data (the streaming analog of
-        // `HistoryIndex`'s per-transaction pass).
-        let mut ext_reads = Vec::new();
-        let mut final_writes = Vec::new();
-        for (p, op) in ops.iter().enumerate() {
-            match *op {
-                TxnOp::Write(key, _) => final_writes.push((key, p as u32)),
-                TxnOp::Read(key, _, ReadFrom::External(w)) => {
-                    // A reader is processed only after its committed
-                    // writers are.
-                    let Some(&TxnState::Processed { slot }) = self.txn_states.get(&w.txn) else {
-                        debug_assert!(false, "external writer {} is processed", w.txn);
-                        continue;
-                    };
-                    ext_reads.push(awdit_core::ExtRead {
-                        key,
-                        writer: slot,
-                        op: p as u32,
-                    });
+        // `HistoryIndex`'s per-transaction pass), written over a recycled
+        // slot's buffers; the slot's old operation buffer comes back in
+        // `ops`.
+        let txn_states = &self.txn_states;
+        let slot = self.index.insert(|meta| {
+            meta.refill(id, session, committed_pos, &mut ops, |w| {
+                // A reader is processed only after its committed writers
+                // are.
+                match txn_states.get(&w) {
+                    Some(&TxnState::Processed { slot }) => Some(slot),
+                    _ => {
+                        debug_assert!(false, "external writer {w} is processed");
+                        None
+                    }
                 }
-                TxnOp::Read(..) => {}
-            }
+            })
+        });
+        if ops.capacity() > 0 {
+            self.spare_ops.push(ops);
         }
-        // The po-last write of each key, by key.
-        final_writes.sort_unstable_by_key(|&(k, p)| (k, std::cmp::Reverse(p)));
-        final_writes.dedup_by_key(|w| w.0);
-        // The same read-column derivation the batch `HistoryIndex` runs, so
-        // the two sides cannot drift.
-        let cols = awdit_core::ReadCols::from_ext_reads(&ext_reads);
-
-        let meta = TxnMeta {
-            txn_id: id,
-            session,
-            committed_pos,
-            keys_written: final_writes.iter().map(|w| w.0).collect(),
-            keys_read: cols.keys_read,
-            first_writer_per_key: cols.first_writers,
-            ext_reads,
-            read_pairs: cols.read_pairs,
-            ops,
-            final_writes,
-            pending_readers: 0,
-        };
-        let slot = self.index.insert(meta);
         self.dag.ensure_node(slot, session, committed_pos);
 
         // 3. Base edges plus the level's inferred edges, from the shared
-        // kernels.
-        let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+        // kernels. A writer read more than once gives one `wr` edge, with
+        // the key of its first read.
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.clear();
         if let Some(prev) = self.sessions[session as usize].last_processed_slot {
             edges.push((prev, slot, EdgeKind::SessionOrder));
         }
-        let mut seen_writers: HashSet<u32> = HashSet::new();
+        self.wr_round += 1;
         for r in &self.index.meta(slot).ext_reads {
-            if seen_writers.insert(r.writer) {
+            let w = r.writer as usize;
+            if self.wr_stamp.len() <= w {
+                self.wr_stamp.resize(w + 1, 0);
+            }
+            if self.wr_stamp[w] != self.wr_round {
+                self.wr_stamp[w] = self.wr_round;
                 edges.push((r.writer, slot, EdgeKind::WriteRead(r.key)));
             }
         }
@@ -970,12 +1040,13 @@ impl OnlineChecker {
         // 4. Insert; every edge closing a cycle is a violation, reported
         // immediately with provenance and then dropped so checking
         // continues.
-        for (from, to, kind) in edges {
+        for &(from, to, kind) in &edges {
             match self.dag.insert_edge(from, to, kind) {
                 Ok(()) => {}
                 Err(cycle) => self.report_cycle(&cycle),
             }
         }
+        self.edges = edges;
         self.stats.live_edges = self.dag.num_edges();
 
         // 5. Publish and wake dependents.
@@ -1000,14 +1071,8 @@ impl OnlineChecker {
         }
 
         // 6. Release the references this transaction held on its writers.
-        let writer_slots: Vec<u32> = self
-            .index
-            .meta(slot)
-            .ext_reads
-            .iter()
-            .map(|r| r.writer)
-            .collect();
-        for w in writer_slots {
+        for i in 0..self.index.meta(slot).ext_reads.len() {
+            let w = self.index.meta(slot).ext_reads[i].writer;
             if w != slot {
                 let m = self.index.meta_mut(w);
                 m.pending_readers = m.pending_readers.saturating_sub(1);
@@ -1080,11 +1145,13 @@ impl OnlineChecker {
             m.gcs.inc();
         }
         let wm = self.clocks.watermark();
-        let mut candidates: Vec<(u64, u32)> = self
-            .index
-            .live_slots()
-            .filter(|&(slot, m)| {
-                (m.session as usize) < wm.len()
+        let (mut candidates, mut retirable) = std::mem::take(&mut self.prune_scratch);
+        candidates.clear();
+        candidates.extend(
+            self.index
+                .live_slots()
+                .filter(|&(slot, m)| {
+                    (m.session as usize) < wm.len()
                     && m.committed_pos < wm[m.session as usize]
                     && m.pending_readers == 0
                     // The session's latest processed txn must stay until its
@@ -1092,9 +1159,9 @@ impl OnlineChecker {
                     // is what condensation threads cross-horizon
                     // constraints onto.
                     && self.sessions[m.session as usize].last_processed_slot != Some(slot)
-            })
-            .map(|(slot, _)| (self.dag.order_of(slot), slot))
-            .collect();
+                })
+                .map(|(slot, _)| (self.dag.order_of(slot), slot)),
+        );
         candidates.sort_unstable();
 
         // Keep boundary writers: the latest retained writer of each
@@ -1124,14 +1191,17 @@ impl OnlineChecker {
                 }
             })
         };
-        let retirable: Vec<u32> = candidates
-            .iter()
-            .map(|&(_, slot)| slot)
-            .filter(|&slot| !is_boundary(slot))
-            .collect();
-        for slot in retirable {
+        retirable.clear();
+        retirable.extend(
+            candidates
+                .iter()
+                .map(|&(_, slot)| slot)
+                .filter(|&slot| !is_boundary(slot)),
+        );
+        for &slot in &retirable {
             self.retire(slot);
         }
+        self.prune_scratch = (candidates, retirable);
     }
 
     fn retire(&mut self, slot: u32) {
@@ -1153,29 +1223,32 @@ impl OnlineChecker {
         for op in &meta.ops {
             if let TxnOp::Write(k, v) = *op {
                 self.writes.remove(&(k, v));
-                *self.pruned_writes.entry(k).or_insert(0) += 1;
+                self.pruned_writes[k.index()] += 1;
             }
         }
         self.txn_states.remove(&meta.txn_id);
         let s = meta.session;
-        if self.sessions[s as usize].last_processed_slot == Some(slot) {
-            self.sessions[s as usize].last_processed_slot = None;
+        let state = &mut self.sessions[s as usize];
+        if state.last_processed_slot == Some(slot) {
+            state.last_processed_slot = None;
         }
         // Aborted transactions older than this one can no longer be read
         // within the retained window either.
         let cutoff = meta.txn_id.index;
-        let aborted = std::mem::take(&mut self.sessions[s as usize].aborted_writes);
-        let mut kept = Vec::new();
-        for (idx, k, v) in aborted {
-            if idx < cutoff {
-                self.writes.remove(&(k, v));
-                *self.pruned_writes.entry(k).or_insert(0) += 1;
-                self.txn_states.remove(&TxnId::new(s, idx));
-            } else {
-                kept.push((idx, k, v));
+        let (writes, pruned_writes, txn_states) = (
+            &mut self.writes,
+            &mut self.pruned_writes,
+            &mut self.txn_states,
+        );
+        state.aborted_writes.retain(|&(idx, k, v)| {
+            if idx >= cutoff {
+                return true;
             }
-        }
-        self.sessions[s as usize].aborted_writes = kept;
+            writes.remove(&(k, v));
+            pruned_writes[k.index()] += 1;
+            txn_states.remove(&TxnId::new(s, idx));
+            false
+        });
 
         self.stats.retired_txns += 1;
         self.stats.condensed_edges += condensed;
@@ -1216,6 +1289,7 @@ impl OnlineChecker {
     pub fn reset(&mut self) {
         self.error = None;
         self.session_ids.clear();
+        self.last_session = None;
         self.sessions.clear();
         self.key_ids.clear();
         self.key_names.clear();
@@ -1388,6 +1462,7 @@ impl OnlineChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::TxnMeta;
     use awdit_core::{base_commit_graph, compute_hb_into, History, HistoryBuilder, HistoryIndex};
 
     /// The batch history of `events`, its sessions numbered in order of
@@ -1491,6 +1566,251 @@ mod tests {
                 "seed {seed}: no slot reused"
             );
             assert!(c.finish().unwrap().is_consistent(), "seed {seed}");
+        }
+    }
+
+    /// `MAX_SESSIONS` distinct session names are accepted; the next new
+    /// one poisons the stream, while known names were fine up to then.
+    #[test]
+    fn sessions_past_the_cap_are_refused() {
+        let mut c = OnlineChecker::new(IsolationLevel::Causal);
+        for s in 0..MAX_SESSIONS as u64 {
+            c.begin(s * 7).unwrap();
+            c.write(s * 7, 1, s).unwrap();
+            c.commit(s * 7).unwrap();
+        }
+        c.begin(0).unwrap();
+        c.commit(0).unwrap();
+        let refused = StreamError::TooManySessions {
+            limit: MAX_SESSIONS,
+        };
+        assert_eq!(c.begin(1), Err(refused.clone()));
+        assert_eq!(c.begin(0), Err(refused.clone()), "the error is sticky");
+        assert_eq!(c.finish().unwrap_err(), refused);
+    }
+
+    /// The metadata of transaction `m` derived from scratch: its ops as
+    /// committed, its external readers' writers resolved through
+    /// `slot_of` (the slot each writer held while live), and everything
+    /// else recomputed with plain maps.
+    fn meta_from_scratch(m: &TxnMeta, slot_of: &HashMap<TxnId, u32>) -> TxnMeta {
+        use awdit_core::{ExtRead, ReadCols};
+        use std::collections::BTreeMap;
+        let mut ext_reads = Vec::new();
+        let mut last_write = BTreeMap::new();
+        for (p, op) in m.ops.iter().enumerate() {
+            match *op {
+                TxnOp::Write(key, _) => {
+                    last_write.insert(key, p as u32);
+                }
+                TxnOp::Read(key, _, ReadFrom::External(w)) => ext_reads.push(ExtRead {
+                    key,
+                    writer: slot_of[&w.txn],
+                    op: p as u32,
+                }),
+                TxnOp::Read(..) => {}
+            }
+        }
+        TxnMeta {
+            txn_id: m.txn_id,
+            session: m.txn_id.session,
+            committed_pos: m.committed_pos,
+            keys_written: last_write.keys().copied().collect(),
+            reads: ReadCols::from_ext_reads(&ext_reads),
+            ext_reads,
+            ops: m.ops.clone(),
+            final_writes: last_write.into_iter().collect(),
+            pending_readers: m.pending_readers,
+        }
+    }
+
+    /// Per transaction, its operations as `(is_write, key, value)`.
+    type TxnOps = HashMap<TxnId, Vec<(bool, u64, u64)>>;
+
+    /// A seeded serial stream in which every eighth transaction is large
+    /// (20–40 operations) and the rest small, with own reads, reads of
+    /// aborted writes, aborts, and, near the end, thin-air reads (each the
+    /// only operation of a session of its own, so it stalls nothing else).
+    /// Returns the events and each transaction's operations, numbered as
+    /// the checker numbers them.
+    fn recycling_stream(seed: u64) -> (Vec<Event>, TxnOps) {
+        let mut x = seed;
+        let mut rand = move |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        const KEYS: u64 = 6;
+        let mut latest: [Option<u64>; KEYS as usize] = [None; KEYS as usize];
+        let mut aborted_values: Vec<(u64, u64)> = Vec::new();
+        let mut next_value = 1u64;
+        let mut events = Vec::new();
+        let mut txns = HashMap::new();
+        // Dense session ids by first appearance, and begins per session.
+        let mut dense: HashMap<u64, u32> = HashMap::new();
+        let mut begun: Vec<u32> = Vec::new();
+        let mut lone = 1000u64;
+        for i in 0..600u64 {
+            // A session that stops advancing holds the watermark back, so
+            // the thin-air readers come at the end.
+            let thin_air = i >= 560 && rand(4) == 0;
+            let session = if thin_air {
+                lone += 1;
+                lone
+            } else {
+                rand(4)
+            };
+            let next = dense.len() as u32;
+            let s = *dense.entry(session).or_insert(next);
+            if begun.len() <= s as usize {
+                begun.push(0);
+            }
+            let id = TxnId::new(s, begun[s as usize]);
+            begun[s as usize] += 1;
+            events.push(Event::Begin { session });
+            let mut ops = Vec::new();
+            let mut written = Vec::new();
+            let len = match (thin_air, i % 8) {
+                (true, _) => 0,
+                (false, 0) => 20 + rand(21),
+                (false, _) => 1 + rand(3),
+            };
+            for _ in 0..len {
+                let key = rand(KEYS);
+                let (is_write, key, value) = match rand(8) {
+                    0 if !written.is_empty() => {
+                        let &(k, v) = &written[rand(written.len() as u64) as usize];
+                        (false, k, v)
+                    }
+                    1 if !aborted_values.is_empty() => {
+                        let &(k, v) = &aborted_values[rand(aborted_values.len() as u64) as usize];
+                        (false, k, v)
+                    }
+                    2..=4 if latest[key as usize].is_some() => {
+                        (false, key, latest[key as usize].unwrap())
+                    }
+                    _ => {
+                        next_value += 1;
+                        written.push((key, next_value));
+                        (true, key, next_value)
+                    }
+                };
+                ops.push((is_write, key, value));
+                events.push(match is_write {
+                    true => Event::Write {
+                        session,
+                        key,
+                        value,
+                    },
+                    false => Event::Read {
+                        session,
+                        key,
+                        value,
+                    },
+                });
+            }
+            if thin_air {
+                // A key with pruned writes (an unjudged read) or a fresh
+                // one (a read that waits for the stream's end).
+                let key = [rand(KEYS), KEYS + i][rand(2) as usize];
+                ops.push((false, key, u64::MAX - i));
+                events.push(Event::Read {
+                    session,
+                    key,
+                    value: u64::MAX - i,
+                });
+            }
+            if !thin_air && rand(10) == 0 {
+                aborted_values.extend(written);
+                events.push(Event::Abort { session });
+            } else {
+                for (k, v) in written {
+                    latest[k as usize] = Some(v);
+                }
+                events.push(Event::Commit { session });
+            }
+            txns.insert(id, ops);
+        }
+        (events, txns)
+    }
+
+    /// Large transactions retire and small ones take over their slots:
+    /// after every event, every live slot's metadata equals one derived
+    /// from scratch, and its operations are the transaction's own.
+    #[test]
+    fn recycled_slots_match_metadata_derived_from_scratch() {
+        for seed in 1..=4 {
+            let (events, txns) = recycling_stream(seed);
+            let mut c = OnlineChecker::with_config(StreamConfig {
+                prune: true,
+                prune_interval: 2,
+                ..StreamConfig::default()
+            });
+            let mut slot_of: HashMap<TxnId, u32> = HashMap::new();
+            let mut expected: HashMap<TxnId, TxnMeta> = HashMap::new();
+            // Per slot, the longest transaction it has held so far.
+            let mut longest: HashMap<u32, usize> = HashMap::new();
+            let mut shrunk = 0;
+            let mut check_live = |c: &OnlineChecker| {
+                // Writers first: a reader may be new in the same event.
+                for (slot, m) in c.index.live_slots() {
+                    if slot_of.insert(m.txn_id, slot).is_none() {
+                        let held = longest.entry(slot).or_insert(0);
+                        shrunk += usize::from(*held >= 20 && m.ops.len() <= 3);
+                        *held = (*held).max(m.ops.len());
+                    }
+                }
+                for (slot, m) in c.index.live_slots() {
+                    let want = expected
+                        .entry(m.txn_id)
+                        .or_insert_with(|| meta_from_scratch(m, &slot_of));
+                    want.pending_readers = m.pending_readers;
+                    assert_eq!(m, want, "seed {seed}: slot {slot}");
+                    let ops: Vec<(bool, u64, u64)> = m
+                        .ops
+                        .iter()
+                        .map(|op| match *op {
+                            TxnOp::Write(k, v) => (true, c.key_name(k), v.0),
+                            TxnOp::Read(k, v, _) => (false, c.key_name(k), v.0),
+                        })
+                        .collect();
+                    assert_eq!(ops, txns[&m.txn_id], "seed {seed}: ops of {}", m.txn_id);
+                }
+            };
+            for e in &events {
+                c.apply(e).unwrap();
+                check_live(&c);
+            }
+            let outcome = c.finish_in_place().unwrap();
+            check_live(&c);
+            assert!(outcome.stats().retired_txns > 300, "seed {seed}");
+            assert!(outcome.stats().peak_staged_txns > 1, "seed {seed}");
+            assert!(
+                shrunk > 10,
+                "seed {seed}: {shrunk} large slots reused by small"
+            );
+            let kinds = |f: fn(&ReadFrom) -> bool| {
+                expected
+                    .values()
+                    .flat_map(|m| &m.ops)
+                    .filter(|op| matches!(op, TxnOp::Read(_, _, from) if f(from)))
+                    .count()
+            };
+            assert!(kinds(|f| matches!(f, ReadFrom::Own(_))) > 0, "seed {seed}");
+            assert!(
+                kinds(|f| matches!(f, ReadFrom::Aborted(_))) > 0,
+                "seed {seed}"
+            );
+            assert!(
+                kinds(|f| matches!(f, ReadFrom::External(_))) > 0,
+                "seed {seed}"
+            );
+            assert!(kinds(|f| matches!(f, ReadFrom::ThinAir)) > 0, "seed {seed}");
+            assert!(
+                kinds(|f| matches!(f, ReadFrom::Unjudged)) > 0,
+                "seed {seed}"
+            );
         }
     }
 }

@@ -90,9 +90,58 @@ struct SessionPick {
     out_round: u64,
     /// The session's earliest link successor of the node being retired.
     first_out: u32,
-    /// Set to a source's round once that source has an edge to
-    /// `first_out`.
-    present_round: u64,
+}
+
+/// Spare adjacency-list buffers, by capacity: 4, 8, 16, 32 and 64 entries.
+///
+/// A retired node's lists come here cleared, and a list that is full
+/// trades its buffer for a spare of twice the capacity before growing, so
+/// a warm DAG's lists grow without allocating while each list holds only
+/// the capacity its own node needed. (Handing a retired node's lists back
+/// to its slot instead lets a slot's capacity ratchet up to the largest
+/// its nodes ever needed: keeping lists of up to 64 entries that way raised
+/// `awdit watch`'s peak RSS on the `watch_cc_fresh` benchmark stream from
+/// 4.5 to 5.1 MB.) Longer, hub-sized lists are dropped.
+#[derive(Debug)]
+struct ListPool<T> {
+    classes: [Vec<Vec<T>>; 5],
+}
+
+impl<T> Default for ListPool<T> {
+    fn default() -> Self {
+        ListPool {
+            classes: Default::default(),
+        }
+    }
+}
+
+impl<T> ListPool<T> {
+    /// The class of buffers with `capacity` entries, if pooled.
+    fn class(capacity: usize) -> Option<usize> {
+        let c = capacity.trailing_zeros() as usize;
+        (capacity.is_power_of_two() && (2..=6).contains(&c)).then(|| c - 2)
+    }
+
+    /// Appends `item` to `list`, moving the list into a spare buffer of
+    /// twice its capacity first when it is full and one is pooled.
+    fn push(&mut self, list: &mut Vec<T>, item: T) {
+        if list.len() == list.capacity() {
+            let grown = Self::class((2 * list.capacity()).max(4));
+            if let Some(mut spare) = grown.and_then(|c| self.classes[c].pop()) {
+                spare.append(list);
+                self.give(std::mem::replace(list, spare));
+            }
+        }
+        list.push(item);
+    }
+
+    /// Takes a list's buffer back, cleared, if its capacity is pooled.
+    fn give(&mut self, mut list: Vec<T>) {
+        if let Some(c) = Self::class(list.capacity()) {
+            list.clear();
+            self.classes[c].push(list);
+        }
+    }
 }
 
 /// Dynamic DAG with online cycle detection (Pearce–Kelly).
@@ -112,6 +161,12 @@ pub struct IncrementalDag {
     round: u64,
     picks: Vec<SessionPick>,
     targets: Vec<u32>,
+    /// Per slot: the retirement round in which it is a condensation
+    /// target, then the mark of the last kept source already pointing at
+    /// it (marks of one retirement exceed its round).
+    target_stamp: Vec<u64>,
+    out_pool: ListPool<OutEdge>,
+    in_pool: ListPool<u32>,
 }
 
 impl IncrementalDag {
@@ -148,6 +203,7 @@ impl IncrementalDag {
             self.session.resize(i + 1, 0);
             self.pos.resize(i + 1, 0);
             self.visit_stamp.resize(i + 1, 0);
+            self.target_stamp.resize(i + 1, 0);
         }
         if self.picks.len() <= session as usize {
             self.picks
@@ -287,12 +343,13 @@ impl IncrementalDag {
                 self.ord[v as usize] = pool[slot];
             }
         }
-        self.out[x as usize].push(OutEdge {
+        let edge = OutEdge {
             to: y,
             kind,
             link: is_link(kind),
-        });
-        self.inn[y as usize].push(x);
+        };
+        self.out_pool.push(&mut self.out[x as usize], edge);
+        self.in_pool.push(&mut self.inn[y as usize], x);
         self.edges += 1;
         Ok(())
     }
@@ -304,7 +361,8 @@ impl IncrementalDag {
     /// successor `b` of each session; where `a → b` is already present it
     /// keeps its kind and gains the link bit instead. Returns the number
     /// of edges added. The slot may be reused via
-    /// [`ensure_node`](Self::ensure_node).
+    /// [`ensure_node`](Self::ensure_node); `v`'s own lists become spares
+    /// that full lists trade up into.
     ///
     /// The added edges never close a cycle or need a reorder, because
     /// `a → v → b` already orders `ord[a] < ord[v] < ord[b]`; they are
@@ -312,8 +370,6 @@ impl IncrementalDag {
     pub fn retire_node(&mut self, v: u32) -> u64 {
         let vi = v as usize;
         debug_assert!(self.alive[vi]);
-        // Take (not clear) the lists: a hub's capacity must not stay
-        // parked on the recycled slot.
         let ins = std::mem::take(&mut self.inn[vi]);
         let outs = std::mem::take(&mut self.out[vi]);
         self.alive[vi] = false;
@@ -329,6 +385,9 @@ impl IncrementalDag {
             pos,
             picks,
             targets,
+            target_stamp,
+            out_pool,
+            in_pool,
             ..
         } = self;
         for &a in &ins {
@@ -354,11 +413,12 @@ impl IncrementalDag {
             }
         }
         targets.clear();
-        targets.extend(
-            outs.iter()
-                .filter(|e| e.link && picks[session[e.to as usize] as usize].first_out == e.to)
-                .map(|e| e.to),
-        );
+        for e in &outs {
+            if e.link && picks[session[e.to as usize] as usize].first_out == e.to {
+                targets.push(e.to);
+                target_stamp[e.to as usize] = round;
+            }
+        }
         let mut added = 0;
         for &a in &ins {
             let ai = a as usize;
@@ -378,29 +438,32 @@ impl IncrementalDag {
                 if e.to == v {
                     return false;
                 }
-                let p = &mut picks[session[e.to as usize] as usize];
-                if p.out_round == round && p.first_out == e.to {
+                let stamp = &mut target_stamp[e.to as usize];
+                if *stamp >= round {
                     e.link = true;
-                    p.present_round = mark;
+                    *stamp = mark;
                 }
                 true
             });
             for &b in targets.iter() {
                 let bi = b as usize;
-                if picks[session[bi] as usize].present_round != mark {
+                if target_stamp[bi] != mark {
                     debug_assert!(ord[ai] < ord[bi]);
-                    list.push(OutEdge {
+                    let edge = OutEdge {
                         to: b,
                         kind: EdgeKind::Condensed,
                         link: true,
-                    });
-                    inn[bi].push(a);
+                    };
+                    out_pool.push(list, edge);
+                    in_pool.push(&mut inn[bi], a);
                     added += 1;
                 }
             }
         }
         self.round = mark;
         self.edges += added;
+        self.in_pool.give(ins);
+        self.out_pool.give(outs);
         added
     }
 }
@@ -733,6 +796,27 @@ mod tests {
             ..wr
         };
         assert_eq!(d.out[3], vec![condensed]);
+    }
+
+    #[test]
+    fn full_lists_trade_up_into_pooled_buffers() {
+        let mut pool = ListPool::<u32>::default();
+        pool.give(Vec::with_capacity(8));
+        pool.give(Vec::with_capacity(4));
+        pool.give(Vec::with_capacity(128)); // hub-sized: dropped
+        let mut list = Vec::new();
+        for x in 0..6 {
+            pool.push(&mut list, x);
+        }
+        assert_eq!(list, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(list.capacity(), 8);
+        // The 4-entry buffer went back: it is the only spare left.
+        let spares: Vec<usize> = pool
+            .classes
+            .iter()
+            .flat_map(|c| c.iter().map(|b| b.capacity()))
+            .collect();
+        assert_eq!(spares, [4]);
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! transaction may reuse it — keeping memory proportional to the number of
 //! *live* transactions rather than the length of the stream.
 
-use std::collections::HashMap;
-
-use awdit_core::incremental::{CommitView, TxnOp};
-use awdit_core::{DenseId, ExtRead, Key, TxnId};
+use awdit_core::incremental::{CommitView, ReadFrom, TxnOp};
+use awdit_core::{DenseId, ExtRead, Key, ReadCols, TxnId};
 
 /// Per-transaction derived data, mirroring the batch index's layout.
-#[derive(Clone, Debug)]
+///
+/// A slot keeps its metadata's buffers when its transaction retires, and
+/// the next transaction placed there refills them
+/// ([`refill`](Self::refill)), so a warm stream derives each transaction's
+/// metadata without allocating.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TxnMeta {
     /// User-facing transaction id.
     pub txn_id: TxnId,
@@ -25,15 +28,11 @@ pub struct TxnMeta {
     pub committed_pos: u32,
     /// Sorted, deduplicated keys written.
     pub keys_written: Vec<Key>,
-    /// Sorted, deduplicated keys read externally (committed writers).
-    pub keys_read: Vec<Key>,
-    /// Writer of the `po`-first external read per key (parallel to
-    /// `keys_read`).
-    pub first_writer_per_key: Vec<DenseId>,
+    /// Sorted keys read externally (committed writers), the writer of the
+    /// `po`-first read of each, and the distinct `(key, writer)` pairs.
+    pub reads: ReadCols,
     /// External reads in program order.
     pub ext_reads: Vec<ExtRead>,
-    /// Distinct `(key, writer)` pairs, sorted.
-    pub read_pairs: Vec<(Key, DenseId)>,
     /// The transaction's operations in program order (its writes leave
     /// the value map at pruning).
     pub ops: Vec<TxnOp>,
@@ -44,16 +43,99 @@ pub struct TxnMeta {
     pub pending_readers: u32,
 }
 
+impl Default for TxnMeta {
+    fn default() -> Self {
+        TxnMeta {
+            txn_id: TxnId::new(0, 0),
+            session: 0,
+            committed_pos: 0,
+            keys_written: Vec::new(),
+            reads: ReadCols::default(),
+            ext_reads: Vec::new(),
+            ops: Vec::new(),
+            final_writes: Vec::new(),
+            pending_readers: 0,
+        }
+    }
+}
+
+impl TxnMeta {
+    /// Re-derives the metadata for committed transaction `txn_id` at
+    /// `committed_pos` of `session`, reusing this metadata's buffers. The
+    /// operations are swapped in: `ops` gets back the previous buffer,
+    /// cleared. `writer_slot` gives the slot of an external read's writer
+    /// (the streaming analog of `HistoryIndex`'s dense numbering); a read
+    /// whose writer has none is not an external read.
+    pub fn refill(
+        &mut self,
+        txn_id: TxnId,
+        session: u32,
+        committed_pos: u32,
+        ops: &mut Vec<TxnOp>,
+        mut writer_slot: impl FnMut(TxnId) -> Option<DenseId>,
+    ) {
+        std::mem::swap(&mut self.ops, ops);
+        ops.clear();
+        self.txn_id = txn_id;
+        self.session = session;
+        self.committed_pos = committed_pos;
+        self.pending_readers = 0;
+        self.ext_reads.clear();
+        self.final_writes.clear();
+        for (p, op) in self.ops.iter().enumerate() {
+            match *op {
+                TxnOp::Write(key, _) => self.final_writes.push((key, p as u32)),
+                TxnOp::Read(key, _, ReadFrom::External(w)) => {
+                    if let Some(writer) = writer_slot(w.txn) {
+                        self.ext_reads.push(ExtRead {
+                            key,
+                            writer,
+                            op: p as u32,
+                        });
+                    }
+                }
+                TxnOp::Read(..) => {}
+            }
+        }
+        // The po-last write of each key, by key.
+        self.final_writes
+            .sort_unstable_by_key(|&(k, p)| (k, std::cmp::Reverse(p)));
+        self.final_writes.dedup_by_key(|w| w.0);
+        self.keys_written.clear();
+        self.keys_written
+            .extend(self.final_writes.iter().map(|w| w.0));
+        // The same read-column derivation the batch `HistoryIndex` runs, so
+        // the two sides cannot drift.
+        self.reads.fill(&self.ext_reads);
+    }
+}
+
+/// One slab slot: its metadata stays in place (buffers and all) while the
+/// slot is free.
+#[derive(Debug, Default)]
+struct Slot {
+    live: bool,
+    meta: TxnMeta,
+}
+
 /// Slab-backed streaming index over the live committed transactions.
+///
+/// A free slot keeps its [`TxnMeta`] buffers for the next transaction
+/// placed there, and [`clear`](Self::clear) keeps every slot's, while
+/// handing slots out again in the order a fresh index would.
 #[derive(Debug, Default)]
 pub struct StreamIndex {
-    slots: Vec<Option<TxnMeta>>,
+    slots: Vec<Slot>,
+    /// Slots handed out since the last clear: `slots[used..]` are warm
+    /// buffers from an earlier stream.
+    used: usize,
     free: Vec<u32>,
     live: usize,
     num_sessions: usize,
-    /// Per key: sessions writing it (ascending), each with its live
-    /// committed writers in session order — the `Writes_s'[x]` arrays.
-    writes_by_key: HashMap<Key, Vec<(u32, Vec<DenseId>)>>,
+    /// Per key (indexed by the interned [`Key`]): sessions writing it
+    /// (ascending), each with its live committed writers in session order
+    /// — the `Writes_s'[x]` arrays.
+    writes_by_key: Vec<Vec<(u32, Vec<DenseId>)>>,
 }
 
 impl StreamIndex {
@@ -68,13 +150,18 @@ impl StreamIndex {
     }
 
     /// Empties the index for a fresh stream, retaining the slab's and the
-    /// write map's allocation capacity.
+    /// write lists' allocation capacity.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        for slot in &mut self.slots[..self.used] {
+            slot.live = false;
+        }
+        self.used = 0;
         self.free.clear();
         self.live = 0;
         self.num_sessions = 0;
-        self.writes_by_key.clear();
+        for per_session in &mut self.writes_by_key {
+            per_session.clear();
+        }
     }
 
     /// Tracks that `k` sessions exist.
@@ -82,27 +169,41 @@ impl StreamIndex {
         self.num_sessions = self.num_sessions.max(k);
     }
 
-    /// Inserts a processed transaction, returning its slot.
-    pub fn insert(&mut self, meta: TxnMeta) -> DenseId {
+    /// Inserts a processed transaction, returning its slot: `fill` writes
+    /// the transaction's metadata over the slot's previous one (see
+    /// [`TxnMeta::refill`]), and the transaction joins the write lists of
+    /// the keys it writes.
+    pub fn insert(&mut self, fill: impl FnOnce(&mut TxnMeta)) -> DenseId {
         let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(meta);
-                s
-            }
+            Some(s) => s,
             None => {
-                self.slots.push(Some(meta));
-                (self.slots.len() - 1) as u32
+                if self.used == self.slots.len() {
+                    self.slots.push(Slot::default());
+                }
+                self.used += 1;
+                (self.used - 1) as u32
             }
         };
+        let Self {
+            slots,
+            writes_by_key,
+            ..
+        } = self;
+        let entry = &mut slots[slot as usize];
+        debug_assert!(!entry.live, "slot {slot} already live");
+        fill(&mut entry.meta);
+        entry.live = true;
         self.live += 1;
-        let m = self.slots[slot as usize].as_ref().unwrap();
-        let (session, pos, keys) = (m.session, m.committed_pos, m.keys_written.clone());
-        for key in keys {
-            let per_session = self.writes_by_key.entry(key).or_default();
-            let i = match per_session.binary_search_by_key(&session, |&(s, _)| s) {
+        let m = &slots[slot as usize].meta;
+        for &key in &m.keys_written {
+            if writes_by_key.len() <= key.index() {
+                writes_by_key.resize_with(key.index() + 1, Vec::new);
+            }
+            let per_session = &mut writes_by_key[key.index()];
+            let i = match per_session.binary_search_by_key(&m.session, |&(s, _)| s) {
                 Ok(i) => i,
                 Err(i) => {
-                    per_session.insert(i, (session, Vec::new()));
+                    per_session.insert(i, (m.session, Vec::new()));
                     i
                 }
             };
@@ -111,7 +212,7 @@ impl StreamIndex {
             debug_assert!(per_session[i]
                 .1
                 .last()
-                .is_none_or(|&w| self.slots[w as usize].as_ref().unwrap().committed_pos < pos));
+                .is_none_or(|&w| slots[w as usize].meta.committed_pos < m.committed_pos));
             per_session[i].1.push(slot);
         }
         slot
@@ -123,26 +224,31 @@ impl StreamIndex {
     ///
     /// Panics if the slot is free.
     pub fn meta(&self, d: DenseId) -> &TxnMeta {
-        self.slots[d as usize].as_ref().expect("live slot")
+        let slot = &self.slots[d as usize];
+        assert!(slot.live, "live slot");
+        &slot.meta
     }
 
     /// Mutable metadata of a live slot.
     pub fn meta_mut(&mut self, d: DenseId) -> &mut TxnMeta {
-        self.slots[d as usize].as_mut().expect("live slot")
+        let slot = &mut self.slots[d as usize];
+        assert!(slot.live, "live slot");
+        &mut slot.meta
     }
 
     /// Iterates over the live slots.
     pub fn live_slots(&self) -> impl Iterator<Item = (DenseId, &TxnMeta)> {
-        self.slots
+        self.slots[..self.used]
             .iter()
             .enumerate()
-            .filter_map(|(i, m)| m.as_ref().map(|m| (i as u32, m)))
+            .filter(|(_, s)| s.live)
+            .map(|(i, s)| (i as u32, &s.meta))
     }
 
     /// The live writers of `key` in session `s`, in session order.
     pub fn session_key_writers(&self, s: u32, key: Key) -> &[DenseId] {
         self.writes_by_key
-            .get(&key)
+            .get(key.index())
             .and_then(|per_session| {
                 per_session
                     .binary_search_by_key(&s, |&(sess, _)| sess)
@@ -153,20 +259,20 @@ impl StreamIndex {
     }
 
     /// Retires a slot: removes it from the write lists and frees it for
-    /// reuse. Returns the retired metadata (for value-map cleanup).
-    pub fn retire(&mut self, d: DenseId) -> TxnMeta {
-        let meta = self.slots[d as usize].take().expect("live slot");
+    /// reuse. Returns the retired metadata (for value-map cleanup), which
+    /// stays in the slot until the slot is reused.
+    pub fn retire(&mut self, d: DenseId) -> &TxnMeta {
+        let slot = &mut self.slots[d as usize];
+        assert!(slot.live, "live slot");
+        slot.live = false;
         self.live -= 1;
+        let meta = &slot.meta;
         for &key in &meta.keys_written {
-            if let Some(per_session) = self.writes_by_key.get_mut(&key) {
-                if let Ok(i) = per_session.binary_search_by_key(&meta.session, |&(s, _)| s) {
-                    per_session[i].1.retain(|&w| w != d);
-                    if per_session[i].1.is_empty() {
-                        per_session.remove(i);
-                    }
-                }
-                if per_session.is_empty() {
-                    self.writes_by_key.remove(&key);
+            let per_session = &mut self.writes_by_key[key.index()];
+            if let Ok(i) = per_session.binary_search_by_key(&meta.session, |&(s, _)| s) {
+                per_session[i].1.retain(|&w| w != d);
+                if per_session[i].1.is_empty() {
+                    per_session.remove(i);
                 }
             }
         }
@@ -192,19 +298,19 @@ impl CommitView for StreamIndex {
         &self.meta(d).keys_written
     }
     fn keys_read(&self, d: DenseId) -> &[Key] {
-        &self.meta(d).keys_read
+        &self.meta(d).reads.keys_read
     }
     fn first_writers(&self, d: DenseId) -> &[DenseId] {
-        &self.meta(d).first_writer_per_key
+        &self.meta(d).reads.first_writers
     }
     fn writes_key(&self, d: DenseId, key: Key) -> bool {
         self.meta(d).keys_written.binary_search(&key).is_ok()
     }
     fn read_pairs(&self, d: DenseId) -> &[(Key, DenseId)] {
-        &self.meta(d).read_pairs
+        &self.meta(d).reads.read_pairs
     }
     fn for_each_key_writes(&self, key: Key, mut f: impl FnMut(u32, u32, &[DenseId])) {
-        if let Some(per_session) = self.writes_by_key.get(&key) {
+        if let Some(per_session) = self.writes_by_key.get(key.index()) {
             for (s, writers) in per_session {
                 f(*s, 0, writers);
             }

@@ -55,7 +55,9 @@ pub mod index;
 pub mod shutdown;
 pub mod stats;
 
-pub use checker::{OnlineChecker, StreamConfig, StreamError, StreamOutcome, StreamViolation};
+pub use checker::{
+    OnlineChecker, StreamConfig, StreamError, StreamOutcome, StreamViolation, MAX_SESSIONS,
+};
 pub use dag::{DagEdge, IncrementalDag};
 pub use event::{events_of_history, for_each_event, Event};
 pub use index::{StreamIndex, TxnMeta};

@@ -633,3 +633,66 @@ fn violations_endpoint_pages_and_long_polls() {
     assert!(polled.contains("\"finished\":true"), "{polled}");
     ts.stop();
 }
+
+/// A tenant that names more sessions than one stream checker accepts is
+/// refused with 409 and the typed message, after the events before the
+/// offending one were applied; another tenant on the same server still
+/// streams and finishes consistent.
+#[test]
+fn too_many_stream_sessions_return_409() {
+    use awdit::stream::MAX_SESSIONS;
+
+    let ts = TestServer::start(exact_causal_config());
+    let mut events = Vec::new();
+    for s in 0..=MAX_SESSIONS as u64 {
+        events.push(Event::Begin { session: s });
+        events.push(Event::Write {
+            session: s,
+            key: 1,
+            value: s,
+        });
+        events.push(Event::Commit { session: s });
+    }
+    let (status, body) = request(
+        ts.addr,
+        "POST",
+        "/v1/sessions/wide/events",
+        &ndjson(&events),
+    );
+    assert_eq!(status, 409, "{body}");
+    assert!(
+        body.contains(&format!("more than {MAX_SESSIONS} sessions in one stream")),
+        "{body}"
+    );
+    assert_eq!(
+        json_u64(&body, "accepted"),
+        3 * MAX_SESSIONS as u64,
+        "{body}"
+    );
+
+    // A serial stream: each transaction reads the previous one's write.
+    let mut calm = Vec::new();
+    for t in 0..200u64 {
+        let session = t % 4;
+        calm.push(Event::Begin { session });
+        if t > 0 {
+            calm.push(Event::Read {
+                session,
+                key: t % 3,
+                value: t - 1,
+            });
+        }
+        calm.push(Event::Write {
+            session,
+            key: (t + 1) % 3,
+            value: t,
+        });
+        calm.push(Event::Commit { session });
+    }
+    let (status, body) = request(ts.addr, "POST", "/v1/sessions/calm/events", &ndjson(&calm));
+    assert_eq!(status, 200, "{body}");
+    let (status, finish) = request(ts.addr, "POST", "/v1/sessions/calm/finish", "");
+    assert_eq!(status, 200, "{finish}");
+    assert!(finish.contains("\"consistent\":true"), "{finish}");
+    ts.stop();
+}

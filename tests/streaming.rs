@@ -801,3 +801,52 @@ fn converted_stream_reads_follow_their_writes_under_pruning() {
     assert_eq!(outcome.stats().horizon_misses, 0);
     assert!(outcome.is_consistent(), "{:?}", outcome.violations());
 }
+
+/// A checker reused through `drain` (how `awdit serve` recycles a tenant's
+/// checker) keeps its warm buffers, index slots and graph lists, yet
+/// reports exactly what a fresh checker reports on the next stream: the
+/// same violations in the same order and the same statistics, pruned and
+/// exact, at every level.
+#[test]
+fn drained_checker_matches_a_fresh_one_on_the_next_stream() {
+    let params = GenParams {
+        sessions: 5,
+        txns: 400,
+        keys: 6,
+        max_txn_ops: 6,
+        read_ratio: 0.5,
+        staleness: 0.4,
+    };
+    let streams: Vec<Vec<Event>> = (0..4u64)
+        .map(|seed| match seed % 2 {
+            0 => arrival_events(&random_noisy_history(seed, params)),
+            _ => arrival_events(&random_plausible_history(seed, params)),
+        })
+        .collect();
+    let (mut inconsistent, mut retired) = (0, 0);
+    for level in IsolationLevel::ALL {
+        for prune in [true, false] {
+            let cfg = StreamConfig {
+                level,
+                prune,
+                prune_interval: 4,
+                ..StreamConfig::default()
+            };
+            let mut reused = OnlineChecker::with_config(cfg);
+            for (i, events) in streams.iter().enumerate() {
+                for e in events {
+                    reused.apply(e).unwrap();
+                }
+                let warm = reused.drain().unwrap();
+                let fresh = run_events(events, cfg);
+                let label = format!("stream {i}, {level}, prune {prune}");
+                assert_eq!(warm.violations(), fresh.violations(), "{label}");
+                assert_eq!(warm.stats(), fresh.stats(), "{label}");
+                inconsistent += usize::from(!fresh.is_consistent());
+                retired += fresh.stats().retired_txns;
+            }
+        }
+    }
+    assert!(inconsistent > 6, "only {inconsistent} inconsistent runs");
+    assert!(retired > 1000, "only {retired} retirements");
+}
