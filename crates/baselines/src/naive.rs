@@ -67,8 +67,7 @@ pub fn check_naive(history: &History, level: IsolationLevel) -> bool {
 
 fn ra_visible(index: &HistoryIndex, t3: u32) -> Vec<u32> {
     let mut vis = Vec::new();
-    let tid = index.txn_id(t3);
-    let list = index.session_committed(SessionId(tid.session));
+    let list = index.session_committed(SessionId(index.session_of(t3)));
     let pos = index.committed_pos(t3) as usize;
     vis.extend_from_slice(&list[..pos]);
     for r in index.ext_reads(t3) {

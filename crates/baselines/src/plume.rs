@@ -106,8 +106,7 @@ impl<'h> PlumeChecker<'h> {
             IsolationLevel::ReadAtomic => {
                 for t3 in 0..m as u32 {
                     // so case, exhaustively over *all* session predecessors.
-                    let tid = index.txn_id(t3);
-                    let list = index.session_committed(SessionId(tid.session));
+                    let list = index.session_committed(SessionId(index.session_of(t3)));
                     let pos = index.committed_pos(t3) as usize;
                     for &t2 in &list[..pos] {
                         self.infer_all_keys(&mut g, t2, t3);
@@ -126,7 +125,7 @@ impl<'h> PlumeChecker<'h> {
                 let k = index.num_sessions();
                 for t3 in 0..m as u32 {
                     let clock = clocks.row(t3);
-                    let own = index.txn_id(t3).session;
+                    let own = index.session_of(t3);
                     for &(x, t1) in index.read_pairs(t3) {
                         for s in 0..k as u32 {
                             let bound = if s == own {

@@ -101,8 +101,7 @@ pub fn check_sat(history: &History, level: IsolationLevel, max_txns: usize) -> O
         }
         IsolationLevel::ReadAtomic => {
             for t3 in 0..m as u32 {
-                let tid = index.txn_id(t3);
-                let list = index.session_committed(SessionId(tid.session));
+                let list = index.session_committed(SessionId(index.session_of(t3)));
                 let pos = index.committed_pos(t3) as usize;
                 let mut visible: Vec<u32> = list[..pos].to_vec();
                 visible.extend(index.ext_reads(t3).iter().map(|r| r.writer));

@@ -114,8 +114,9 @@ THREADS: `check` worker threads within one history (1 = sequential,
          `check` streams each file straight into the engine's recycled
          ingest arenas and checks it before reading the next, at every
          thread count (peak memory is one history's); text files
-         parse line by line on one thread; above 1 thread saturation
-         runs sharded, while files are still checked one after another;
+         parse line by line on one thread; above 1 thread the index
+         build (with its Read Consistency pass) and saturation run
+         sharded, while files are still checked one after another;
          `watch` and serve's tenants check each stream on one thread
 CHECK: accepts several FILEs and/or a DIR (every file inside, sorted);
          --report json emits the versioned machine-readable report

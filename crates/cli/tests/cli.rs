@@ -1066,3 +1066,56 @@ fn generate_picks_the_format_from_the_extension() {
     assert_eq!(generated_report, report("converted"));
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A 43-byte history naming session 1,000,000 holds one transaction.
+/// Per-session check state covers only sessions with a committed
+/// transaction, so `check --isolation cc` (whose clock frontiers are
+/// `k × k`) finishes under a 4 GB address-space cap, as text and as an
+/// `.awb` whose session-offset section lists a million empty sessions.
+#[test]
+fn a_million_empty_sessions_check_under_a_memory_cap() {
+    let text = tmp("million-sessions.awdit");
+    let text_bytes = "awdit-history v1\nsession 1000000\nc: w(0,1)\n";
+    assert_eq!(text_bytes.len(), 43);
+    std::fs::write(&text, text_bytes).unwrap();
+    let awb = tmp("million-sessions.awb");
+    let out = awdit()
+        .args(["convert", "--to", "awb"])
+        .arg(&text)
+        .arg("-o")
+        .arg(&awb)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // 1,000,002 session offsets of 4 bytes each.
+    assert!(std::fs::metadata(&awb).unwrap().len() > 4_000_000);
+    for file in [&text, &awb] {
+        for level in ["cc", "all"] {
+            let out = Command::new("sh")
+                .arg("-c")
+                .arg(r#"ulimit -v 4000000 && exec "$0" check --isolation "$1" "$2""#)
+                .arg(env!("CARGO_BIN_EXE_awdit"))
+                .arg(level)
+                .arg(file)
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{} --isolation {level}: {stdout}{}",
+                file.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(stdout.contains("1000001 sessions"), "{stdout}");
+            assert!(stdout.contains("consistent"), "{stdout}");
+            assert!(!stdout.contains("inconsistent"), "{stdout}");
+        }
+    }
+    let _ = std::fs::remove_file(text);
+    let _ = std::fs::remove_file(awb);
+}

@@ -64,8 +64,9 @@ pub enum CcStrategy {
 /// live rows plus one block of [`saturate_cc_into`]'s loop. Provenance
 /// keeps all rows ([`compute_hb_into`]).
 ///
-/// Entry `s` of a row counts session `s`'s committed transactions the
-/// row's transaction has seen. Because batch dense ids are session-major,
+/// Entry `s` of a row counts index session `s`'s committed transactions
+/// the row's transaction has seen ([`HistoryIndex`] numbers only sessions
+/// that hold a committed transaction, so empty sessions cost no entry). Because batch dense ids are session-major,
 /// that count added to the session's first dense id is the id of its first
 /// unseen transaction, so the CC kernel compares an entry with writer ids
 /// directly ([`HistoryIndex::writers_before`],

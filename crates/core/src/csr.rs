@@ -8,14 +8,10 @@
 //! iterating rows in order is a linear scan and random row access is two
 //! array reads.
 //!
-//! Two builders cover the construction patterns in this crate:
-//!
-//! * [`CsrBuilder`] — rows are produced **in row order** (the
-//!   [`HistoryIndex`](crate::HistoryIndex) per-transaction sweep): append
-//!   values, close the row, repeat.
-//! * [`Csr::from_pairs`] — rows are produced **out of order** as
-//!   `(row, value)` pairs (the by-key write lists): counting sort into
-//!   place, preserving the relative order of values within a row.
+//! Rows are produced **in row order** through a [`CsrBuilder`]: append
+//! values, close the row, repeat. Builders of consecutive row ranges join
+//! with [`CsrBuilder::append`] (the sharded rows pass of
+//! [`HistoryIndex::rebuild`](crate::HistoryIndex::rebuild)).
 //!
 //! The module also hosts [`ReadCols`], the shared derivation of the
 //! per-transaction read columns (`keys_read`, first writer per key, distinct
@@ -150,29 +146,6 @@ impl<T> Csr<T> {
     }
 }
 
-impl<T: Clone + Default> Csr<T> {
-    /// Builds a CSR with `rows` rows from unordered `(row, value)` pairs,
-    /// preserving the relative order of the pairs within each row
-    /// (counting sort; `O(pairs + rows)`).
-    pub fn from_pairs(rows: usize, pairs: &[(u32, T)]) -> Self {
-        let mut offsets = vec![0u32; rows + 1];
-        for &(r, _) in pairs {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut values = vec![T::default(); pairs.len()];
-        for (r, v) in pairs {
-            let c = &mut cursor[*r as usize];
-            values[*c as usize] = v.clone();
-            *c += 1;
-        }
-        Csr { offsets, values }
-    }
-}
-
 /// Builds a [`Csr`] whose rows are produced in row order.
 #[derive(Clone, Debug)]
 pub struct CsrBuilder<T> {
@@ -193,6 +166,24 @@ impl<T> CsrBuilder<T> {
             offsets: vec![0],
             values: Vec::new(),
         }
+    }
+
+    /// Makes room for `rows` more rows and `values` more values, growing
+    /// each buffer to exactly what it needs if it has less.
+    pub fn reserve_exact(&mut self, rows: usize, values: usize) {
+        self.offsets.reserve_exact(rows);
+        self.values.reserve_exact(values);
+    }
+
+    /// Appends the closed rows of `next`.
+    pub fn append(&mut self, next: &CsrBuilder<T>)
+    where
+        T: Copy,
+    {
+        let base = self.values.len() as u32;
+        self.offsets
+            .extend(next.offsets[1..].iter().map(|&end| base + end));
+        self.values.extend_from_slice(&next.values);
     }
 
     /// Appends one value to the row currently being built.
@@ -302,15 +293,36 @@ mod tests {
         assert_eq!(c.iter_rows().count(), 0);
     }
 
+    /// Builders of consecutive row ranges, appended in order, give the rows
+    /// of one build for every split, inside the room reserved up front.
     #[test]
-    fn from_pairs_is_stable_within_rows() {
-        // Row 1 receives 30 then 10: insertion order must be preserved.
-        let pairs = [(1u32, 30u32), (0, 7), (1, 10), (2, 5)];
-        let c = Csr::from_pairs(4, &pairs);
-        assert_eq!(c.row(0), &[7]);
-        assert_eq!(c.row(1), &[30, 10]);
-        assert_eq!(c.row(2), &[5]);
-        assert!(c.row(3).is_empty());
+    fn append_joins_consecutive_row_ranges() {
+        let rows: Vec<Vec<u32>> = (0..9u32)
+            .map(|r| (0..r % 4).map(|v| r * 10 + v).collect())
+            .collect();
+        let build = |rows: &[Vec<u32>]| {
+            let mut b = CsrBuilder::new();
+            for row in rows {
+                b.push_row(row.iter().copied());
+            }
+            b
+        };
+        let whole = build(&rows).finish();
+        for cut in [
+            vec![0, 9],
+            vec![0, 3, 9],
+            vec![0, 1, 2, 5, 9],
+            vec![0, 0, 9, 9],
+        ] {
+            let mut joined = CsrBuilder::new();
+            joined.reserve_exact(rows.len(), whole.num_values());
+            let room = (joined.offsets.capacity(), joined.values.capacity());
+            for w in cut.windows(2) {
+                joined.append(&build(&rows[w[0]..w[1]]));
+            }
+            assert_eq!((joined.offsets.capacity(), joined.values.capacity()), room);
+            assert_eq!(joined.finish(), whole, "cut {cut:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   arenas (`.awb` files bulk-load) and checks it before reading the
 //!   next, so peak memory is bounded by the largest single history. Text
 //!   parses line by line at every thread count. The `threads` knob
-//!   parallelizes *within* a history — sharded saturation — never across
-//!   histories; outcomes are bit-identical at every thread count.
+//!   parallelizes *within* a history — the sharded index build, which
+//!   checks Read Consistency in the same pass, and sharded saturation —
+//!   never across histories; outcomes are bit-identical at every thread
+//!   count.
 //! * **Pluggable edges.** [`HistorySource`] abstracts where histories
 //!   come from (files, directories, NDJSON streams in `awdit-formats`;
 //!   simulator fleets in `awdit-simdb`).
@@ -60,9 +62,8 @@ use crate::linearize::commit_order_from_graph;
 use crate::parallel;
 use crate::ra::{check_ra_single_session, check_repeatable_reads, saturate_ra_into};
 use crate::rc::saturate_rc_into;
-use crate::read_consistency::check_read_consistency;
 use crate::types::{SessionId, TxnId};
-use crate::witness::{ReadConsistencyViolation, Violation, WitnessCycle};
+use crate::witness::{Violation, WitnessCycle};
 use awdit_obs::Obs;
 
 /// The tuning knobs shared by every engine entry point — single checks
@@ -79,10 +80,11 @@ pub struct EngineConfig {
     /// check.
     pub max_cycles: usize,
     /// Worker threads (`1` = sequential, `0` = all cores) for the work
-    /// inside one history: the sharded saturators. Parsing is sequential,
-    /// and histories of a source are checked one after another at every
-    /// value; outcomes are bit-identical for every value. At `1` the
-    /// engine spawns no thread.
+    /// inside one history: the sharded index build (with its Read
+    /// Consistency pass, [`HistoryIndex::rebuild`]) and the sharded
+    /// saturators. Parsing is sequential, and histories of a source are
+    /// checked one after another at every value; outcomes are identical
+    /// for every value. At `1` the engine spawns no thread.
     pub threads: usize,
 }
 
@@ -120,8 +122,9 @@ pub struct EngineStats {
     /// clock table + ingest), in bytes (capacities, not lengths). The
     /// metrics registry splits it by arena: the gauges
     /// `awdit_engine_arena_bytes{arena="history"|"ingest"|"index"|"graph"|"clocks"}`
-    /// sum to the unlabeled `awdit_engine_arena_bytes`. After a CC check
-    /// it is the same at every thread count.
+    /// sum to the unlabeled `awdit_engine_arena_bytes`. The `index` arena
+    /// is the same at every thread count, and after a CC check so is the
+    /// total.
     pub arena_bytes: usize,
     /// The resolved worker-thread count this engine runs with. A config
     /// of `0` ("all cores") is resolved against the machine's available
@@ -255,14 +258,14 @@ impl Engine {
     }
 
     /// Checks one history against all three levels, weakest first,
-    /// building the index — and checking Read Consistency — once.
+    /// building the index — and checking Read Consistency with it — once.
     pub fn check_all_levels(&mut self, history: &History) -> [Outcome; 3] {
         self.check_levels(history, IsolationLevel::ALL)
     }
 
-    /// One full check — Read Consistency, index rebuild, then per-level
-    /// saturation — on the handle's recycled arenas: the shared body of
-    /// every check entry point.
+    /// One full check — the index rebuild, which checks Read Consistency
+    /// in the same pass, then per-level saturation — on the handle's
+    /// recycled arenas: the shared body of every check entry point.
     fn check_levels<const N: usize>(
         &mut self,
         history: &History,
@@ -271,20 +274,15 @@ impl Engine {
         let obs = self.obs.clone();
         let _ctx = awdit_obs::set_current(&obs);
         let _check = obs.span("check");
-        let read_consistency = {
-            let _s = obs.span("read_consistency");
-            check_read_consistency(history)
-        };
         {
             let _s = obs.span("index_rebuild");
-            self.index.rebuild(history);
+            self.index.rebuild(&self.pool, self.cfg.threads, history);
         }
         let out = levels.map(|level| {
             check_prepared_into(
                 &self.pool,
                 &self.cfg,
                 &self.index,
-                &read_consistency,
                 level,
                 &mut self.graph,
                 &mut self.clocks,
@@ -309,8 +307,8 @@ impl Engine {
     /// passed to `each` is the engine's ingest arena, valid for the call.
     ///
     /// Sources parse on the calling thread; the engine's workers shard
-    /// saturation inside one history at a time, and outcomes are
-    /// bit-identical at every thread count.
+    /// the index build and saturation inside one history at a time, and
+    /// outcomes are bit-identical at every thread count.
     ///
     /// # Errors
     ///
@@ -511,21 +509,20 @@ impl HistorySink for Engine {
     }
 }
 
-/// The per-level check over a pre-built index and pre-computed Read
-/// Consistency violations, saturating into the caller's graph arena —
+/// The per-level check over a pre-built index (which holds the Read
+/// Consistency violations), saturating into the caller's graph arena —
 /// the single code path behind every engine entry point.
-#[allow(clippy::too_many_arguments)] // the one shared body behind every entry point
 fn check_prepared_into(
     pool: &parallel::Pool,
     cfg: &EngineConfig,
     index: &HistoryIndex,
-    read_consistency: &[ReadConsistencyViolation],
     level: IsolationLevel,
     graph: &mut CommitGraph,
     clocks: &mut ClockTable,
 ) -> Outcome {
     let obs = awdit_obs::current();
-    let mut violations: Vec<Violation> = read_consistency
+    let mut violations: Vec<Violation> = index
+        .read_violations()
         .iter()
         .map(|v| Violation::ReadConsistency(*v))
         .collect();
@@ -553,7 +550,7 @@ fn check_prepared_into(
             );
         }
         IsolationLevel::ReadAtomic => {
-            if index.num_sessions() <= 1 {
+            if index.num_history_sessions() <= 1 {
                 // Theorem 1.6: linear-time single-session special case.
                 let vs = check_ra_single_session(index);
                 let ok = vs.is_empty();

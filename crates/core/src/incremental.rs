@@ -57,9 +57,11 @@ use crate::witness::ReadConsistencyViolation;
 /// positions from scratch. The visitor and the kernel's `writer_row` are
 /// generic, so each view gets its own monomorphized kernel.
 pub trait CommitView {
-    /// Number of sessions seen so far.
+    /// Number of sessions seen so far. Sessions are numbered densely:
+    /// [`HistoryIndex`] counts only those holding a committed
+    /// transaction, so per-session state is never spent on empty ones.
     fn num_sessions(&self) -> usize;
-    /// Session of dense transaction `d`.
+    /// Session of dense transaction `d`, in `0..num_sessions()`.
     fn session_of(&self, d: DenseId) -> u32;
     /// Position of `d` within its session, counting committed transactions.
     fn committed_pos(&self, d: DenseId) -> u32;

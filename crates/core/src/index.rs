@@ -1,4 +1,5 @@
-//! Derived indexes over a history, shared by all checkers.
+//! Derived indexes over a history, shared by all checkers, and the Read
+//! Consistency pass that builds them.
 //!
 //! The checkers in this crate never walk the raw [`History`] on their hot
 //! paths. Instead, a [`HistoryIndex`] is built once in `O(n log n)` time and
@@ -6,11 +7,35 @@
 //!
 //! * a dense numbering `0..m` of the committed transactions (so that the
 //!   commit-relation graph and stamp arrays can use plain vectors),
+//! * a dense numbering `0..k` of the sessions that hold a committed
+//!   transaction, in the history's session order (so that per-session
+//!   state — CC clocks, RA shards — costs nothing for empty sessions),
 //! * per-transaction sorted key sets `KeysWt(t)` / `KeysRd(t)`,
 //! * the operation-level external reads of every transaction in program
 //!   order (the `wr` relation, pre-filtered to committed writers),
 //! * per-`(session, key)` write lists in session order (the `Writes_s'[x]`
-//!   arrays of Algorithm 3).
+//!   arrays of Algorithm 3),
+//! * every Read Consistency violation (Algorithm 4), in session-major
+//!   program order.
+//!
+//! # One pass
+//!
+//! [`rebuild`](HistoryIndex::rebuild) walks the operations of the
+//! committed transactions once, in dense order: each operation feeds the
+//! shared [`ReadCheck`] step (the five axioms, which the streaming checker
+//! runs too) and the transaction's index rows in the same loop. The walk
+//! is split into contiguous dense-id ranges on the engine's pool. Axiom
+//! (e) asks whether an external read saw its writer's final write of the
+//! key, and the writer may lie in any range, so a first sharded sweep sets
+//! a per-op "overwritten later in its transaction" bit with a stamped
+//! reverse scan per transaction, and counts each range's writes and
+//! reads, which bound the room every row column needs. The first range
+//! then builds its rows straight into the recycled columns, reserved for
+//! the whole history, and each later range into its own builders; their
+//! rows and violation lists are appended in dense order, so the index and
+//! the violations are identical at every thread count, and at one thread
+//! nothing is copied. The by-key write lists are one sequential counting
+//! sort over the `keys_written` rows.
 //!
 //! # Layout
 //!
@@ -21,12 +46,18 @@
 //! map — row lookup is arithmetic, iteration is a linear scan, and the
 //! whole index is a handful of allocations regardless of history size.
 //! The same layout also makes the index trivially `Sync`-shareable across
-//! the sharded saturation workers of [`parallel`](crate::parallel).
+//! the sharded saturation workers of [`parallel`].
 
-use crate::csr::{Csr, ReadCols};
+use std::ops::Range;
+use std::sync::Mutex;
+
+use crate::csr::{Csr, CsrBuilder, ReadCols};
 use crate::history::History;
+use crate::incremental::{ReadCheck, ReadFinding, ReadFrom, TxnOp};
 use crate::op::{Op, ReadSource};
-use crate::types::{Key, SessionId, TxnId};
+use crate::parallel::{self, Pool};
+use crate::types::{Key, OpLoc, SessionId, TxnId};
+use crate::witness::ReadConsistencyViolation;
 
 /// Dense identifier of a committed transaction (index into
 /// [`HistoryIndex::txn_ids`]).
@@ -49,19 +80,27 @@ pub struct ExtRead {
 }
 
 /// Immutable derived indexes for one history. See the module docs.
+///
+/// Sessions come in two numberings. A [`TxnId`] — what
+/// [`txn_id`](Self::txn_id) returns and [`dense_id`](Self::dense_id)
+/// takes, and what reports print — carries the history's own session id.
+/// Every other session argument or result of the index is an *index
+/// session*: the sessions holding at least one committed transaction,
+/// numbered `0..num_sessions()` in the history's order. A history without
+/// empty or all-aborted sessions numbers both alike.
 #[derive(Clone, Debug)]
 pub struct HistoryIndex {
     /// `txn_ids[d]` is the [`TxnId`] of dense transaction `d`.
     txn_ids: Vec<TxnId>,
-    /// Row `s`, position `i`: the dense id of session `s`'s transaction at
-    /// session position `i` (counting aborted ones), or [`NONE`] if that
-    /// transaction aborted.
+    /// Row `s` (the history's session `s`), position `i`: the dense id of
+    /// that session's transaction at position `i` (counting aborted ones),
+    /// or [`NONE`] if that transaction aborted.
     dense: Csr<DenseId>,
-    /// Session-local position of each dense transaction, counting committed
-    /// transactions only.
-    committed_pos: Vec<u32>,
-    /// Row `s`: dense ids of session `s`'s committed transactions in
-    /// session order.
+    /// The index session of each dense transaction.
+    txn_session: Vec<u32>,
+    /// Row `s` (index session `s`): dense ids of its committed
+    /// transactions in session order. Dense ids are session-major, so a
+    /// row is the consecutive ids from its offset on.
     session_committed: Csr<DenseId>,
     /// Row `d`: sorted, deduplicated keys written by `d`.
     keys_written: Csr<Key>,
@@ -78,16 +117,18 @@ pub struct HistoryIndex {
     /// (histories violating repeatable reads have several).
     read_pairs: Csr<(Key, DenseId)>,
     /// Two-level by-key write lists. Level 1 (`key_sessions`, rows are
-    /// keys): the sessions writing the key, ascending — only sessions with
-    /// at least one write appear. Level 2 (`key_session_writers`, rows are
-    /// level-1 *entries*): that `(key, session)`'s committed writers in
+    /// keys): the index sessions writing the key, ascending — only sessions
+    /// with at least one write appear. Level 2 (`key_session_writers`, rows
+    /// are level-1 *entries*): that `(key, session)`'s committed writers in
     /// session order.
     key_sessions: Csr<u32>,
     key_session_writers: Csr<DenseId>,
+    /// Counting-sort cursors of the by-key build, one per key plus one
+    /// (scratch, recycled with the index).
+    key_cursor: Vec<u32>,
+    /// Every Read Consistency violation, in session-major program order.
+    read_violations: Vec<ReadConsistencyViolation>,
     num_keys: usize,
-    num_sessions: usize,
-    /// Total number of external-read records (ops, not deduplicated).
-    num_ext_reads: usize,
 }
 
 impl Default for HistoryIndex {
@@ -96,11 +137,62 @@ impl Default for HistoryIndex {
     }
 }
 
+/// The writes and reads of a range's transactions.
+#[derive(Clone, Copy, Default)]
+struct OpCounts {
+    writes: usize,
+    reads: usize,
+}
+
+/// The five row columns of consecutive dense transactions, as the rows
+/// pass builds them.
+struct RowBuilders {
+    keys_written: CsrBuilder<Key>,
+    keys_read: CsrBuilder<Key>,
+    first_writers: CsrBuilder<DenseId>,
+    ext_reads: CsrBuilder<ExtRead>,
+    read_pairs: CsrBuilder<(Key, DenseId)>,
+}
+
+impl RowBuilders {
+    /// `ix`'s row columns as empty builders with room for `rows` rows and
+    /// the values of `counts`' operations: at most one key written per
+    /// write, and one entry of each read column per read. Room reserved up
+    /// front means the columns never reallocate.
+    fn take(ix: &mut HistoryIndex, rows: usize, counts: OpCounts) -> Self {
+        let (w, r) = (counts.writes, counts.reads);
+        RowBuilders {
+            keys_written: take_builder(&mut ix.keys_written, rows, w),
+            keys_read: take_builder(&mut ix.keys_read, rows, r),
+            first_writers: take_builder(&mut ix.first_writers, rows, r),
+            ext_reads: take_builder(&mut ix.ext_reads, rows, r),
+            read_pairs: take_builder(&mut ix.read_pairs, rows, r),
+        }
+    }
+
+    /// Appends the rows of `next`.
+    fn append(&mut self, next: &RowBuilders) {
+        self.keys_written.append(&next.keys_written);
+        self.keys_read.append(&next.keys_read);
+        self.first_writers.append(&next.first_writers);
+        self.ext_reads.append(&next.ext_reads);
+        self.read_pairs.append(&next.read_pairs);
+    }
+}
+
+/// `csr`'s buffers as an empty builder with room for `rows` rows and
+/// `values` values.
+fn take_builder<T>(csr: &mut Csr<T>, rows: usize, values: usize) -> CsrBuilder<T> {
+    let mut builder = std::mem::take(csr).into_builder();
+    builder.reserve_exact(rows, values);
+    builder
+}
+
 impl HistoryIndex {
-    /// Builds the index for `history`.
+    /// Builds the index for `history` on the calling thread.
     pub fn new(history: &History) -> Self {
         let mut index = Self::empty();
-        index.rebuild(history);
+        index.rebuild(&Pool::new(1), 1, history);
         index
     }
 
@@ -110,7 +202,7 @@ impl HistoryIndex {
         HistoryIndex {
             txn_ids: Vec::new(),
             dense: Csr::new(),
-            committed_pos: Vec::new(),
+            txn_session: Vec::new(),
             session_committed: Csr::new(),
             keys_written: Csr::new(),
             keys_read: Csr::new(),
@@ -119,36 +211,104 @@ impl HistoryIndex {
             read_pairs: Csr::new(),
             key_sessions: Csr::new(),
             key_session_writers: Csr::new(),
+            key_cursor: Vec::new(),
+            read_violations: Vec::new(),
             num_keys: 0,
-            num_sessions: 0,
-            num_ext_reads: 0,
         }
     }
 
-    /// Rebuilds the index for `history` **in place**, recycling every CSR
-    /// and vector buffer (capacities are kept; see
-    /// [`Csr::into_builder`]). A rebuild over a history of the same shape
-    /// performs no heap growth — the property the
-    /// [`Engine`](crate::Engine)'s arena accounting asserts.
-    pub fn rebuild(&mut self, history: &History) {
-        let num_sessions = history.num_sessions();
-        let num_keys = history.num_keys();
+    /// Rebuilds the index for `history` **in place** and checks Read
+    /// Consistency on the way (see the module docs), on up to `threads`
+    /// participants of `pool` (`0` = all cores). Every CSR and vector
+    /// buffer is recycled (capacities are kept; see
+    /// [`Csr::into_builder`]), so a rebuild over a history of the same
+    /// shape performs no heap growth — the property the
+    /// [`Engine`](crate::Engine)'s arena accounting asserts. The row
+    /// columns' capacity is a bound computed from the history alone, so
+    /// the footprint does not depend on `threads`; the per-op bits and the
+    /// builders of ranges after the first are transient.
+    pub fn rebuild(&mut self, pool: &Pool, threads: usize, history: &History) {
+        let obs = awdit_obs::current();
+        self.number_transactions(history);
+        self.num_keys = history.num_keys();
 
-        // Dense numbering of committed transactions, session-major.
-        let mut txn_ids = std::mem::take(&mut self.txn_ids);
-        txn_ids.clear();
+        let m = self.txn_ids.len();
+        let parts = if m < parallel::SEQUENTIAL_CUTOFF {
+            1
+        } else {
+            parallel::effective_threads(threads)
+        };
+        let mut ranges = parallel::split_even(m, parts);
+        if ranges.is_empty() {
+            // One range even for an empty history, so the columns reset.
+            ranges.push(0..0);
+        }
+        let rows_span = obs.span("index_rows");
+        let (overwritten, counts) = self.overwritten_bits(pool, history, &ranges);
+        // The first range builds straight into the recycled columns, sized
+        // for the whole history, and the others into their own builders,
+        // appended in range order. At one thread nothing is copied, and at
+        // any count the columns' capacity is a bound computed from the
+        // history alone.
+        let total = counts.iter().fold(OpCounts::default(), |a, c| OpCounts {
+            writes: a.writes + c.writes,
+            reads: a.reads + c.reads,
+        });
+        let first = Mutex::new(Some(RowBuilders::take(self, m, total)));
+        let this = &*self;
+        let built = parallel::map_shards(pool, parts, "index_rows", &ranges, |i, range| {
+            let mut rows = match i {
+                0 => first.lock().expect("only range 0 takes the columns").take(),
+                _ => None,
+            }
+            .unwrap_or_else(|| {
+                RowBuilders::take(&mut HistoryIndex::empty(), range.len(), counts[i])
+            });
+            let violations = this.fill_rows(history, &overwritten, range.clone(), &mut rows);
+            (rows, violations)
+        });
+        self.read_violations.clear();
+        self.read_violations
+            .reserve_exact(built.iter().map(|(_, v)| v.len()).sum());
+        let mut built = built.into_iter();
+        let (mut rows, violations) = built.next().expect("one range at least");
+        self.read_violations.extend_from_slice(&violations);
+        for (next, violations) in built {
+            rows.append(&next);
+            self.read_violations.extend_from_slice(&violations);
+        }
+        self.keys_written = rows.keys_written.finish();
+        self.keys_read = rows.keys_read.finish();
+        self.first_writers = rows.first_writers.finish();
+        self.ext_reads = rows.ext_reads.finish();
+        self.read_pairs = rows.read_pairs.finish();
+        drop(rows_span);
+
+        let _s = obs.span("index_by_key");
+        self.build_key_writes();
+    }
+
+    /// Numbers the committed transactions densely, session-major, and the
+    /// sessions holding one of them likewise.
+    fn number_transactions(&mut self, history: &History) {
+        let committed = history.committed_flags();
+        let session_offsets = history.session_offsets();
+        self.txn_ids.clear();
+        self.txn_session.clear();
         let mut dense = std::mem::take(&mut self.dense).into_builder();
-        let mut committed_pos = std::mem::take(&mut self.committed_pos);
-        committed_pos.clear();
         let mut session_committed = std::mem::take(&mut self.session_committed).into_builder();
-        for (sid, txns) in history.sessions() {
-            let mut committed_in_session = 0u32;
-            for (i, t) in txns.iter().enumerate() {
-                if t.is_committed() {
-                    let d = txn_ids.len() as DenseId;
-                    txn_ids.push(TxnId::new(sid.0, i as u32));
-                    committed_pos.push(committed_in_session);
-                    committed_in_session += 1;
+        let mut sessions = 0u32;
+        for s in 0..history.num_sessions() {
+            let first = session_offsets[s] as usize;
+            let before = self.txn_ids.len();
+            for (i, &c) in committed[first..session_offsets[s + 1] as usize]
+                .iter()
+                .enumerate()
+            {
+                if c {
+                    let d = self.txn_ids.len() as DenseId;
+                    self.txn_ids.push(TxnId::new(s as u32, i as u32));
+                    self.txn_session.push(sessions);
                     session_committed.push_value(d);
                     dense.push_value(d);
                 } else {
@@ -156,101 +316,217 @@ impl HistoryIndex {
                 }
             }
             dense.close_row();
-            session_committed.close_row();
+            if self.txn_ids.len() > before {
+                session_committed.close_row();
+                sessions += 1;
+            }
         }
-        let dense = dense.finish();
-        let session_committed = session_committed.finish();
+        self.dense = dense.finish();
+        self.session_committed = session_committed.finish();
+    }
 
-        let mut keys_written = std::mem::take(&mut self.keys_written).into_builder();
-        let mut keys_read = std::mem::take(&mut self.keys_read).into_builder();
-        let mut first_writers = std::mem::take(&mut self.first_writers).into_builder();
-        let mut ext_reads = std::mem::take(&mut self.ext_reads).into_builder();
-        let mut read_pairs = std::mem::take(&mut self.read_pairs).into_builder();
-        // Unordered (key, writer) pairs for the two-level by-key CSR; dense
-        // ids are session-major, so within one key the writers arrive
-        // grouped by session, sessions ascending, session order inside.
-        let mut write_pairs: Vec<(u32, DenseId)> = Vec::new();
-        let mut num_ext_reads = 0usize;
+    /// The index of the first operation of dense transaction `d` (or, for
+    /// `d = m`, one past the last committed transaction's operations) in
+    /// [`History::flat_ops`].
+    fn op_start(&self, history: &History, d: usize) -> usize {
+        let op_offsets = history.txn_op_offsets();
+        match self.txn_ids.get(d) {
+            Some(&t) => op_offsets[global_txn(history, t)] as usize,
+            None => self
+                .txn_ids
+                .last()
+                .map_or(0, |&t| op_offsets[global_txn(history, t) + 1] as usize),
+        }
+    }
 
-        let mut wt_scratch: Vec<Key> = Vec::new();
-        let mut er_scratch: Vec<ExtRead> = Vec::new();
-        let mut cols = ReadCols::default();
-        for (d, &tid) in txn_ids.iter().enumerate() {
-            let txn = history.txn(tid);
-            wt_scratch.clear();
-            er_scratch.clear();
-            for (p, op) in txn.ops().iter().enumerate() {
-                match *op {
-                    Op::Write { key, .. } => {
-                        wt_scratch.push(key);
-                    }
-                    Op::Read { key, source, .. } => {
-                        if let ReadSource::External { txn: wtxn, .. } = source {
-                            let wd = dense.row(wtxn.session as usize)[wtxn.index as usize];
-                            if wd != NONE {
-                                er_scratch.push(ExtRead {
-                                    key,
-                                    writer: wd,
-                                    op: p as u32,
-                                });
-                            }
+    /// Per operation of [`History::flat_ops`]: whether a later write of the
+    /// same key in its (committed) transaction overwrites it; and per range
+    /// of `ranges`, its transactions' writes and reads. Each range sets the
+    /// bits of its own transactions' operations, with one stamped reverse
+    /// scan per transaction.
+    fn overwritten_bits(
+        &self,
+        pool: &Pool,
+        history: &History,
+        ranges: &[Range<u32>],
+    ) -> (Vec<bool>, Vec<OpCounts>) {
+        let ops = history.flat_ops();
+        let op_offsets = history.txn_op_offsets();
+        let mut overwritten = vec![false; ops.len()];
+        // Carve the bit vector into the ranges' disjoint op spans.
+        let mut spans = Vec::with_capacity(ranges.len());
+        let mut rest = &mut overwritten[..];
+        let mut consumed = 0;
+        for r in ranges {
+            let (lo, hi) = (
+                self.op_start(history, r.start as usize),
+                self.op_start(history, r.end as usize),
+            );
+            let (mine, tail) = std::mem::take(&mut rest)[lo - consumed..].split_at_mut(hi - lo);
+            rest = tail;
+            consumed = hi;
+            spans.push((r.clone(), lo, Mutex::new(mine)));
+        }
+        let num_keys = history.num_keys();
+        let counts =
+            parallel::map_shards(pool, ranges.len(), "index_overwrites", &spans, |_, span| {
+                let (range, base, bits) = span;
+                let mut bits = bits.lock().expect("only this range's shard locks its span");
+                let mut counts = OpCounts::default();
+                let mut stamp = vec![0u32; num_keys];
+                for (round, &t) in
+                    (1u32..).zip(&self.txn_ids[range.start as usize..range.end as usize])
+                {
+                    let g = global_txn(history, t);
+                    for i in (op_offsets[g] as usize..op_offsets[g + 1] as usize).rev() {
+                        if let Op::Write { key, .. } = ops[i] {
+                            counts.writes += 1;
+                            bits[i - base] = stamp[key.index()] == round;
+                            stamp[key.index()] = round;
+                        } else {
+                            counts.reads += 1;
                         }
                     }
                 }
-            }
-            wt_scratch.sort_unstable();
-            wt_scratch.dedup();
-            num_ext_reads += er_scratch.len();
+                counts
+            });
+        (overwritten, counts)
+    }
 
-            cols.fill(&er_scratch);
-            keys_read.push_row(cols.keys_read.iter().copied());
-            first_writers.push_row(cols.first_writers.iter().copied());
-            read_pairs.push_row(cols.read_pairs.iter().copied());
-            ext_reads.push_row(er_scratch.iter().copied());
+    /// The rows pass over the dense transactions `range`: one walk over
+    /// each transaction's operations feeds [`ReadCheck`] and collects the
+    /// writes and external reads its rows derive from. Returns the range's
+    /// Read Consistency violations.
+    fn fill_rows(
+        &self,
+        history: &History,
+        overwritten: &[bool],
+        range: Range<u32>,
+        rows: &mut RowBuilders,
+    ) -> Vec<ReadConsistencyViolation> {
+        let ops = history.flat_ops();
+        let op_offsets = history.txn_op_offsets();
+        let mut violations = Vec::new();
+        let mut check = ReadCheck::default();
+        let mut written: Vec<Key> = Vec::new();
+        let mut reads: Vec<ExtRead> = Vec::new();
+        let mut cols = ReadCols::default();
+        for &tid in &self.txn_ids[range.start as usize..range.end as usize] {
+            let g = global_txn(history, tid);
+            written.clear();
+            reads.clear();
+            // The one walk: ReadCheck pulls the operations in program
+            // order, and each pull also records what the rows need.
+            let steps = ops[op_offsets[g] as usize..op_offsets[g + 1] as usize]
+                .iter()
+                .enumerate()
+                .map(|(p, op)| match *op {
+                    Op::Write { key, value } => {
+                        written.push(key);
+                        TxnOp::Write(key, value)
+                    }
+                    Op::Read { key, value, source } => TxnOp::Read(
+                        key,
+                        value,
+                        match source {
+                            ReadSource::ThinAir => ReadFrom::ThinAir,
+                            ReadSource::Internal { op } => ReadFrom::Own(op),
+                            ReadSource::External { txn, op } => {
+                                let writer = self.dense_id(txn);
+                                if writer == NONE {
+                                    ReadFrom::Aborted(OpLoc::new(txn, op))
+                                } else {
+                                    reads.push(ExtRead {
+                                        key,
+                                        writer,
+                                        op: p as u32,
+                                    });
+                                    ReadFrom::External(OpLoc::new(txn, op))
+                                }
+                            }
+                        },
+                    ),
+                });
+            check.check_txn(
+                tid,
+                steps,
+                |w, _| {
+                    !overwritten[op_offsets[global_txn(history, w.txn)] as usize + w.op as usize]
+                },
+                |f| {
+                    if let ReadFinding::Violation(v) = f {
+                        violations.push(v);
+                    }
+                },
+            );
 
-            for &k in &wt_scratch {
-                write_pairs.push((k.0, d as DenseId));
-            }
-            keys_written.push_row(wt_scratch.iter().copied());
+            written.sort_unstable();
+            written.dedup();
+            rows.keys_written.push_row(written.iter().copied());
+            cols.fill(&reads);
+            rows.keys_read.push_row(cols.keys_read.iter().copied());
+            rows.first_writers
+                .push_row(cols.first_writers.iter().copied());
+            rows.read_pairs.push_row(cols.read_pairs.iter().copied());
+            rows.ext_reads.push_row(reads.iter().copied());
         }
+        violations
+    }
 
-        // Two-level by-key CSR: group each key's writers (already in dense
-        // order within the key after the counting sort) by session.
-        let by_key = Csr::from_pairs(num_keys, &write_pairs);
+    /// The two-level by-key write lists, counting-sorted straight from the
+    /// `keys_written` rows: dense ids are session-major, so each key's
+    /// writers land in session order, grouped by session.
+    fn build_key_writes(&mut self) {
+        let num_keys = self.num_keys;
+        let cursor = &mut self.key_cursor;
+        cursor.clear();
+        cursor.resize(num_keys + 1, 0);
+        for &k in self.keys_written.values() {
+            cursor[k.index() + 1] += 1;
+        }
+        for k in 1..=num_keys {
+            cursor[k] += cursor[k - 1];
+        }
+        // `cursor[k]` is now key `k`'s first slot; scattering advances it
+        // to the slot after its last, i.e. key `k + 1`'s first.
+        let (mut offsets, mut writers) =
+            std::mem::take(&mut self.key_session_writers).into_raw_parts();
+        writers.clear();
+        writers.reserve_exact(self.keys_written.num_values());
+        writers.resize(self.keys_written.num_values(), 0);
+        for (d, keys) in self.keys_written.iter_rows() {
+            for &k in keys {
+                writers[cursor[k.index()] as usize] = d as DenseId;
+                cursor[k.index()] += 1;
+            }
+        }
         let mut key_sessions = std::mem::take(&mut self.key_sessions).into_builder();
-        let mut key_session_writers = std::mem::take(&mut self.key_session_writers).into_builder();
-        for k in 0..num_keys {
-            let writers = by_key.row(k);
-            let mut i = 0;
-            while i < writers.len() {
-                let s = txn_ids[writers[i] as usize].session;
+        offsets.clear();
+        offsets.push(0);
+        let mut start = 0;
+        for &end in &cursor[..num_keys] {
+            let end = end as usize;
+            let mut i = start;
+            while i < end {
+                let s = self.txn_session[writers[i] as usize];
                 key_sessions.push_value(s);
-                while i < writers.len() && txn_ids[writers[i] as usize].session == s {
-                    key_session_writers.push_value(writers[i]);
+                while i < end && self.txn_session[writers[i] as usize] == s {
                     i += 1;
                 }
-                key_session_writers.close_row();
+                offsets.push(i as u32);
             }
             key_sessions.close_row();
+            start = end;
         }
-        let key_sessions = key_sessions.finish();
-        let key_session_writers = key_session_writers.finish();
-        debug_assert_eq!(key_session_writers.num_rows(), key_sessions.num_values());
-
-        self.txn_ids = txn_ids;
-        self.dense = dense;
-        self.committed_pos = committed_pos;
-        self.session_committed = session_committed;
-        self.keys_written = keys_written.finish();
-        self.keys_read = keys_read.finish();
-        self.first_writers = first_writers.finish();
-        self.ext_reads = ext_reads.finish();
-        self.read_pairs = read_pairs.finish();
-        self.key_sessions = key_sessions;
-        self.key_session_writers = key_session_writers;
-        self.num_keys = num_keys;
-        self.num_sessions = num_sessions;
-        self.num_ext_reads = num_ext_reads;
+        if offsets.len() == 1 {
+            offsets.clear();
+        }
+        self.key_sessions = key_sessions.finish();
+        self.key_session_writers = Csr::from_raw_parts(offsets, writers);
+        debug_assert_eq!(
+            self.key_session_writers.num_rows(),
+            self.key_sessions.num_values()
+        );
     }
 
     /// Heap footprint of the index's retained buffers in bytes
@@ -258,7 +534,7 @@ impl HistoryIndex {
     /// arena-growth accounting. Build-time temporaries are excluded.
     pub fn heap_bytes(&self) -> usize {
         self.txn_ids.capacity() * std::mem::size_of::<TxnId>()
-            + self.committed_pos.capacity() * std::mem::size_of::<u32>()
+            + self.txn_session.capacity() * std::mem::size_of::<u32>()
             + self.dense.heap_bytes()
             + self.session_committed.heap_bytes()
             + self.keys_written.heap_bytes()
@@ -268,6 +544,21 @@ impl HistoryIndex {
             + self.read_pairs.heap_bytes()
             + self.key_sessions.heap_bytes()
             + self.key_session_writers.heap_bytes()
+            + self.key_cursor.capacity() * std::mem::size_of::<u32>()
+            + self.read_violations.capacity() * std::mem::size_of::<ReadConsistencyViolation>()
+    }
+
+    /// Every Read Consistency violation of the history (the five axioms of
+    /// Algorithm 4), in session-major program order — what
+    /// [`check_read_consistency`](crate::check_read_consistency) returns.
+    #[inline]
+    pub fn read_violations(&self) -> &[ReadConsistencyViolation] {
+        &self.read_violations
+    }
+
+    /// Takes the Read Consistency violations out of the index.
+    pub(crate) fn take_read_violations(&mut self) -> Vec<ReadConsistencyViolation> {
+        std::mem::take(&mut self.read_violations)
     }
 
     /// Number of committed transactions, `m`.
@@ -276,10 +567,18 @@ impl HistoryIndex {
         self.txn_ids.len()
     }
 
-    /// Number of sessions, `k`.
+    /// Number of index sessions, `k`: the sessions holding at least one
+    /// committed transaction (see [`HistoryIndex`]).
     #[inline]
     pub fn num_sessions(&self) -> usize {
-        self.num_sessions
+        self.session_committed.num_rows()
+    }
+
+    /// Number of sessions of the indexed history, empty and all-aborted
+    /// ones included.
+    #[inline]
+    pub fn num_history_sessions(&self) -> usize {
+        self.dense.num_rows()
     }
 
     /// Number of distinct keys in the history.
@@ -291,7 +590,7 @@ impl HistoryIndex {
     /// Total number of external-read records across all transactions.
     #[inline]
     pub fn num_ext_reads(&self) -> usize {
-        self.num_ext_reads
+        self.ext_reads.num_values()
     }
 
     /// The [`TxnId`] of a dense transaction.
@@ -306,7 +605,8 @@ impl HistoryIndex {
         &self.txn_ids
     }
 
-    /// The dense id of a committed transaction, or [`NONE`] if it aborted.
+    /// The dense id of a committed transaction, or [`NONE`] if it aborted
+    /// (`t` carries the history's session id).
     #[inline]
     pub fn dense_id(&self, t: TxnId) -> DenseId {
         self.dense.row(t.session as usize)[t.index as usize]
@@ -316,16 +616,18 @@ impl HistoryIndex {
     /// committed transactions only.
     #[inline]
     pub fn committed_pos(&self, d: DenseId) -> u32 {
-        self.committed_pos[d as usize]
+        d - self.session_base(self.session_of(d))
     }
 
-    /// Session of dense transaction `d`.
+    /// Index session of dense transaction `d` (its history session is
+    /// [`txn_id(d)`](Self::txn_id)`.session`).
     #[inline]
     pub fn session_of(&self, d: DenseId) -> u32 {
-        self.txn_ids[d as usize].session
+        self.txn_session[d as usize]
     }
 
-    /// Dense ids of session `s`'s committed transactions, in session order.
+    /// Dense ids of index session `s`'s committed transactions, in session
+    /// order.
     #[inline]
     pub fn session_committed(&self, s: SessionId) -> &[DenseId] {
         self.session_committed.row(s.index())
@@ -383,7 +685,7 @@ impl HistoryIndex {
         self.read_pairs.row(d as usize)
     }
 
-    /// Committed writers of `key` in session `s`, in session order
+    /// Committed writers of `key` in index session `s`, in session order
     /// (the `Writes_s[x]` array of Algorithm 3).
     #[inline]
     pub fn session_writes(&self, s: u32, key: Key) -> &[DenseId] {
@@ -398,7 +700,7 @@ impl HistoryIndex {
         }
     }
 
-    /// The sessions writing `key` (ascending), each with its write list's
+    /// The index sessions writing `key` (ascending), each with its write list's
     /// row id in the two-level CSR and its committed writers in session
     /// order — only sessions with at least one write appear, which is what
     /// keeps Algorithm 3's per-read work proportional to the writers that
@@ -469,6 +771,12 @@ impl HistoryIndex {
                 .map(move |(s, _, ws)| (s, Key(k as u32), ws))
         })
     }
+}
+
+/// The position of `t` in the history's per-transaction columns.
+#[inline]
+fn global_txn(history: &History, t: TxnId) -> usize {
+    history.session_offsets()[t.session as usize] as usize + t.index as usize
 }
 
 /// The number of entries of the ascending `ids` below `target`, and the

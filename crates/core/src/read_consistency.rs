@@ -15,20 +15,22 @@
 //! proceed on the remaining clean reads (Section 3.4).
 //!
 //! The axioms themselves are the per-transaction [`ReadCheck`] step, which
-//! the streaming checker runs too. For axiom (e)'s external case this pass
-//! first sets a per-op bit, "overwritten later in its transaction", over
-//! [`History::flat_ops`] with one stamped reverse scan per transaction; a
-//! read from write `op` of `w` then looks up the bit at
-//! `txn_op_offsets[global(w)] + op`.
+//! the streaming checker runs too. The batch pass that drives it is part
+//! of the index build, [`HistoryIndex::rebuild`]: one walk over the
+//! committed transactions' operations checks the reads and fills the index
+//! rows, and the [`Engine`](crate::Engine) reads the violations off its
+//! index ([`HistoryIndex::read_violations`]). This module's function is
+//! that pass on its own.
+//!
+//! [`ReadCheck`]: crate::incremental::ReadCheck
 
 use crate::history::History;
-use crate::incremental::{ReadCheck, ReadFinding, ReadFrom, TxnOp};
-use crate::op::{Op, ReadSource};
-use crate::types::{OpLoc, TxnId};
+use crate::index::HistoryIndex;
 use crate::witness::ReadConsistencyViolation;
 
 /// Checks the five Read Consistency axioms, returning all violations in
-/// session-major, program order.
+/// session-major, program order: the index build's pass on the calling
+/// thread, keeping only its violations.
 ///
 /// # Examples
 ///
@@ -48,57 +50,7 @@ use crate::witness::ReadConsistencyViolation;
 /// # }
 /// ```
 pub fn check_read_consistency(history: &History) -> Vec<ReadConsistencyViolation> {
-    let ops = history.flat_ops();
-    let op_offsets = history.txn_op_offsets();
-    let committed = history.committed_flags();
-    let session_offsets = history.session_offsets();
-    let global = |t: TxnId| session_offsets[t.session as usize] as usize + t.index as usize;
-
-    // Per op: whether a later write of the same key in its transaction
-    // overwrites it. Keys are dense, so a stamped array avoids clearing
-    // between transactions.
-    let mut overwritten = vec![false; ops.len()];
-    let mut stamp: Vec<u32> = vec![0; history.num_keys()];
-    for g in 0..committed.len() {
-        let round = g as u32 + 1;
-        for i in (op_offsets[g] as usize..op_offsets[g + 1] as usize).rev() {
-            if let Op::Write { key, .. } = ops[i] {
-                overwritten[i] = stamp[key.index()] == round;
-                stamp[key.index()] = round;
-            }
-        }
-    }
-
-    let mut violations = Vec::new();
-    let mut step = ReadCheck::default();
-    for (tid, txn) in history.committed_txns() {
-        let txn_ops = txn.ops().iter().map(|op| match *op {
-            Op::Write { key, value } => TxnOp::Write(key, value),
-            Op::Read { key, value, source } => TxnOp::Read(
-                key,
-                value,
-                match source {
-                    ReadSource::ThinAir => ReadFrom::ThinAir,
-                    ReadSource::Internal { op } => ReadFrom::Own(op),
-                    ReadSource::External { txn, op } if committed[global(txn)] => {
-                        ReadFrom::External(OpLoc::new(txn, op))
-                    }
-                    ReadSource::External { txn, op } => ReadFrom::Aborted(OpLoc::new(txn, op)),
-                },
-            ),
-        });
-        step.check_txn(
-            tid,
-            txn_ops,
-            |w, _| !overwritten[op_offsets[global(w.txn)] as usize + w.op as usize],
-            |f| {
-                if let ReadFinding::Violation(v) = f {
-                    violations.push(v);
-                }
-            },
-        );
-    }
-    violations
+    HistoryIndex::new(history).take_read_violations()
 }
 
 #[cfg(test)]

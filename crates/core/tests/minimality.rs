@@ -47,8 +47,7 @@ fn edge_is_required(index: &HistoryIndex, level: IsolationLevel, t2: u32, t1: u3
         }
         IsolationLevel::ReadAtomic => (0..m).any(|t3| {
             let visible = {
-                let tid = index.txn_id(t3);
-                let list = index.session_committed(SessionId(tid.session));
+                let list = index.session_committed(SessionId(index.session_of(t3)));
                 let pos = index.committed_pos(t3) as usize;
                 list[..pos].contains(&t2) || index.ext_reads(t3).iter().any(|r| r.writer == t2)
             };

@@ -8,17 +8,17 @@
 //! (behind a tiny std-only wrapper) so the page cache is the only copy
 //! until the columns land in the recycled arena.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! ```text
 //! magic      8  bytes   "AWBHIST\0"
-//! version    u32 LE     1
+//! version    u32 LE     2
 //! sections   u32 LE     5
 //! 5 × section:
 //!   tag      u32 LE     1..=5, strictly in order
 //!   length   u64 LE     payload bytes
 //!   payload  ...        see below
-//! checksum   u64 LE     FNV-1a 64 of every preceding byte
+//! checksum   u64 LE     the word-lane sum (below) of every preceding byte
 //! ```
 //!
 //! | tag | section | payload |
@@ -34,12 +34,27 @@
 //! op c)`, 2 an internal read from own op `c`, and 3 a thin-air read;
 //! unused fields are written as zero.
 //!
+//! # Checksum
+//!
+//! The body is read as consecutive 32-byte blocks of four little-endian
+//! `u64` words. Lane `i` starts at `LANE_SEEDS[i]` and folds word `i` of
+//! every block as `lane = (lane ^ word) * MUL` (wrapping, `MUL` odd).
+//! The sum then starts at `SUM_SEED` and folds, with the same step, the
+//! four lanes in order, each byte of the final partial block (fewer than
+//! 32), and the body's length in bytes. Every step is a bijection of the
+//! running value, so a change confined to one word or one tail byte —
+//! in particular any one-byte change — always changes the sum. The
+//! lanes are independent, so the sweep runs four multiplies in parallel
+//! where byte-wise FNV-1a (version 1) ran one per byte.
+//!
 //! # Versioning policy
 //!
 //! The magic never changes. Any layout change bumps `version`; readers
 //! reject versions they do not know ([`AwbError::UnsupportedVersion`])
-//! rather than guessing. Version 1 readers require exactly the five
-//! sections above, in tag order, with nothing after the checksum.
+//! rather than guessing. Version 2 changed only the checksum; version 1
+//! files are rejected, so regenerate them with `awdit convert --to awb`.
+//! Version 2 readers require exactly the five sections above, in tag
+//! order, with nothing after the checksum.
 //!
 //! # Trust model
 //!
@@ -62,7 +77,7 @@ use awdit_core::{
 /// The 8-byte magic opening every `.awb` file.
 pub const AWB_MAGIC: [u8; 8] = *b"AWBHIST\0";
 /// Current format version.
-pub const AWB_VERSION: u32 = 1;
+pub const AWB_VERSION: u32 = 2;
 /// Conventional file extension.
 pub const AWB_EXTENSION: &str = "awb";
 
@@ -71,8 +86,19 @@ const OP_RECORD_BYTES: usize = 28;
 const HEADER_BYTES: usize = 8 + 4 + 4;
 const CHECKSUM_BYTES: usize = 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The checksum's odd multiplier (the 64-bit golden ratio).
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Starting values of the checksum's four lanes (hex digits of pi).
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// Starting value of the final fold (the FNV-1a 64 offset basis).
+const SUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Bytes per checksum block: one `u64` word per lane.
+const BLOCK_BYTES: usize = 32;
 
 /// Errors reading an `.awb` file.
 #[derive(Debug)]
@@ -136,27 +162,95 @@ pub fn sniff_awb(prefix: &[u8]) -> bool {
     prefix.len() >= AWB_MAGIC.len() && prefix[..AWB_MAGIC.len()] == AWB_MAGIC
 }
 
-/// A writer shim that folds every byte into a running FNV-1a 64 hash on
+/// The running `.awb` checksum (see the module docs). Bytes may arrive in
+/// any chunking: a partial block waits in `pending` until it fills, so
+/// the sum depends only on the byte sequence.
+#[derive(Clone)]
+struct Checksum {
+    lanes: [u64; 4],
+    pending: [u8; BLOCK_BYTES],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Checksum {
+            lanes: LANE_SEEDS,
+            pending: [0; BLOCK_BYTES],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+
+    /// The sum of `bytes` in one call.
+    fn of(bytes: &[u8]) -> u64 {
+        let mut sum = Checksum::new();
+        sum.update(bytes);
+        sum.finish()
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (BLOCK_BYTES - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < BLOCK_BYTES {
+                return;
+            }
+            let block = self.pending;
+            self.fold_block(&block);
+            self.pending_len = 0;
+        }
+        let mut blocks = bytes.chunks_exact(BLOCK_BYTES);
+        for block in &mut blocks {
+            self.fold_block(block);
+        }
+        let tail = blocks.remainder();
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
+    }
+
+    #[inline]
+    fn fold_block(&mut self, block: &[u8]) {
+        for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, le_u64(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut sum = SUM_SEED;
+        for &lane in &self.lanes {
+            sum = step(sum, lane);
+        }
+        for &b in &self.pending[..self.pending_len] {
+            sum = step(sum, u64::from(b));
+        }
+        step(sum, self.len)
+    }
+}
+
+/// One xor-then-multiply step: a bijection of `acc` for every `word`.
+#[inline]
+fn step(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(MUL)
+}
+
+/// A writer shim that folds every byte into the running [`Checksum`] on
 /// its way through, so encoding streams in one pass with the checksum
 /// ready at the end.
 struct HashingWriter<'a, W: ?Sized> {
     inner: &'a mut W,
-    hash: u64,
+    sum: Checksum,
 }
 
 impl<W: Write + ?Sized> HashingWriter<'_, W> {
     fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.hash = fnv1a(self.hash, bytes);
+        self.sum.update(bytes);
         self.inner.write_all(bytes)
     }
-}
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// Streams `history` out as an `.awb` file (wrap files in a `BufWriter`).
@@ -170,7 +264,7 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 pub fn write_awb_to<W: Write + ?Sized>(history: &History, out: &mut W) -> std::io::Result<()> {
     let mut w = HashingWriter {
         inner: out,
-        hash: FNV_OFFSET,
+        sum: Checksum::new(),
     };
     w.put(&AWB_MAGIC)?;
     w.put(&AWB_VERSION.to_le_bytes())?;
@@ -211,7 +305,7 @@ pub fn write_awb_to<W: Write + ?Sized>(history: &History, out: &mut W) -> std::i
         w.put(&k.to_le_bytes())?;
     }
 
-    let checksum = w.hash;
+    let checksum = w.sum.finish();
     w.inner.write_all(&checksum.to_le_bytes())
 }
 
@@ -279,7 +373,7 @@ pub fn decode_awb_into(bytes: &[u8], arena: &mut History) -> Result<(), AwbError
         return Err(AwbError::Truncated);
     }
     let body_end = bytes.len() - CHECKSUM_BYTES;
-    if fnv1a(FNV_OFFSET, &bytes[..body_end]) != le_u64(&bytes[body_end..]) {
+    if Checksum::of(&bytes[..body_end]) != le_u64(&bytes[body_end..]) {
         return Err(AwbError::ChecksumMismatch);
     }
 
@@ -645,6 +739,40 @@ mod tests {
         assert_eq!(via_path, via_bytes);
         assert_eq!(write_awb(&via_path), write_awb(&via_bytes));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The sum depends on the bytes only, not on how they are chunked:
+    /// every split of a 200-byte body into pieces of 1 to 70 bytes gives
+    /// the one-call sum.
+    #[test]
+    fn checksum_ignores_chunking() {
+        let body: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 1, 31, 32, 33, 64, 95, 200] {
+            let whole = Checksum::of(&body[..len]);
+            for piece in 1..=70 {
+                let mut sum = Checksum::new();
+                for chunk in body[..len].chunks(piece) {
+                    sum.update(chunk);
+                }
+                assert_eq!(sum.finish(), whole, "len {len}, pieces of {piece}");
+            }
+        }
+        // The length is folded in: a zero-filled body differs from a
+        // shorter one.
+        assert_ne!(Checksum::of(&[0; 32]), Checksum::of(&[0; 31]));
+        assert_ne!(Checksum::of(&[]), Checksum::of(&[0]));
+    }
+
+    /// A version 1 file — byte-wise FNV-1a — is refused by its version
+    /// field before any checksum is computed.
+    #[test]
+    fn version_1_is_unsupported() {
+        let mut v1 = write_awb(&sample());
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            parse_awb(&v1),
+            Err(AwbError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -90,16 +90,37 @@ fn fingerprint(o: &Outcome) -> String {
     )
 }
 
-/// Mirror of the codec's FNV-1a 64, for re-sealing deliberately corrupted
-/// bodies so tampering reaches the structural validators.
+/// Mirror of the codec's version 2 checksum, for re-sealing deliberately
+/// corrupted bodies so tampering reaches the structural validators: four
+/// `u64` lanes of xor-then-multiply over 32-byte blocks, folded with the
+/// byte-wise tail and the body length.
 fn refresh_checksum(bytes: &mut [u8]) {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |acc: u64, word: u64| (acc ^ word).wrapping_mul(MUL);
     let body_end = bytes.len() - 8;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[..body_end] {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let body = &bytes[..body_end];
+    let mut lanes = [
+        0x243f_6a88_85a3_08d3u64,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let blocks = body.len() / 32 * 32;
+    for block in body[..blocks].chunks(32) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(block[i * 8..i * 8 + 8].try_into().unwrap());
+            *lane = step(*lane, word);
+        }
     }
-    bytes[body_end..].copy_from_slice(&hash.to_le_bytes());
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for lane in lanes {
+        sum = step(sum, lane);
+    }
+    for &b in &body[blocks..] {
+        sum = step(sum, u64::from(b));
+    }
+    sum = step(sum, body.len() as u64);
+    bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
@@ -251,6 +272,10 @@ fn truncation_at_every_length_is_a_clean_error() {
 #[test]
 fn header_tampering_is_diagnosed_precisely() {
     let good = write_awb(&sample_history(3, 24));
+    // The mirror reproduces the encoder's checksum.
+    let mut resealed = good.clone();
+    refresh_checksum(&mut resealed);
+    assert_eq!(resealed, good);
 
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xFF;
@@ -302,10 +327,24 @@ fn header_tampering_is_diagnosed_precisely() {
     parse_awb(&good).unwrap();
 }
 
+/// Every one-byte change anywhere in a file, at every position and with
+/// every single-bit flip, is refused: the checksum catches all of them.
+#[test]
+fn every_single_byte_change_is_caught() {
+    let good = write_awb(&sample_history(2, 6));
+    for pos in 0..good.len() {
+        for bit in 0..8 {
+            let mut mutated = good.clone();
+            mutated[pos] ^= 1 << bit;
+            assert!(parse_awb(&mutated).is_err(), "flip at {pos} bit {bit}");
+        }
+    }
+}
+
 proptest! {
-    /// Any single flipped byte is caught (FNV-1a folds every body byte, so
-    /// a one-byte change always lands on the checksum gate or earlier) and
-    /// never panics or over-reads.
+    /// Any single flipped byte is caught (every step of the word-lane sum
+    /// is a bijection, so a one-byte change always lands on the checksum
+    /// gate or earlier) and never panics or over-reads.
     #[test]
     fn any_single_byte_flip_is_a_clean_error(pos in 0usize..4096, bit in 0u8..8) {
         let bytes = write_awb(&sample_history(3, 24));

@@ -11,6 +11,8 @@
 //! count.
 
 use awdit::baselines::{check_naive, random_noisy_history, random_plausible_history, GenParams};
+use awdit::core::parallel::{Pool, SEQUENTIAL_CUTOFF};
+use awdit::core::HistoryIndex;
 use awdit::{
     check, collect_history, read_history, replay_history, validate_commit_order, write_history,
     DbIsolation, DirSource, Engine, EngineConfig, FilesSource, Format, History, HistoryBuilder,
@@ -296,6 +298,173 @@ fn cc_arena_bytes_are_thread_invariant() {
         bytes.iter().all(|&b| b == bytes[0]),
         "arena bytes at threads {THREAD_COUNTS:?}: {bytes:?}"
     );
+}
+
+/// The index pass — every row, the by-key write lists, the Read
+/// Consistency violations — and its footprint are the same at every
+/// thread count, also when one index is rebuilt across thread counts and
+/// shapes: the per-range rows are joined in dense order into buffers of
+/// exactly the joined length.
+#[test]
+fn index_pass_is_thread_invariant() {
+    let mut histories: Vec<History> = (0..3u64)
+        .map(|seed| {
+            random_noisy_history(
+                seed,
+                GenParams {
+                    sessions: 6,
+                    txns: 2_000,
+                    keys: 16,
+                    max_txn_ops: 5,
+                    read_ratio: 0.5,
+                    staleness: 0.4,
+                },
+            )
+        })
+        .collect();
+    let config = SimConfig::new(DbIsolation::Causal, 16, 9).with_max_lag(8);
+    histories
+        .push(collect_history(config, &mut Uniform::default(), 4_000).expect("history builds"));
+    let pools: Vec<(usize, Pool)> = THREAD_COUNTS.iter().map(|&t| (t, Pool::new(t))).collect();
+    let mut recycled = HistoryIndex::empty();
+    for (i, h) in histories.iter().enumerate() {
+        assert!(
+            h.num_committed() > 2 * SEQUENTIAL_CUTOFF,
+            "history {i}: {}",
+            h.num_committed()
+        );
+        let fresh = HistoryIndex::new(h);
+        let reference = format!("{fresh:?}");
+        if i < 3 {
+            assert!(
+                !fresh.read_violations().is_empty(),
+                "history {i} has read violations"
+            );
+        }
+        for (threads, pool) in &pools {
+            let mut index = HistoryIndex::empty();
+            index.rebuild(pool, *threads, h);
+            assert_eq!(
+                format!("{index:?}"),
+                reference,
+                "history {i}, {threads} threads"
+            );
+            assert_eq!(
+                index.heap_bytes(),
+                fresh.heap_bytes(),
+                "history {i}, {threads} threads"
+            );
+            recycled.rebuild(pool, *threads, h);
+            assert_eq!(
+                format!("{recycled:?}"),
+                reference,
+                "history {i}, {threads} threads, recycled"
+            );
+        }
+    }
+}
+
+/// Copies `h`, putting an empty session and a session with one aborted
+/// transaction before each of its sessions (`h` must have a key).
+fn with_empty_sessions(h: &History) -> History {
+    let mut b = HistoryBuilder::new();
+    for (_, txns) in h.sessions() {
+        b.session();
+        let aborted = b.session();
+        b.begin(aborted);
+        // The history's first key, so key ids are interned alike.
+        b.write(
+            aborted,
+            h.key_name(awdit::core::Key(0)),
+            u64::MAX - u64::from(aborted.0),
+        );
+        b.abort(aborted);
+        let s = b.session();
+        for t in txns.iter() {
+            b.begin(s);
+            for op in t.ops() {
+                match *op {
+                    awdit::core::Op::Write { key, value } => b.write(s, h.key_name(key), value.0),
+                    awdit::core::Op::Read { key, value, .. } => b.read(s, h.key_name(key), value.0),
+                }
+            }
+            if t.is_committed() {
+                b.commit(s);
+            } else {
+                b.abort(s);
+            }
+        }
+    }
+    b.finish().expect("padded history builds")
+}
+
+/// Sessions without a committed transaction get no index session: the
+/// index, and so every clock row, RA shard and CC search, is the one of
+/// the history without them — only `TxnId`s keep the file's session ids.
+#[test]
+fn empty_sessions_get_no_index_session() {
+    let config = SimConfig::new(DbIsolation::ReadCommitted, 6, 4).with_max_lag(8);
+    let h = collect_history(config, &mut Uniform::default(), 900).expect("history builds");
+    let padded = with_empty_sessions(&h);
+    assert_eq!(padded.num_sessions(), 3 * h.num_sessions());
+    let (plain, index) = (HistoryIndex::new(&h), HistoryIndex::new(&padded));
+    assert_eq!(index.num_sessions(), plain.num_sessions());
+    assert_eq!(index.num_history_sessions(), padded.num_sessions());
+    assert_eq!(index.num_committed(), plain.num_committed());
+    for d in 0..plain.num_committed() as u32 {
+        let (t, u) = (plain.txn_id(d), index.txn_id(d));
+        assert_eq!((u.session, u.index), (3 * t.session + 2, t.index));
+        assert_eq!(index.session_of(d), plain.session_of(d));
+        assert_eq!(index.committed_pos(d), plain.committed_pos(d));
+        assert_eq!(index.ext_reads(d), plain.ext_reads(d));
+        assert_eq!(index.read_pairs(d), plain.read_pairs(d));
+        assert_eq!(index.dense_id(u), d);
+    }
+    let lists = |ix: &HistoryIndex| -> Vec<String> {
+        ix.session_write_lists().map(|l| format!("{l:?}")).collect()
+    };
+    assert_eq!(lists(&index), lists(&plain));
+    for level in IsolationLevel::ALL {
+        for threads in THREAD_COUNTS {
+            let cfg = EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            };
+            let (a, b) = (
+                Engine::with_config(cfg).check_level(&h, level),
+                Engine::with_config(cfg).check_level(&padded, level),
+            );
+            assert_eq!(a.verdict(), b.verdict(), "{level}, {threads} threads");
+            assert_eq!(a.stats(), b.stats(), "{level}, {threads} threads");
+            assert_eq!(a.violations().len(), b.violations().len());
+        }
+    }
+
+    // RA's single-session shortcut keys on the history's sessions, as it
+    // did before index sessions: one session with a non-repeatable read
+    // takes it, and reports a cycle; with an empty session added the
+    // general path runs and reports the non-repeatable read.
+    let mut b = HistoryBuilder::new();
+    let s = b.session();
+    for v in [1, 2] {
+        b.begin(s);
+        b.write(s, 7, v);
+        b.commit(s);
+    }
+    b.begin(s);
+    b.read(s, 7, 1);
+    b.read(s, 7, 2);
+    b.commit(s);
+    let single = b.finish().unwrap();
+    let kinds = |h: &History| -> Vec<String> {
+        check(h, IsolationLevel::ReadAtomic)
+            .violations()
+            .iter()
+            .map(|v| format!("{:?}", v.kind()))
+            .collect()
+    };
+    assert!(!kinds(&single).contains(&"NonRepeatableRead".to_string()));
+    assert_eq!(kinds(&with_empty_sessions(&single)), ["NonRepeatableRead"]);
 }
 
 /// Checking through a fresh-per-call wrapper and through a reused engine

@@ -112,7 +112,13 @@ fn traces_are_well_formed() {
     let summary = validate_trace(&json).expect("trace validates");
     assert!(summary.complete_spans > 0);
     assert!(summary.max_depth >= 2, "spans must nest: {summary:?}");
-    for phase in ["check", "read_consistency", "index_rebuild", "saturate_cc"] {
+    for phase in [
+        "check",
+        "index_rebuild",
+        "index_rows",
+        "index_by_key",
+        "saturate_cc",
+    ] {
         assert!(
             summary.phase_names.contains(&phase.to_string()),
             "missing {phase} in {summary:?}"
@@ -219,7 +225,13 @@ fn engine_metrics_reconcile_with_engine_stats() {
     assert_eq!(per_arena, stats.arena_bytes as f64);
     // Phase aggregates exist for every span the engine claims to emit.
     let phases = obs.phase_timings();
-    for p in ["check", "read_consistency", "index_rebuild", "saturate_cc"] {
+    for p in [
+        "check",
+        "index_rebuild",
+        "index_rows",
+        "index_by_key",
+        "saturate_cc",
+    ] {
         assert!(
             phases.iter().any(|t| t.name == p && t.count > 0),
             "missing phase {p}"

@@ -535,6 +535,36 @@ fn hostile_session_id_upload_returns_400() {
     ts.stop();
 }
 
+/// A 43-byte upload naming session 1,000,000 holds one transaction. A
+/// failed allocation aborts the process rather than unwinding, so no
+/// `catch_unwind` could save the daemon from `k × k` CC frontiers over a
+/// million sessions; per-session check state covers only the sessions
+/// holding a committed transaction, so the upload is checked, the daemon
+/// stays up, and a second upload succeeds.
+#[test]
+fn million_session_upload_leaves_the_daemon_up() {
+    use awdit::formats::Report;
+
+    let ts = TestServer::start(exact_causal_config());
+    let body = "awdit-history v1\nsession 1000000\nc: w(0,1)\n";
+    assert_eq!(body.len(), 43);
+    let (status, json) = request(ts.addr, "POST", "/v1/check?isolation=cc", body);
+    assert_eq!(status, 200, "{json}");
+    let report = Report::from_json(&json).expect("valid report schema");
+    assert_eq!(report.histories[0].levels[0].verdict, "consistent");
+    let (status, health) = request(ts.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    let h = random_noisy_history(5, GenParams::default());
+    let (status, json) = request(
+        ts.addr,
+        "POST",
+        "/v1/check?isolation=cc",
+        &ndjson(&events_of_history(&h)),
+    );
+    assert_eq!(status, 200, "{json}");
+    ts.stop();
+}
+
 /// `check_threads` tunes the shared batch engine behind `POST /v1/check`
 /// independently of the accept threads: verdicts are identical across
 /// engine thread counts, and `/healthz` reports the resolved count
